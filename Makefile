@@ -3,8 +3,10 @@
 #   make build        compile everything
 #   make vet          static checks
 #   make test         full test suite
-#   make check        formatting + vet + build + test + differential +
-#                     chaos + bench-smoke, the pre-commit gate
+#   make check        formatting + vet + build + test (this module and the
+#                     tinbench/ benchmark module) + differential + chaos +
+#                     crash-chaos + fleet-smoke + obs-smoke + guardrail +
+#                     bench-smoke, the pre-commit gate
 #   make differential interpreter equivalence gate: analyzed (taint
 #                     pre-analysis fast path) vs instrumented vs reference
 #   make race         race-detector pass over the concurrent subsystems
@@ -55,7 +57,9 @@ test:
 	$(GO) test ./...
 
 # The one command CI and contributors run before pushing: fails on any
-# unformatted file, vet finding, build error, or test failure.
+# unformatted file, vet finding, build error, or test failure. tinbench/ is
+# its own module, so the root `go test ./...` never compiles it; it is
+# vetted and tested separately against this tree.
 check:
 	@unformatted="$$($(GOFMT) -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -64,6 +68,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd tinbench && $(GO) vet . && $(GO) test -count=1 .
 	$(MAKE) differential
 	$(MAKE) chaos
 	$(MAKE) crash-chaos
@@ -102,28 +107,31 @@ obs-smoke:
 
 # Deterministic fault-injection suite (see EXPERIMENTS.md "Chaos suite"):
 # scripted partitions, node crash/restart, flapping 3G and slow-node
-# scenarios, all on the virtual clock, run under the race detector.
+# scenarios, all on the virtual clock, run under the race detector. The
+# fleet's chaos tests run in fleet-smoke's full -race pass over
+# internal/fleet.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Fault|Replay|Reconnect|Breaker|Shutdown|Pool' ./internal/core/ ./internal/netsim/ ./internal/nodeproto/ ./internal/node/ ./internal/fault/ ./internal/fleet/
+	$(GO) test -race -count=1 -run 'Chaos|Fault|Replay|Reconnect|Breaker|Shutdown' ./internal/core/ ./internal/netsim/ ./internal/nodeproto/ ./internal/node/ ./internal/fault/
 
 # Storage-engine crash gate: every store chaos sweep (kill at every
 # filesystem operation, crash during snapshot, double-crash during
-# recovery, recovered-state equivalence) plus the durable node, fleet
-# failover and full-world restart suites. The invariants: acknowledged
-# records survive, audit Seq stays gap-free, recovery is idempotent, and
-# cor plaintext never appears in WAL or snapshot bytes.
+# recovery, recovered-state equivalence) plus the durable node and
+# full-world restart suites. The invariants: acknowledged records survive,
+# audit Seq stays gap-free, recovery is idempotent, and cor plaintext never
+# appears in WAL or snapshot bytes. The durable fleet failover suite runs
+# in fleet-smoke's full -race pass over internal/fleet.
 crash-chaos:
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestDurable' ./internal/node/ ./internal/fleet/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestDurable' ./internal/node/ ./internal/core/
 
 # Fleet gate: deterministic placement, drain/rebalance via shard handoff,
-# crash failover on the audit watermark, and the wire layer's ownership
-# gate + redirect + merged per-device audit stream.
+# crash failover on the audit watermark (the whole internal/fleet suite,
+# its chaos and durable tests included, under -race), and the wire layer's
+# ownership gate + redirect + merged per-device audit stream.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet/
 	$(GO) test -race -count=1 -run 'TestFleetWire|TestWireHandoff' ./internal/nodeproto/
 	$(GO) test -race -count=1 -run 'TestShard|TestHandoff' ./internal/node/ ./internal/core/
-	$(GO) test -count=1 ./cmd/tinman-audit/
 
 # Leak-guardrail gate: fingerprint the benchmark cor's plaintext and all
 # four TLS session keys, drive a full loadgen run against an instrumented

@@ -1,9 +1,12 @@
-// Command tinman-audit inspects a persisted trusted-node audit log (the
-// JSON-lines file written by tinman-node -audit): filtering, summarizing,
-// and anomaly scanning — the "reported to the user" side of §3.4.
+// Command tinman-audit inspects a trusted-node audit log: filtering,
+// summarizing, and anomaly scanning — the "reported to the user" side of
+// §3.4. It reads the log from a tinman-node store directory (-store) or
+// from JSON-lines files, the format its own -json output writes.
 //
 // Usage:
 //
+//	tinman-audit -store /var/lib/tinman         # offline store query
+//	tinman-audit -store /var/lib/tinman -json > audit.jsonl
 //	tinman-audit audit.jsonl                    # list everything
 //	tinman-audit -cor bank-pw audit.jsonl       # one cor's history
 //	tinman-audit -device nexus-1 audit.jsonl    # one device's history
@@ -12,7 +15,6 @@
 //	tinman-audit -since 2015-04-01T00:00:00Z -until 2015-04-02T00:00:00Z audit.jsonl
 //	tinman-audit -json -denied audit.jsonl      # machine-readable output
 //	tinman-audit -merge node-a.jsonl node-b.jsonl node-c.jsonl
-//	tinman-audit -store /var/lib/tinman         # offline store query
 //
 // -store opens a tinman-node crash-safe store directory read-only and
 // queries the audit log recovered from its snapshot + WAL — works while
@@ -22,11 +24,10 @@
 //
 // -since/-until accept RFC 3339 timestamps or bare dates (2015-04-01,
 // midnight UTC) and select the window [since, until). -json re-emits the
-// matching entries in the persisted JSON-lines format, so output pipes back
-// into tinman-audit.
+// matching entries as JSON lines, so output pipes back into tinman-audit.
 //
-// -merge interleaves several nodes' logs — the per-member files a fleet
-// writes — into one stream. Each device's entries are ordered by the
+// -merge interleaves several nodes' logs — the -json exports of each fleet
+// member's store — into one stream. Each device's entries are ordered by the
 // per-device sequence that travels with its shard (so a device's history
 // reads in true order even when it moved between nodes whose clocks and
 // global sequences disagree), and sequence gaps or duplicates are reported
@@ -52,7 +53,7 @@ func main() {
 		summary  = flag.Bool("summary", false, "print per-cor and per-device totals")
 		since    = flag.String("since", "", "only entries at or after this time (RFC 3339 or YYYY-MM-DD)")
 		until    = flag.String("until", "", "only entries before this time (RFC 3339 or YYYY-MM-DD)")
-		jsonMode = flag.Bool("json", false, "emit matching entries as JSON lines (the persisted format)")
+		jsonMode = flag.Bool("json", false, "emit matching entries as JSON lines (the format tinman-audit reads back)")
 		merge    = flag.Bool("merge", false, "interleave several nodes' logs into one per-device-ordered stream")
 		storeDir = flag.String("store", "", "read the audit log from a tinman-node crash-safe store directory (offline, read-only)")
 	)

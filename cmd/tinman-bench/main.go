@@ -15,10 +15,10 @@
 //
 // Beyond the paper's figures, -throughput measures the trusted-node
 // service itself: an in-process node on loopback TCP under parallel
-// catalog+reseal device loops, comparing client stacks:
+// catalog+reseal device loops pipelined over one connection:
 //
-//	tinman-bench -throughput                     # all modes, 8 clients, 2s each
-//	tinman-bench -throughput -mode pipelined -clients 16 -conns 4 -tduration 5s
+//	tinman-bench -throughput                     # 8 clients, 2s
+//	tinman-bench -throughput -clients 16 -tduration 5s
 //	tinman-bench -throughput -metrics            # + Prometheus text dump after
 //	tinman-bench -throughput -nodes 3            # consistent-hash fleet:
 //	                                             # per-node p50/p99 plus the
@@ -65,9 +65,7 @@ func main() {
 
 		throughput = flag.Bool("throughput", false, "measure trusted-node service throughput instead of the paper figures")
 		clients    = flag.Int("clients", 8, "throughput: concurrent device loops")
-		conns      = flag.Int("conns", 1, "throughput: connection-pool size")
-		mode       = flag.String("mode", "", "throughput: one of pipelined, serial, seed (default: compare all)")
-		tduration  = flag.Duration("tduration", 2*time.Second, "throughput: measurement duration per mode")
+		tduration  = flag.Duration("tduration", 2*time.Second, "throughput: measurement duration")
 		metrics    = flag.Bool("metrics", false, "throughput: print the node's Prometheus metrics after the run")
 		nodes      = flag.Int("nodes", 1, "throughput: trusted-node fleet size (>1 runs the consistent-hash fleet and reports per-node latency plus drain/rebalance cost)")
 
@@ -175,7 +173,7 @@ func main() {
 			}
 			return
 		}
-		if err := runThroughput(*clients, *conns, *mode, *tduration, *metrics); err != nil {
+		if err := runThroughput(*clients, *tduration, *metrics); err != nil {
 			fail(err)
 		}
 		return
@@ -270,10 +268,10 @@ func main() {
 }
 
 // runThroughput boots an in-process trusted node on loopback TCP and
-// drives it with parallel catalog+reseal loops, one line per client mode.
-// With dump set the node carries an obs metrics registry and its Prometheus
-// text exposition is printed after the runs.
-func runThroughput(clients, conns int, mode string, dur time.Duration, dump bool) error {
+// drives it with parallel catalog+reseal loops over one pipelined
+// connection. With dump set the node carries an obs metrics registry and
+// its Prometheus text exposition is printed after the run.
+func runThroughput(clients int, dur time.Duration, dump bool) error {
 	srv, addr, state, shutdown, err := nodeproto.NewThroughputServer()
 	if err != nil {
 		return err
@@ -285,24 +283,15 @@ func runThroughput(clients, conns int, mode string, dur time.Duration, dump bool
 		srv.SetObs(nil, m)
 	}
 
-	modes := []string{"seed", "serial", "pipelined"}
-	if mode != "" {
-		modes = []string{mode}
+	fmt.Printf("trusted-node throughput: %d clients, 1 conn, %v, loopback %s\n", clients, dur, addr)
+	res, err := nodeproto.RunThroughput(addr, state, nodeproto.ThroughputOptions{
+		Workers:  clients,
+		Duration: dur,
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("trusted-node throughput: %d clients, %d conn(s), %v per mode, loopback %s\n",
-		clients, conns, dur, addr)
-	for _, md := range modes {
-		res, err := nodeproto.RunThroughput(addr, state, nodeproto.ThroughputOptions{
-			Workers:  clients,
-			Conns:    conns,
-			Mode:     md,
-			Duration: dur,
-		})
-		if err != nil {
-			return fmt.Errorf("mode %s: %v", md, err)
-		}
-		fmt.Printf("  %-10s %v\n", md, res)
-	}
+	fmt.Printf("  %v\n", res)
 	ws := srv.Svc.WarmStats()
 	fmt.Printf("  warm-up: %d chunks applied, %d hits / %d misses, avg resume %v\n",
 		ws.Chunks, ws.Hits, ws.Misses, time.Duration(ws.AvgResumeNs).Round(time.Microsecond))

@@ -14,8 +14,9 @@
 // WAL-logged and fsynced before it is acknowledged, and on boot the node
 // recovers from the latest snapshot plus WAL replay — kill -9 at any point
 // loses nothing that was acknowledged. Vault records are sealed at rest
-// with the passphrase in TINMAN_STORE_KEY. -store supersedes the legacy
-// -audit/-vault whole-file persistence flags.
+// with the passphrase in TINMAN_STORE_KEY. Without -store the node keeps
+// everything in memory. tinman-audit -store reads a store's audit log
+// offline, and -json exports it as JSON lines.
 //
 // With -admin set the node also serves the control-plane endpoint. The
 // read-only half needs no credentials: GET /metrics (Prometheus text
@@ -49,10 +50,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-
 	"time"
 
-	"tinman/internal/audit"
 	"tinman/internal/cor"
 	"tinman/internal/ctl"
 	"tinman/internal/ctl/guardrail"
@@ -77,13 +76,11 @@ type corSpec struct {
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7443", "address to listen on")
-		corsFile  = flag.String("cors", "", "JSON file of cors to pre-register")
-		vaultFile = flag.String("vault", "", "encrypted cor vault file (passphrase in TINMAN_VAULT_KEY)")
-		auditFile = flag.String("audit", "", "persist the audit log to this JSON-lines file")
-		storeDir  = flag.String("store", "", "crash-safe store directory: WAL+snapshot persistence for vault, audit and policy (passphrase in TINMAN_STORE_KEY)")
-		admin     = flag.String("admin", "", "serve observability on this address (/metrics, /spans, /trace)")
-		quiet     = flag.Bool("quiet", false, "suppress operational logging")
+		listen   = flag.String("listen", "127.0.0.1:7443", "address to listen on")
+		corsFile = flag.String("cors", "", "JSON file of cors to pre-register")
+		storeDir = flag.String("store", "", "crash-safe store directory: WAL+snapshot persistence for vault, audit and policy (passphrase in TINMAN_STORE_KEY)")
+		admin    = flag.String("admin", "", "serve observability on this address (/metrics, /spans, /trace)")
+		quiet    = flag.Bool("quiet", false, "suppress operational logging")
 	)
 	flag.Parse()
 
@@ -106,10 +103,6 @@ func main() {
 	}
 
 	if *storeDir != "" {
-		if *auditFile != "" || *vaultFile != "" {
-			fmt.Fprintln(os.Stderr, "tinman-node: -store supersedes -audit/-vault; use one persistence mode")
-			os.Exit(1)
-		}
 		pass := os.Getenv("TINMAN_STORE_KEY")
 		if pass == "" {
 			fmt.Fprintln(os.Stderr, "tinman-node: -store requires TINMAN_STORE_KEY in the environment")
@@ -127,65 +120,7 @@ func main() {
 		}
 		stats := st.Stats()
 		log.Printf("tinman-node: store recovered (%d cors, %d audit entries, LSN %d, snapshot LSN %d)",
-			srv.Cors.Len(), srv.Audit.Len(), stats.LastLSN, stats.SnapLSN)
-	}
-
-	if *auditFile != "" {
-		if err := srv.Audit.LoadFile(*auditFile); err != nil {
-			fmt.Fprintf(os.Stderr, "tinman-node: loading audit log: %v\n", err)
-			os.Exit(1)
-		}
-		log.Printf("tinman-node: audit log loaded (%d entries)", srv.Audit.Len())
-		// Floor each device's shard at the highest persisted per-device
-		// sequence, exactly as a fleet floors a failed-over device at its
-		// audit watermark: without this a restart would re-mint DeviceSeq
-		// from 1 and a later merged view of the log would see duplicates.
-		floors := map[string]uint64{}
-		for _, e := range srv.Audit.Find(audit.Query{}) {
-			if e.DeviceID != "" && e.DeviceSeq > floors[e.DeviceID] {
-				floors[e.DeviceID] = e.DeviceSeq
-			}
-		}
-		for dev, seq := range floors {
-			srv.Svc.AttachShard(dev, seq)
-		}
-		// Persist after every appended entry; the log is small and the save
-		// is atomic.
-		path := *auditFile
-		srv.Audit.Subscribe(func(_ audit.Entry) {
-			if err := srv.Audit.SaveFile(path); err != nil {
-				log.Printf("tinman-node: saving audit log: %v", err)
-			}
-		})
-	}
-
-	if *vaultFile != "" {
-		pass := os.Getenv("TINMAN_VAULT_KEY")
-		if pass == "" {
-			fmt.Fprintln(os.Stderr, "tinman-node: -vault requires TINMAN_VAULT_KEY in the environment")
-			os.Exit(1)
-		}
-		if _, err := os.Stat(*vaultFile); err == nil {
-			if err := srv.Cors.LoadVault(*vaultFile, pass); err != nil {
-				fmt.Fprintf(os.Stderr, "tinman-node: loading vault: %v\n", err)
-				os.Exit(1)
-			}
-			log.Printf("tinman-node: vault loaded (%d cors)", srv.Cors.Len())
-			// Re-establish policy whitelists from the restored records.
-			for _, rec := range srv.Cors.List() {
-				if rec.Whitelist != nil {
-					srv.Policy.SetWhitelist(rec.ID, rec.Whitelist)
-				}
-			}
-		}
-		// Persist after every audited operation (registration runs through
-		// the protocol, whose activity always appends audit entries or is
-		// an admin op at startup); a periodic save keeps it simple.
-		defer func() {
-			if err := srv.Cors.SaveVault(*vaultFile, pass); err != nil {
-				log.Printf("tinman-node: saving vault: %v", err)
-			}
-		}()
+			srv.Svc.Cors.Len(), srv.Svc.Audit.Len(), stats.LastLSN, stats.SnapLSN)
 	}
 
 	if *corsFile != "" {
@@ -209,9 +144,9 @@ func serveAdmin(srv *nodeproto.Server, tr *obs.Tracer, m *obs.Metrics, addr, sto
 	token := os.Getenv("TINMAN_ADMIN_TOKEN")
 	plane, err := ctl.New(ctl.Config{
 		Target: srv.Svc,
-		Stamp:  srv.Policy.Stamp,
-		Export: srv.Policy.Export,
-		Audit:  srv.Audit,
+		Stamp:  srv.Svc.Policy.Stamp,
+		Export: srv.Svc.Policy.Export,
+		Audit:  srv.Svc.Audit,
 		Token:  token,
 		Logf:   log.Printf,
 	})
@@ -255,7 +190,7 @@ func startGuardrail(srv *nodeproto.Server, tr *obs.Tracer, m *obs.Metrics, store
 		Scanner:  sc,
 		Tracer:   tr,
 		Metrics:  m,
-		Audit:    srv.Audit,
+		Audit:    srv.Svc.Audit,
 		Findings: m.Counter("guardrail_findings_total"),
 	}
 	if storeDir != "" {
@@ -264,7 +199,7 @@ func startGuardrail(srv *nodeproto.Server, tr *obs.Tracer, m *obs.Metrics, store
 	go func() {
 		for {
 			time.Sleep(guardrailInterval)
-			for _, rec := range srv.Cors.List() {
+			for _, rec := range srv.Svc.Cors.List() {
 				sc.AddSecret(rec.ID, []byte(rec.Plaintext))
 			}
 			findings, err := sw.SweepOnce()
@@ -291,7 +226,7 @@ func loadCors(srv *nodeproto.Server, path string) error {
 	for _, sp := range specs {
 		// Skip records a durable store already recovered, so a -cors file
 		// stays usable across restarts.
-		if srv.Cors.Get(sp.ID) != nil {
+		if srv.Svc.Cors.Get(sp.ID) != nil {
 			log.Printf("tinman-node: cor %s already recovered, skipping", sp.ID)
 			continue
 		}

@@ -4,22 +4,47 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// ErrVaultCorrupt is the sentinel every unreadable-vault error wraps:
-// truncated or torn files, bad magic, ciphertext tampering, and wrong
-// passphrases all match it under errors.Is (AES-GCM cannot distinguish a
-// wrong key from a flipped bit, so neither can we).
+// ErrVaultCorrupt is the sentinel every unreadable sealed vault record
+// wraps: truncated blobs, ciphertext tampering and wrong passphrases all
+// match it under errors.Is (AES-GCM cannot distinguish a wrong key from a
+// flipped bit, so neither can we).
 var ErrVaultCorrupt = errors.New("cor: vault corrupt or wrong passphrase")
 
+// SaltLen is the salt size NewSealerSalt mints.
+const SaltLen = 16
+
+const (
+	// nonceLen is the size of the AES-GCM nonce every sealed blob starts
+	// with.
+	nonceLen = 12
+	// kdfIterations hardens the passphrase with iterated hashing. (A
+	// stdlib-only stand-in for a memory-hard KDF; swap for argon2/scrypt
+	// when external dependencies are acceptable.)
+	kdfIterations = 64 * 1024
+)
+
+// deriveKey stretches a passphrase into an AES-256 key.
+func deriveKey(passphrase string, salt []byte) []byte {
+	key := sha256.Sum256(append([]byte(passphrase), salt...))
+	for i := 0; i < kdfIterations; i++ {
+		key = sha256.Sum256(append(key[:], salt...))
+	}
+	return key[:]
+}
+
 // Sealer encrypts and decrypts blobs under a passphrase-derived AES-256-GCM
-// key. Deriving the key runs the deliberately slow KDF once; the sealer
-// then seals/opens individual records cheaply — the shape the storage
-// engine needs, where every cor WAL record and snapshot section is
-// encrypted at rest but appends must stay on a hot path.
+// key: it is the vault's at-rest encryption. The paper assumes the node's
+// storage is professionally administered (§2.3); sealing cor records
+// narrows even that trust. Deriving the key runs the deliberately slow KDF
+// once; the sealer then seals/opens individual records cheaply — the shape
+// the storage engine needs, where every cor WAL record and snapshot
+// section is encrypted at rest but appends must stay on a hot path.
 //
 // The salt must be stored alongside the sealed data (it is not secret) and
 // fed back to NewSealer to open it again. A Sealer is safe for concurrent
@@ -27,9 +52,6 @@ var ErrVaultCorrupt = errors.New("cor: vault corrupt or wrong passphrase")
 type Sealer struct {
 	aead cipher.AEAD
 }
-
-// SaltLen is the salt size NewSealerSalt mints.
-const SaltLen = vaultSaltLen
 
 // NewSealerSalt returns a fresh random salt for a new Sealer.
 func NewSealerSalt() ([]byte, error) {
@@ -40,8 +62,7 @@ func NewSealerSalt() ([]byte, error) {
 	return salt, nil
 }
 
-// NewSealer derives the sealing key from the passphrase and salt (the same
-// KDF the vault file format uses).
+// NewSealer derives the sealing key from the passphrase and salt.
 func NewSealer(passphrase string, salt []byte) (*Sealer, error) {
 	if passphrase == "" {
 		return nil, fmt.Errorf("cor: sealer passphrase must not be empty")
@@ -63,7 +84,7 @@ func NewSealer(passphrase string, salt []byte) (*Sealer, error) {
 // Seal encrypts plaintext, binding it to the additional data; the result is
 // nonce || ciphertext.
 func (s *Sealer) Seal(plaintext, additional []byte) ([]byte, error) {
-	nonce := make([]byte, vaultNonceLen)
+	nonce := make([]byte, nonceLen)
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, err
 	}
@@ -75,10 +96,10 @@ func (s *Sealer) Seal(plaintext, additional []byte) ([]byte, error) {
 // Open decrypts a Seal output. Truncated or tampered blobs (and wrong
 // passphrases) fail with an error wrapping ErrVaultCorrupt.
 func (s *Sealer) Open(blob, additional []byte) ([]byte, error) {
-	if len(blob) < vaultNonceLen {
+	if len(blob) < nonceLen {
 		return nil, fmt.Errorf("cor: sealed blob truncated (%d bytes): %w", len(blob), ErrVaultCorrupt)
 	}
-	pt, err := s.aead.Open(nil, blob[:vaultNonceLen], blob[vaultNonceLen:], additional)
+	pt, err := s.aead.Open(nil, blob[:nonceLen], blob[nonceLen:], additional)
 	if err != nil {
 		return nil, fmt.Errorf("cor: opening sealed blob: %w", ErrVaultCorrupt)
 	}

@@ -50,11 +50,10 @@ func TestGuardrailLoadgen(t *testing.T) {
 	if sc.Secrets() != 5 {
 		t.Fatalf("registered %d secrets, want 5", sc.Secrets())
 	}
-	sw := &guardrail.Sweeper{Scanner: sc, Tracer: tr, Metrics: met, Audit: srv.Audit}
+	sw := &guardrail.Sweeper{Scanner: sc, Tracer: tr, Metrics: met, Audit: srv.Svc.Audit}
 
 	res, err := nodeproto.RunThroughput(l.Addr().String(), state, nodeproto.ThroughputOptions{
 		Workers:  4,
-		Conns:    2,
 		Requests: 400,
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ func TestGuardrailThroughputOverhead(t *testing.T) {
 		if sweep {
 			sc := guardrail.New()
 			sc.AddSecret("bench-pw-plaintext", []byte("hunter2-benchmark!"))
-			sw := &guardrail.Sweeper{Scanner: sc, Tracer: tr, Metrics: met, Audit: srv.Audit}
+			sw := &guardrail.Sweeper{Scanner: sc, Tracer: tr, Metrics: met, Audit: srv.Svc.Audit}
 			go func() {
 				defer close(done)
 				tick := time.NewTicker(500 * time.Millisecond)
@@ -68,7 +68,6 @@ func TestGuardrailThroughputOverhead(t *testing.T) {
 		}
 		res, err := nodeproto.RunThroughput(l.Addr().String(), state, nodeproto.ThroughputOptions{
 			Workers:  8,
-			Conns:    2,
 			Duration: 3 * time.Second,
 		})
 		close(stop)

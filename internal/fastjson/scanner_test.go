@@ -60,6 +60,24 @@ func TestScannerSkipValueEdges(t *testing.T) {
 		{`["x"`, false},
 		{`"unterminated`, false},
 		{``, false},
+		{`"\u00e9\/"`, true},
+		{`0`, true},
+		{`-0.5E+2`, true},
+		// Malformed values fail: the full decoder would reject them.
+		{`{abc}`, false},
+		{`{"a"}`, false},
+		{`{"a":1,}`, false},
+		{`[1,]`, false},
+		{`[1 2]`, false},
+		{`tru`, false},
+		{`nul`, false},
+		{`"\x"`, false},
+		{`"\u12"`, false},
+		{"\"tab\there\"", false},
+		{`-`, false},
+		{`1.`, false},
+		{`1e`, false},
+		{`.5`, false},
 	}
 	for _, c := range cases {
 		s := &Scanner{Data: []byte(c.in + ",")}
@@ -103,6 +121,7 @@ func TestScannerNumberEdges(t *testing.T) {
 		{"1e3", false, 0},
 		{"", false, 0},
 		{"-1", false, 0},
+		{"01", false, 0}, // leading zeros are not JSON
 	}
 	for _, c := range uints {
 		s := &Scanner{Data: []byte(c.in)}
@@ -120,6 +139,8 @@ func TestScannerNumberEdges(t *testing.T) {
 		{"7", true, 7},
 		{"-0", true, 0},
 		{"--1", false, 0},
+		{"- 1", false, 0},
+		{"-01", false, 0},
 		{"-1.5", false, 0},
 		{"9223372036854775807", false, 0}, // beyond the 1<<62 fast-path cap
 	}

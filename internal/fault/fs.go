@@ -15,8 +15,8 @@ import (
 
 // This file adds the storage half of the fault toolkit: a minimal
 // filesystem interface (FS) that the crash-safe storage engine
-// (internal/store) and the audit persister write through, one
-// implementation backed by the real OS, and one deterministic in-memory
+// (internal/store) writes through, one implementation backed by the real
+// OS, and one deterministic in-memory
 // implementation (CrashFS) that models what a kill -9 leaves on disk —
 // unsynced writes dropped, appended tails torn at an arbitrary byte, and
 // renames that never happened because the directory was not fsynced.
@@ -87,7 +87,7 @@ func (osFS) ReadDirNames(dir string) ([]string, error) {
 }
 
 // SyncDir fsyncs the directory fd so renames/creates/removes inside it are
-// durable — the step the pre-fix audit.SaveFile skipped.
+// durable.
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -14,10 +14,11 @@ import (
 //
 // The decoders are fast paths, not replacements: they handle exactly the
 // JSON this package's own marshaler emits (no escapes, no unknown keys,
-// std-alphabet base64) and report false for everything else, in which
-// case ReadMessage zeroes the target and re-decodes the untouched body
-// with the full decoder. A legacy or third-party peer is therefore at
-// worst slow, never misread.
+// no repeated list keys, std-alphabet base64) and report false for
+// everything else, in which case ReadMessage zeroes the target and
+// re-decodes the untouched body with the full decoder. A third-party peer
+// is therefore at worst slow, never misread: FuzzReadMessage holds
+// ReadMessage to encoding/json's answer on arbitrary bodies.
 
 // decodeRequest fast-decodes a Request body; false means fall back.
 func decodeRequest(body []byte, req *Request) bool {
@@ -106,19 +107,17 @@ func decodeRequest(body []byte, req *Request) bool {
 				}
 			case "state":
 				// Captured verbatim; copied because the body buffer is pooled.
-				s.WS()
-				start := s.Pos
-				if !s.SkipValue() {
+				v, ok := s.RawValue()
+				if !ok {
 					return false
 				}
-				req.State = append(json.RawMessage(nil), s.Data[start:s.Pos]...)
+				req.State = append(json.RawMessage(nil), v...)
 			case "shard":
-				s.WS()
-				start := s.Pos
-				if !s.SkipValue() {
+				v, ok := s.RawValue()
+				if !ok {
 					return false
 				}
-				req.Shard = append(json.RawMessage(nil), s.Data[start:s.Pos]...)
+				req.Shard = append(json.RawMessage(nil), v...)
 			case "app":
 				if !decodeString(&s, &req.App) {
 					return false
@@ -128,12 +127,11 @@ func decodeRequest(body []byte, req *Request) bool {
 					return false
 				}
 			case "policy":
-				s.WS()
-				start := s.Pos
-				if !s.SkipValue() {
+				v, ok := s.RawValue()
+				if !ok {
 					return false
 				}
-				req.Policy = append(json.RawMessage(nil), s.Data[start:s.Pos]...)
+				req.Policy = append(json.RawMessage(nil), v...)
 			case "chunk":
 				b64, ok := s.StrBytes()
 				if !ok {
@@ -218,12 +216,11 @@ func decodeResponse(body []byte, resp *Response) bool {
 					return false
 				}
 			case "shard":
-				s.WS()
-				start := s.Pos
-				if !s.SkipValue() {
+				v, ok := s.RawValue()
+				if !ok {
 					return false
 				}
-				resp.Shard = append(json.RawMessage(nil), s.Data[start:s.Pos]...)
+				resp.Shard = append(json.RawMessage(nil), v...)
 			case "record":
 				b64, ok := s.StrBytes()
 				if !ok {
@@ -236,9 +233,12 @@ func decodeResponse(body []byte, resp *Response) bool {
 				}
 				resp.Record = out[:n]
 			case "catalog":
-				if !s.Consume('[') {
+				// A repeated key would make encoding/json decode into the
+				// first list's elements; leave that to it.
+				if resp.Catalog != nil || !s.Consume('[') {
 					return false
 				}
+				resp.Catalog = []CatalogEntry{}
 				if !s.Consume(']') {
 					for {
 						var e CatalogEntry
@@ -256,9 +256,12 @@ func decodeResponse(body []byte, resp *Response) bool {
 					}
 				}
 			case "audit":
-				if !s.Consume('[') {
+				// A repeated key would make encoding/json decode into the
+				// first list's elements; leave that to it.
+				if resp.Audit != nil || !s.Consume('[') {
 					return false
 				}
+				resp.Audit = []AuditEntry{}
 				if !s.Consume(']') {
 					for {
 						var e AuditEntry
@@ -417,8 +420,10 @@ func decodeString(s *fastjson.Scanner, dst *string) bool {
 	return true
 }
 
+// decodeStrings decodes a string list; a repeated key bails, leaving
+// encoding/json's overwrite semantics to it.
 func decodeStrings(s *fastjson.Scanner, dst *[]string) bool {
-	if !s.Consume('[') {
+	if *dst != nil || !s.Consume('[') {
 		return false
 	}
 	if s.Consume(']') {

@@ -2,6 +2,7 @@ package nodeproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -101,23 +102,34 @@ func TestCodecMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestCodecForeignShapes feeds hand-written JSON a legacy or third-party
+// foreignRequests and foreignResponses are hand-written JSON a third-party
 // peer might produce — reordered keys, extra whitespace, unknown fields,
-// escaped strings, null values — and checks ReadMessage agrees with
-// stdlib on all of them.
+// escaped strings, null values.
+var foreignRequests = []string{
+	`{}`,
+	`{ "op" : "ping" }`,
+	"{\n\t\"seq\": 3,\n\t\"op\": \"catalog\"\n}",
+	`{"op":"reseal","state":null,"cor_id":"pw"}`,
+	`{"op":"reseal","state": {"a": [1, "]}", true]} ,"domain":"d.example"}`,
+	`{"unknown_field":123,"op":"ping"}`,
+	`{"op":"regi\u0073ter","cor_id":"pw"}`,
+	`{"op":"catalog","seq":18446744073709551615}`,
+	`{"whitelist":["a","b","c"],"op":"register"}`,
+}
+
+var foreignResponses = []string{
+	`{"ok":true,"seq":1}`,
+	`{"seq":1,"ok":true,"record":"AQID"}`,
+	`{"ok":false,"error":"denied: \"pw\" not bound"}`,
+	`{"ok":true,"catalog":[{"bit":1,"id":"pw","placeholder":"p","description":"d"}]}`,
+	`{"ok":true,"catalog":null}`,
+	`{"ok":true,"extra":"ignored"}`,
+}
+
+// TestCodecForeignShapes checks ReadMessage agrees with stdlib on the
+// foreign shapes.
 func TestCodecForeignShapes(t *testing.T) {
-	cases := []string{
-		`{}`,
-		`{ "op" : "ping" }`,
-		"{\n\t\"seq\": 3,\n\t\"op\": \"catalog\"\n}",
-		`{"op":"reseal","state":null,"cor_id":"pw"}`,
-		`{"op":"reseal","state": {"a": [1, "]}", true]} ,"domain":"d.example"}`,
-		`{"unknown_field":123,"op":"ping"}`,
-		`{"op":"regi\u0073ter","cor_id":"pw"}`,
-		`{"op":"catalog","seq":18446744073709551615}`,
-		`{"whitelist":["a","b","c"],"op":"register"}`,
-	}
-	for i, body := range cases {
+	for i, body := range foreignRequests {
 		var got Request
 		if err := readFramed(t, body, &got); err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
@@ -131,15 +143,7 @@ func TestCodecForeignShapes(t *testing.T) {
 		}
 	}
 
-	respCases := []string{
-		`{"ok":true,"seq":1}`,
-		`{"seq":1,"ok":true,"record":"AQID"}`,
-		`{"ok":false,"error":"denied: \"pw\" not bound"}`,
-		`{"ok":true,"catalog":[{"bit":1,"id":"pw","placeholder":"p","description":"d"}]}`,
-		`{"ok":true,"catalog":null}`,
-		`{"ok":true,"extra":"ignored"}`,
-	}
-	for i, body := range respCases {
+	for i, body := range foreignResponses {
 		var got Response
 		if err := readFramed(t, body, &got); err != nil {
 			t.Fatalf("resp case %d: read: %v", i, err)
@@ -176,5 +180,56 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		if err := readFramed(t, body, &req); err == nil {
 			t.Errorf("body %q: expected error, got %#v", body, req)
 		}
+	}
+}
+
+// FuzzReadMessage checks both envelopes' decoders against encoding/json on
+// arbitrary bodies: ReadMessage must never panic, must return exactly what
+// json.Unmarshal returns where it accepts, and must fail where it rejects.
+// This codec is the only code that decodes peer bytes, so a fast-path
+// shortcut that accepts what the full decoder rejects (or decodes it
+// differently) is a bug.
+func FuzzReadMessage(f *testing.F) {
+	for _, rc := range requestCases {
+		body, err := json.Marshal(rc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, rc := range responseCases {
+		body, err := json.Marshal(rc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range append(append([]string(nil), foreignRequests...), foreignResponses...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		frame := make([]byte, 4, 4+len(body))
+		binary.BigEndian.PutUint32(frame, uint32(len(body)))
+		frame = append(frame, body...)
+		checkDecode[Request](t, frame, body)
+		checkDecode[Response](t, frame, body)
+	})
+}
+
+// checkDecode compares ReadMessage against json.Unmarshal for one envelope.
+func checkDecode[T any](t *testing.T, frame, body []byte) {
+	var got, want T
+	gotErr := ReadMessage(bytes.NewReader(frame), &got)
+	if wantErr := json.Unmarshal(body, &want); wantErr != nil {
+		if gotErr == nil {
+			t.Fatalf("%T: ReadMessage accepted %q, encoding/json rejects it: %v", got, body, wantErr)
+		}
+		return
+	}
+	if gotErr != nil {
+		t.Fatalf("%T: ReadMessage rejected %q: %v", got, body, gotErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: body %q:\n got %#v\nwant %#v", got, body, got, want)
 	}
 }

@@ -2,26 +2,21 @@ package nodeproto
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"testing"
-	"time"
 
 	"tinman/internal/node"
 	"tinman/internal/policy"
 )
 
 // dialMembers opens one client per fleet member, keyed by member ID.
-func dialMembers(t *testing.T, members map[string]string) map[string]*Client {
+func dialMembers(t *testing.T, members map[string]string) map[string]*ReconnectClient {
 	t.Helper()
-	out := make(map[string]*Client, len(members))
+	out := make(map[string]*ReconnectClient, len(members))
 	for id, addr := range members {
-		c, err := Dial(addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		out[id] = c
+		out[id] = dialTest(t, addr)
 	}
 	return out
 }
@@ -103,25 +98,30 @@ func TestWirePolicyInstallPropagates(t *testing.T) {
 		Whitelist: map[string][]string{benchCor: {"bench.example"}},
 		Revoked:   []string{"ctl-dev-x"},
 	}
-	var pushClient *Client
+	var pushClient *ReconnectClient
 	for _, c := range clients {
 		pushClient = c
 		break
 	}
-	ver, hash, err := pushClient.InstallPolicy(ctx, snap)
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	installed, err := pushClient.Do(ctx, &Request{Op: OpPolicyInstall, Policy: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ver, hash := installed.PolicyVersion, installed.PolicyHash
 	if ver == 0 || hash == "" {
 		t.Fatalf("install returned empty stamp: v%d %q", ver, hash)
 	}
 	for id, c := range clients {
-		gotVer, gotHash, err := c.PolicyVersion(ctx)
+		got, err := c.Do(ctx, &Request{Op: OpPolicyVersion})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotVer != ver || gotHash != hash {
-			t.Fatalf("member %s at v%d %s, push assigned v%d %s", id, gotVer, gotHash, ver, hash)
+		if got.PolicyVersion != ver || got.PolicyHash != hash {
+			t.Fatalf("member %s at v%d %s, push assigned v%d %s", id, got.PolicyVersion, got.PolicyHash, ver, hash)
 		}
 	}
 }
@@ -137,13 +137,9 @@ func TestWireClassRoundTrip(t *testing.T) {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	c, err := Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialTest(t, l.Addr().String())
 
-	if _, err := c.do(ctx, &Request{Op: OpRegister, CorID: "pw", Plaintext: "hunter2!",
+	if _, err := c.Do(ctx, &Request{Op: OpRegister, CorID: "pw", Plaintext: "hunter2!",
 		Description: "pw", Class: "server-only"}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +160,17 @@ func TestWireClassRoundTrip(t *testing.T) {
 	if got := classOf("pw"); got != "server-only" {
 		t.Fatalf("registered class = %q, want server-only", got)
 	}
-	if err := c.SetClass(ctx, "pw", "sensitive"); err != nil {
+	setClass := func(class string) error {
+		_, err := c.Do(ctx, &Request{Op: OpSetClass, CorID: "pw", Class: class})
+		return err
+	}
+	if err := setClass("sensitive"); err != nil {
 		t.Fatal(err)
 	}
 	if got := classOf("pw"); got != "sensitive" {
 		t.Fatalf("reclassified to %q, want sensitive", got)
 	}
-	if err := c.SetClass(ctx, "pw", "bogus"); err == nil {
+	if err := setClass("bogus"); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }

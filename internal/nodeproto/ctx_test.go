@@ -64,17 +64,14 @@ func slowServer(t *testing.T, firstDelay time.Duration) string {
 // on the wire returns promptly, the late response is discarded, and the
 // connection keeps working.
 func TestContextDeadlineMidFlight(t *testing.T) {
-	addr := slowServer(t, 300*time.Millisecond)
-	c, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	// The slow server accepts one connection only: the deadline must not
+	// cost the client its connection.
+	c := dialTest(t, slowServer(t, 300*time.Millisecond))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = c.PingContext(ctx)
+	err := c.PingContext(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("PingContext = %v, want context.DeadlineExceeded", err)
 	}

@@ -47,7 +47,7 @@ func DialFleet(members map[string]string, timeout time.Duration, cfg ReconnectCo
 	for _, id := range fc.order {
 		addr := members[id]
 		mcfg := cfg
-		mcfg.Dial = func() (*Client, error) { return Dial(addr, timeout) }
+		mcfg.Dial = dialer(addr, timeout)
 		if mcfg.ClientID != "" {
 			mcfg.ClientID = mcfg.ClientID + "-" + id
 		}

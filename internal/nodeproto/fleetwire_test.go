@@ -2,6 +2,7 @@ package nodeproto
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -138,25 +139,27 @@ func TestFleetWire(t *testing.T) {
 // with the per-device audit sequence continuing on the importer.
 func TestWireHandoffExportImport(t *testing.T) {
 	ctx := context.Background()
-	newNode := func() (*Server, *Client) {
+	newNode := func() (*Server, *ReconnectClient) {
 		t.Helper()
 		srv := NewServer()
-		if _, err := srv.Cors.Register(benchCor, "hunter2-benchmark!", "cor", "bench.example"); err != nil {
+		if _, err := srv.Svc.Cors.Register(benchCor, "hunter2-benchmark!", "cor", "bench.example"); err != nil {
 			t.Fatal(err)
 		}
-		srv.Policy.SetWhitelist(benchCor, []string{"bench.example"})
+		srv.Svc.Policy.SetWhitelist(benchCor, []string{"bench.example"})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
-		c, err := Dial(l.Addr().String(), time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return srv, c
+		return srv, dialTest(t, l.Addr().String())
+	}
+	// Each import is a fresh Request: reusing one would reuse its minted
+	// ReqID, and the replay window would answer the second import from the
+	// first one's record.
+	importShard := func(c *ReconnectClient, raw json.RawMessage) error {
+		_, err := c.Do(ctx, &Request{Op: OpHandoffImport, Shard: raw})
+		return err
 	}
 	srvA, cA := newNode()
 	srvB, cB := newNode()
@@ -178,17 +181,18 @@ func TestWireHandoffExportImport(t *testing.T) {
 	}
 	maxSeq := onA[len(onA)-1].DeviceSeq
 
-	raw, err := cA.HandoffExport(ctx, dev)
+	exported, err := cA.Do(ctx, &Request{Op: OpHandoffExport, DeviceID: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := exported.Shard
 	if len(raw) == 0 {
 		t.Fatal("empty shard export")
 	}
 	if _, ok := srvA.Svc.Shard(dev); ok {
 		t.Fatal("shard still attached on A after export")
 	}
-	if err := cB.HandoffImport(ctx, raw); err != nil {
+	if err := importShard(cB, raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := srvB.Svc.Shard(dev); !ok {
@@ -208,7 +212,7 @@ func TestWireHandoffExportImport(t *testing.T) {
 	}
 
 	// A double import is refused rather than forking the shard.
-	if err := cB.HandoffImport(ctx, raw); err == nil {
+	if err := importShard(cB, raw); err == nil {
 		t.Fatal("importing over an existing shard succeeded")
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/rsa"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -18,101 +16,11 @@ import (
 	"tinman/internal/tlssim"
 )
 
-// seedClient reproduces the repo's pre-pipelining client behavior byte
-// for byte: one mutex-guarded request in flight per connection,
-// unbuffered writes (4-byte header and JSON body in separate syscalls),
-// reads straight off the conn. It is the baseline the pipelined client is
-// measured against; it speaks the same wire format (Seq omitted), which
-// the server still serves.
-type seedClient struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func dialSeed(addr string, timeout time.Duration) (*seedClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &seedClient{conn: conn}, nil
-}
-
-func (c *seedClient) Close() error { return c.conn.Close() }
-
-func (c *seedClient) do(req *Request) (*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := c.conn.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := c.conn.Write(body); err != nil {
-		return nil, err
-	}
-	var resp Response
-	if err := seedReadMessage(c.conn, &resp); err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("nodeproto: %s", resp.Error)
-	}
-	return &resp, nil
-}
-
-// seedReadMessage is the seed's ReadMessage: allocate a body buffer per
-// message and decode with json.Unmarshal (which scans the input twice).
-// The pipelined stack's pooled single-scan ReadMessage replaced it; the
-// baseline keeps the original so the comparison measures the whole seed
-// client, not just its framing.
-func seedReadMessage(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxMessage {
-		return fmt.Errorf("nodeproto: implausible message length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("nodeproto: unmarshal: %v", err)
-	}
-	return nil
-}
-
-func (c *seedClient) catalog() error {
-	_, err := c.do(&Request{Op: OpCatalog})
-	return err
-}
-
-func (c *seedClient) reseal(corID string, state json.RawMessage, appHash, deviceID, domain string) error {
-	_, err := c.do(&Request{Op: OpReseal, CorID: corID, State: state,
-		AppHash: appHash, DeviceID: deviceID, Domain: domain})
-	return err
-}
-
 // ThroughputOptions configures one RunThroughput drive against a node.
 type ThroughputOptions struct {
-	// Workers is the number of concurrent device loops (default 8).
+	// Workers is the number of concurrent device loops (default 8). They
+	// all pipeline onto one connection.
 	Workers int
-	// Conns is the connection-pool size the workers share (default 1: all
-	// workers pipeline onto a single connection).
-	Conns int
-	// Mode selects the client stack: "pipelined" (default) demuxes many
-	// in-flight requests per connection; "serial" runs the same stack but
-	// one request at a time (SetSerial); "seed" is a faithful replica of
-	// the pre-pipelining client — one mutex-guarded round trip per
-	// connection with unbuffered I/O — the baseline the pipelined client
-	// is measured against.
-	Mode string
 	// Requests is the total number of requests to issue (both ops
 	// counted). Zero means run for Duration instead.
 	Requests int
@@ -169,11 +77,11 @@ const benchCor = "bench-pw"
 // in ThroughputOptions — callers running against an in-process server use
 // this once before RunThroughput.
 func PrepareThroughputServer(srv *Server) (json.RawMessage, error) {
-	if srv.Cors.Get(benchCor) == nil {
-		if _, err := srv.Cors.Register(benchCor, "hunter2-benchmark!", "throughput cor", "bench.example"); err != nil {
+	if srv.Svc.Cors.Get(benchCor) == nil {
+		if _, err := srv.Svc.Cors.Register(benchCor, "hunter2-benchmark!", "throughput cor", "bench.example"); err != nil {
 			return nil, err
 		}
-		srv.Policy.SetWhitelist(benchCor, []string{"bench.example"})
+		srv.Svc.Policy.SetWhitelist(benchCor, []string{"bench.example"})
 	}
 	key, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
@@ -189,14 +97,12 @@ func PrepareThroughputServer(srv *Server) (json.RawMessage, error) {
 }
 
 // RunThroughput drives addr with opts.Workers concurrent catalog+reseal
-// loops and reports req/s plus latency percentiles. state is the
-// marshaled device session state from PrepareThroughputServer.
+// loops over one pipelined connection and reports req/s plus latency
+// percentiles. state is the marshaled device session state from
+// PrepareThroughputServer.
 func RunThroughput(addr string, state json.RawMessage, opts ThroughputOptions) (ThroughputResult, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 8
-	}
-	if opts.Conns <= 0 {
-		opts.Conns = 1
 	}
 	if opts.Duration <= 0 {
 		opts.Duration = 2 * time.Second
@@ -210,56 +116,12 @@ func RunThroughput(addr string, state json.RawMessage, opts ThroughputOptions) (
 		opts.ResealEvery = 2
 	}
 
-	// issue is the per-worker request entry point, abstracting over the
-	// three client stacks.
-	type issuer struct {
-		catalog func() error
-		reseal  func(corID string, state json.RawMessage, appHash, deviceID, domain string) error
+	nc, err := dialer(addr, opts.DialTimeout)()
+	if err != nil {
+		return ThroughputResult{}, err
 	}
-	var (
-		issuers []issuer
-		cleanup func()
-	)
-	switch opts.Mode {
-	case "", "pipelined", "serial":
-		pool, err := DialPool(addr, opts.Conns, opts.DialTimeout)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		cleanup = func() { pool.Close() }
-		for i := 0; i < pool.Size(); i++ {
-			c := pool.slots[i]
-			if opts.Mode == "serial" {
-				c.SetSerial(true)
-			}
-			issuers = append(issuers, issuer{
-				catalog: func() error { _, err := c.Catalog(); return err },
-				reseal: func(corID string, state json.RawMessage, appHash, deviceID, domain string) error {
-					_, err := c.ResealRaw(corID, state, appHash, deviceID, domain, "", 0)
-					return err
-				},
-			})
-		}
-	case "seed":
-		var conns []*seedClient
-		cleanup = func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}
-		for i := 0; i < opts.Conns; i++ {
-			c, err := dialSeed(addr, opts.DialTimeout)
-			if err != nil {
-				cleanup()
-				return ThroughputResult{}, err
-			}
-			conns = append(conns, c)
-			issuers = append(issuers, issuer{catalog: c.catalog, reseal: c.reseal})
-		}
-	default:
-		return ThroughputResult{}, fmt.Errorf("nodeproto: unknown throughput mode %q", opts.Mode)
-	}
-	defer cleanup()
+	c := newConn(nc)
+	defer c.close()
 
 	var (
 		wg       sync.WaitGroup
@@ -281,7 +143,6 @@ func RunThroughput(addr string, state json.RawMessage, opts ThroughputOptions) (
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			is := issuers[w%len(issuers)]
 			dev := fmt.Sprintf("bench-dev-%d", w)
 			mine := make([]time.Duration, 0, 1024)
 			for n := 0; ; n++ {
@@ -293,12 +154,12 @@ func RunThroughput(addr string, state json.RawMessage, opts ThroughputOptions) (
 					break
 				}
 				t0 := time.Now()
-				var err error
+				req := &Request{Op: OpCatalog}
 				if opts.ResealEvery > 0 && n%opts.ResealEvery == 0 {
-					err = is.reseal(benchCor, state, "bench-app", dev, "bench.example")
-				} else {
-					err = is.catalog()
+					req = &Request{Op: OpReseal, CorID: benchCor, State: state,
+						AppHash: "bench-app", DeviceID: dev, Domain: "bench.example"}
 				}
+				_, err := c.do(context.Background(), req)
 				if err != nil {
 					// Count the failure and keep driving: a load generator
 					// that dies on the first error (and silently discards

@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/sha256"
+	"encoding/hex"
 	"net"
 	"strings"
 	"sync"
@@ -13,9 +15,9 @@ import (
 	"tinman/internal/tlssim"
 )
 
-// testServer starts a server on a loopback listener and returns a connected
-// client plus the server for direct inspection.
-func testServer(t *testing.T) (*Client, *Server) {
+// testServer starts a server on a loopback listener and returns a client
+// for it plus the server for direct inspection.
+func testServer(t *testing.T) (*ReconnectClient, *Server) {
 	t.Helper()
 	s := NewServer()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -24,12 +26,22 @@ func testServer(t *testing.T) (*Client, *Server) {
 	}
 	go s.Serve(l)
 	t.Cleanup(func() { s.Close() })
-	c, err := Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return dialTest(t, l.Addr().String()), s
+}
+
+// dialTest opens a client to addr without the heartbeat prober, closed at
+// test cleanup.
+func dialTest(t *testing.T, addr string) *ReconnectClient {
+	t.Helper()
+	c := DialReconnect(addr, time.Second, ReconnectConfig{Heartbeat: -1})
 	t.Cleanup(func() { c.Close() })
-	return c, s
+	return c
+}
+
+// apps256 is the sha256-hex derivation the node computes.
+func apps256(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 func TestPing(t *testing.T) {
@@ -72,7 +84,7 @@ func TestGenerateKeepsPlaintextOnNode(t *testing.T) {
 	if len(cat) != 1 || len(cat[0].Placeholder) != 20 {
 		t.Fatalf("catalog = %+v", cat)
 	}
-	rec := s.Cors.Get("gen-pw")
+	rec := s.Svc.Cors.Get("gen-pw")
 	if rec == nil || len(rec.Plaintext) != 20 || rec.Plaintext == cat[0].Placeholder {
 		t.Fatal("generated plaintext wrong on node")
 	}
@@ -86,7 +98,7 @@ func TestDeriveSha256(t *testing.T) {
 	if err := c.Derive("pw", "pw-hash", "sha256-hex"); err != nil {
 		t.Fatal(err)
 	}
-	rec := s.Cors.Get("pw-hash")
+	rec := s.Svc.Cors.Get("pw-hash")
 	if rec == nil || rec.Plaintext != apps256("secret-password") {
 		t.Fatalf("derived = %+v", rec)
 	}
@@ -238,7 +250,7 @@ func TestUnknownOpAndCor(t *testing.T) {
 	if _, err := c.Reseal("nope", device.Export(), "", "", "", "", 0); err == nil {
 		t.Fatal("unknown cor accepted")
 	}
-	if _, err := c.do(context.Background(), &Request{Op: "frobnicate"}); err == nil {
+	if _, err := c.Do(context.Background(), &Request{Op: "frobnicate"}); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -260,11 +272,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cl, err := Dial(addr, time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
+			cl := DialReconnect(addr, time.Second, ReconnectConfig{Heartbeat: -1})
 			defer cl.Close()
 			for j := 0; j < 10; j++ {
 				if err := cl.Ping(); err != nil {

@@ -8,21 +8,8 @@
 // The in-process simulation (internal/core) exercises the full system
 // including device-side tainting; this package is the deployable
 // counterpart for the trusted-node half, served by cmd/tinman-node and
-// consumed by cmd/tinman-device.
-//
-// # Pipelining and compatibility
-//
-// Every message carries a Seq correlation ID so a single connection can
-// hold many requests in flight: the server echoes Req.Seq into Resp.Seq
-// and may answer out of order. Compatibility is by construction rather
-// than by version negotiation:
-//
-//   - Old client, new server: a pre-Seq client sends Seq == 0 and keeps at
-//     most one request outstanding; the server echoes 0 back (omitted on
-//     the wire via omitempty) and the lone round trip works unchanged.
-//   - New client, old server: a pre-Seq server replies in order with
-//     Seq == 0; the client falls back to FIFO matching for Seq == 0
-//     responses (see Client), which is exactly the old server's order.
+// consumed by cmd/tinman-device through ReconnectClient (one node) or
+// FleetClient (a fleet).
 package nodeproto
 
 import (
@@ -78,14 +65,15 @@ const (
 // empty; the node validates per-op.
 type Request struct {
 	Op Op `json:"op"`
-	// Seq correlates the response on a pipelined connection; the server
-	// echoes it verbatim. 0 means a legacy one-at-a-time client.
+	// Seq correlates the response on a pipelined connection: the client
+	// numbers its requests from 1 and the server echoes the value verbatim,
+	// possibly out of order.
 	Seq uint64 `json:"seq,omitempty"`
 	// ReqID, when set on a non-idempotent op, makes it at-most-once: the
 	// server records the first execution's result in a replay window keyed
 	// by this ID and answers duplicates from the record. Retry layers set
 	// it so an ambiguous transport failure — request sent, no reply — can
-	// be replayed without double-executing. Empty disables dedup (legacy).
+	// be replayed without double-executing. Empty disables dedup.
 	ReqID string `json:"req_id,omitempty"`
 	// Cor identity and content.
 	CorID       string   `json:"cor_id,omitempty"`
@@ -103,8 +91,7 @@ type Request struct {
 	TargetIP  string          `json:"target_ip,omitempty"`
 	RecordLen int             `json:"record_len,omitempty"`
 	// TraceID/SpanID propagate the caller's obs span (hex, zero-padded) so
-	// node-side spans join the device's trace. Empty when tracing is off;
-	// old servers ignore the extra keys and old clients never send them.
+	// node-side spans join the device's trace. Empty when tracing is off.
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
 	// Shard carries a marshaled node.ShardExport for OpHandoffImport. It
@@ -166,8 +153,9 @@ type Response struct {
 	// carries the machine-readable reason.
 	Denial string `json:"denial,omitempty"`
 	// DenialCode is the stable numeric form of Denial: policy.Reason.Code()
-	// biased by +1 so 0 means "absent" (a pre-code server). Clients prefer
-	// it over scanning the text; the text stays for humans.
+	// biased by +1 so the zero value means "not a denial" and omitempty
+	// keeps it off other responses. Clients decode the reason from it; the
+	// text stays for humans.
 	DenialCode int `json:"denial_code,omitempty"`
 	// PolicyVersion/PolicyHash answer OpPolicyVersion and acknowledge
 	// OpPolicyInstall with the stamp the engine now runs.

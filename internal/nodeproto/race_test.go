@@ -1,6 +1,7 @@
 package nodeproto
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -53,11 +54,7 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr, 5*time.Second)
-			if err != nil {
-				report(err)
-				return
-			}
+			c := DialReconnect(addr, 5*time.Second, ReconnectConfig{Heartbeat: -1})
 			defer c.Close()
 			corID := fmt.Sprintf("race-cor-%d", w)
 			if err := c.Register(corID, "secret-race", "race cor", "bench.example"); err != nil {
@@ -80,7 +77,7 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 					return
 				}
 				reseals.Add(1)
-				if _, err := c.ResealRaw(benchCor, state, "bench-app", dev, "bench.example", "", 0); err != nil {
+				if _, err := c.ResealRawContext(context.Background(), benchCor, state, "bench-app", dev, "bench.example", "", 0); err != nil {
 					// Policy denials (the racing revocation) are expected;
 					// anything else fails the test.
 					if _, denied := IsDenied(err); !denied {
@@ -100,10 +97,7 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 
 	// Mid-run: revoke one shared device, let denials accumulate, restore.
 	<-halfway
-	admin, err := Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	admin := DialReconnect(addr, 5*time.Second, ReconnectConfig{Heartbeat: -1})
 	defer admin.Close()
 	if err := admin.Revoke("race-dev-1"); err != nil {
 		t.Fatal(err)
@@ -121,7 +115,7 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 	// Every reseal attempt — allowed or denied — appends exactly one audit
 	// entry; nothing else in this workload appends. The sharded log must
 	// have lost none: count matches and Seq is 1..n with no gaps.
-	entries := srv.Audit.Entries()
+	entries := srv.Svc.Audit.Entries()
 	want := int(reseals.Load())
 	if len(entries) != want {
 		t.Fatalf("audit entries = %d, want %d (one per reseal)", len(entries), want)

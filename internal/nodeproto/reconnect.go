@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +33,7 @@ var clientIDSeq atomic.Uint64
 // fills it from an address).
 type ReconnectConfig struct {
 	// Dial opens a fresh connection to the node.
-	Dial func() (*Client, error)
+	Dial func() (net.Conn, error)
 	// RequestTimeout bounds each individual attempt (default 10s).
 	RequestTimeout time.Duration
 	// MaxAttempts caps tries per logical request (default 4).
@@ -57,8 +58,10 @@ type ReconnectConfig struct {
 	Metrics *obs.Metrics
 }
 
-// ReconnectClient wraps Client with the fault tolerance a mobile device
-// needs on a flaky link to its trusted node (§5.4 availability):
+// ReconnectClient is the typed client for one trusted node. It runs each
+// request over a pipelined connection and adds the fault tolerance a
+// mobile device needs on a flaky link to its trusted node (§5.4
+// availability):
 //
 //   - transparent reconnect: a dead connection is replaced on the next
 //     request (or by the heartbeat prober), with capped exponential
@@ -89,7 +92,7 @@ type ReconnectClient struct {
 	reconnectCtr *obs.Counter
 
 	mu     sync.Mutex
-	cur    *Client
+	cur    *conn
 	closed bool
 
 	hbStop chan struct{}
@@ -140,12 +143,12 @@ func NewReconnectClient(cfg ReconnectConfig) *ReconnectClient {
 	return rc
 }
 
-// DialReconnect builds a reconnecting client for the node at addr. Unlike
-// Dial it cannot fail: connectivity is established lazily and repaired
+// DialReconnect builds a reconnecting client for the node at addr. It
+// cannot fail: connectivity is established lazily and repaired
 // continuously.
 func DialReconnect(addr string, timeout time.Duration, cfg ReconnectConfig) *ReconnectClient {
 	if cfg.Dial == nil {
-		cfg.Dial = func() (*Client, error) { return Dial(addr, timeout) }
+		cfg.Dial = dialer(addr, timeout)
 	}
 	return NewReconnectClient(cfg)
 }
@@ -166,7 +169,7 @@ func (rc *ReconnectClient) Close() error {
 		<-rc.hbDone
 	}
 	if c != nil {
-		return c.Close()
+		return c.close()
 	}
 	return nil
 }
@@ -181,23 +184,24 @@ func (rc *ReconnectClient) BreakerState() fault.BreakerState { return rc.breaker
 
 // client returns a live connection, dialing a replacement if the current
 // one is dead or absent.
-func (rc *ReconnectClient) client() (*Client, error) {
+func (rc *ReconnectClient) client() (*conn, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.closed {
 		return nil, errClosed
 	}
-	if rc.cur != nil && rc.cur.Alive() {
+	if rc.cur != nil && rc.cur.alive() {
 		return rc.cur, nil
 	}
 	if rc.cur != nil {
-		rc.cur.Close()
+		rc.cur.close()
 		rc.cur = nil
 	}
-	c, err := rc.cfg.Dial()
+	nc, err := rc.cfg.Dial()
 	if err != nil {
 		return nil, err
 	}
+	c := newConn(nc)
 	rc.cur = c
 	rc.reconnects.Add(1)
 	rc.reconnectCtr.Inc()
@@ -206,13 +210,13 @@ func (rc *ReconnectClient) client() (*Client, error) {
 
 // invalidate discards a connection observed failing, unless a concurrent
 // caller already replaced it.
-func (rc *ReconnectClient) invalidate(c *Client) {
+func (rc *ReconnectClient) invalidate(c *conn) {
 	rc.mu.Lock()
 	if rc.cur == c {
 		rc.cur = nil
 	}
 	rc.mu.Unlock()
-	c.Close()
+	c.close()
 }
 
 // heartbeat probes liveness every cfg.Heartbeat: a ping over the current
@@ -236,7 +240,7 @@ func (rc *ReconnectClient) probe() {
 	rc.mu.Lock()
 	c := rc.cur
 	closed := rc.closed
-	alive := c != nil && c.Alive()
+	alive := c != nil && c.alive()
 	rc.mu.Unlock()
 	if closed {
 		return
@@ -257,7 +261,7 @@ func (rc *ReconnectClient) probe() {
 		timeout = rc.cfg.Heartbeat
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	err := c.PingContext(ctx)
+	_, err := c.do(ctx, &Request{Op: OpPing})
 	cancel()
 	if err != nil {
 		rc.breaker.Failure()
@@ -353,9 +357,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 func (rc *ReconnectClient) Do(ctx context.Context, req *Request) (*Response, error) {
 	return rc.do(ctx, req)
 }
-
-// The method set mirrors Client's, so a ReconnectClient drops in wherever
-// a Client is used directly.
 
 // Ping checks liveness.
 func (rc *ReconnectClient) Ping() error { return rc.PingContext(context.Background()) }

@@ -53,12 +53,12 @@ func waitFor(t *testing.T, msg string, cond func() bool) {
 func TestRequestIDDedup(t *testing.T) {
 	c, _ := testServer(t)
 	req := &Request{Op: OpRegister, ReqID: "dup-1", CorID: "cc", Plaintext: "4111", Description: "card"}
-	if _, err := c.do(t.Context(), req); err != nil {
+	if _, err := c.Do(t.Context(), req); err != nil {
 		t.Fatal(err)
 	}
 	// The replay must return the original's success, not a duplicate-cor
 	// error: the server recognizes the ID and does not re-execute.
-	if _, err := c.do(t.Context(), req); err != nil {
+	if _, err := c.Do(t.Context(), req); err != nil {
 		t.Fatalf("replayed request re-executed: %v", err)
 	}
 	cat, err := c.Catalog()
@@ -70,7 +70,7 @@ func TestRequestIDDedup(t *testing.T) {
 	}
 	// Same operation under a fresh ID is a genuine duplicate registration.
 	fresh := &Request{Op: OpRegister, ReqID: "dup-2", CorID: "cc", Plaintext: "4111", Description: "card"}
-	if _, err := c.do(t.Context(), fresh); err == nil {
+	if _, err := c.Do(t.Context(), fresh); err == nil {
 		t.Fatal("fresh ReqID should have re-executed and failed as a duplicate cor")
 	}
 }
@@ -110,7 +110,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	var addr atomic.Value
 	addr.Store(addr1)
 	rc := NewReconnectClient(ReconnectConfig{
-		Dial:           func() (*Client, error) { return Dial(addr.Load().(string), time.Second) },
+		Dial:           func() (net.Conn, error) { return net.DialTimeout("tcp", addr.Load().(string), time.Second) },
 		RequestTimeout: 2 * time.Second,
 		Backoff:        fault.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 		Heartbeat:      -1, // no prober: the test drives every request
@@ -162,12 +162,12 @@ func TestBreakerFastFailAndRecovery(t *testing.T) {
 	)
 	down.Store(true)
 	rc := NewReconnectClient(ReconnectConfig{
-		Dial: func() (*Client, error) {
+		Dial: func() (net.Conn, error) {
 			dials.Add(1)
 			if down.Load() {
 				return nil, errors.New("synthetic: node unreachable")
 			}
-			return Dial(addr, time.Second)
+			return net.DialTimeout("tcp", addr, time.Second)
 		},
 		RequestTimeout: time.Second,
 		MaxAttempts:    1,
@@ -210,87 +210,5 @@ func TestBreakerFastFailAndRecovery(t *testing.T) {
 	}
 	if rc.BreakerState() != fault.BreakerClosed {
 		t.Fatalf("breaker %s after successful probe, want closed", rc.BreakerState())
-	}
-}
-
-// TestPoolSkipsDeadConnection is the regression test for the round-robin
-// pool handing out dead connections: with one pooled connection killed,
-// every subsequent checkout must still reach the node, and the dead slot
-// must be replaced in the background.
-func TestPoolSkipsDeadConnection(t *testing.T) {
-	_, addr := startServer(t, nil, 0)
-	p, err := DialPool(addr, 3, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-
-	victim := p.slots[1]
-	victim.conn.Close()
-	waitFor(t, "killed connection never observed dead", func() bool { return !victim.Alive() })
-	for i := 0; i < 30; i++ {
-		if err := p.Client().Ping(); err != nil {
-			t.Fatalf("checkout %d returned a dead connection: %v", i, err)
-		}
-	}
-	waitFor(t, "dead slot never replaced by background redial", func() bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.slots[1] != victim && p.slots[1].Alive()
-	})
-}
-
-// TestPoolAllDeadRecovery kills every pooled connection: the next checkout
-// must dial synchronously and succeed while the node is up, and once the
-// node is truly gone, checkouts return a (non-nil) dead client whose calls
-// fail fast with a classified transport error.
-func TestPoolAllDeadRecovery(t *testing.T) {
-	s, addr := startServer(t, nil, 200*time.Millisecond)
-	p, err := DialPool(addr, 2, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-
-	kill := func() {
-		p.mu.Lock()
-		slots := append([]*Client(nil), p.slots...)
-		p.mu.Unlock()
-		for _, c := range slots {
-			c.conn.Close()
-		}
-		waitFor(t, "killed connections never observed dead", func() bool {
-			for _, c := range slots {
-				if c.Alive() {
-					return false
-				}
-			}
-			return true
-		})
-	}
-
-	kill()
-	c := p.Client()
-	if c == nil {
-		t.Fatal("Client returned nil")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("synchronous redial after total connection loss failed: %v", err)
-	}
-
-	// Node goes away for real: no live client exists, but checkouts still
-	// return promptly and fail with a typed transport error, not a hang.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	kill()
-	c = p.Client()
-	if c == nil {
-		t.Fatal("Client returned nil with node down")
-	}
-	err = c.Ping()
-	var te *TransportError
-	if !errors.As(err, &te) {
-		t.Fatalf("ping against dead pool = %v, want a TransportError", err)
 	}
 }

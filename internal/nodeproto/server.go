@@ -15,7 +15,6 @@ import (
 
 	"tinman/internal/audit"
 	"tinman/internal/cor"
-	"tinman/internal/malware"
 	"tinman/internal/node"
 	"tinman/internal/obs"
 	"tinman/internal/policy"
@@ -35,21 +34,16 @@ const (
 // handled concurrently (bounded by MaxInflight) and answered as they
 // finish, correlated by Request.Seq.
 type Server struct {
-	// Svc is the transport-agnostic service every request dispatches into.
+	// Svc is the transport-agnostic service every request dispatches into;
+	// administration (cmd/tinman-node, tests) reaches the vault, policy
+	// engine and audit log through it.
 	Svc *node.Service
 
-	// Cors, Policy, Audit and Malware alias the service's components so
-	// administration (cmd/tinman-node, tests) can reach them directly.
-	Cors    *cor.Store
-	Policy  *policy.Engine
-	Audit   *audit.Log
-	Malware *malware.DB
-
-	// Replays is the at-most-once window for requests carrying a ReqID: a
-	// replayed ID returns the recorded response instead of re-executing,
-	// so a client may safely resend after an ambiguous transport failure.
-	// NewServerWith installs a default; nil disables dedup.
-	Replays *node.ReplayCache
+	// replays is the at-most-once window for requests that carry a ReqID
+	// but are not keyed to a device shard: a replayed ID returns the
+	// recorded response instead of re-executing, so a client may safely
+	// resend after an ambiguous transport failure.
+	replays *node.ReplayCache
 
 	// Logf receives operational messages; nil silences them.
 	Logf func(format string, args ...any)
@@ -178,11 +172,7 @@ func NewServer() *Server {
 func NewServerWith(svc *node.Service) *Server {
 	return &Server{
 		Svc:     svc,
-		Cors:    svc.Cors,
-		Policy:  svc.Policy,
-		Audit:   svc.Audit,
-		Malware: svc.Malware,
-		Replays: node.NewReplayCache(node.ReplayCacheConfig{}),
+		replays: node.NewReplayCache(node.ReplayCacheConfig{}),
 		closed:  make(chan struct{}),
 	}
 }
@@ -255,10 +245,9 @@ func (s *Server) Close() error {
 }
 
 // handleConn pipelines one connection: a read loop pulls framed requests
-// and hands each to a bounded worker goroutine; workers write their
-// response (tagged with the request's Seq) under a shared write lock as
-// soon as they finish, possibly out of order. Legacy clients that keep one
-// request outstanding observe the old strictly-serial behavior.
+// and hands each to a bounded worker goroutine; workers queue their
+// response (tagged with the request's Seq) for the response writer as
+// soon as they finish, possibly out of order.
 //
 // Every handler runs under a connection-scoped context, cancelled when the
 // connection goes away or the server closes, so service calls observe
@@ -475,10 +464,8 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 			r := *(v.(*Response))
 			resp = &r
 		}
-	} else if s.Replays == nil {
-		resp = s.handle(ctx, req)
 	} else {
-		v, replayed := s.Replays.Do(req.ReqID, func() any {
+		v, replayed := s.replays.Do(req.ReqID, func() any {
 			// Detach from the connection's lifetime: if this conn dies
 			// mid-execution, the real outcome is still recorded, so the
 			// client's replay on a fresh conn gets it instead of a cached
@@ -711,7 +698,7 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 		}
 		return &Response{OK: true, PolicyVersion: stamp.Version, PolicyHash: stamp.Hash}
 	case OpPolicyVersion:
-		stamp := s.Policy.Stamp()
+		stamp := s.Svc.Policy.Stamp()
 		return &Response{OK: true, PolicyVersion: stamp.Version, PolicyHash: stamp.Hash}
 	case OpSetClass:
 		if req.CorID == "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -31,8 +32,8 @@ func readOneFrame(t *testing.T, conn net.Conn) {
 
 func TestShutdownAmbiguousAfterSend(t *testing.T) {
 	cli, srv := net.Pipe()
-	c := NewClient(cli)
-	defer c.Close()
+	c := newConn(cli)
+	defer c.close()
 
 	done := make(chan error, 1)
 	go func() {
@@ -59,12 +60,12 @@ func TestShutdownAmbiguousAfterSend(t *testing.T) {
 
 func TestShutdownNeverSentOnDeadConnection(t *testing.T) {
 	cli, srv := net.Pipe()
-	c := NewClient(cli)
-	defer c.Close()
+	c := newConn(cli)
+	defer c.close()
 
 	srv.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Alive() {
+	for c.alive() {
 		if time.Now().After(deadline) {
 			t.Fatal("client never noticed the dead connection")
 		}
@@ -83,12 +84,12 @@ func TestShutdownNeverSentOnDeadConnection(t *testing.T) {
 func TestShutdownNeverSentAfterClose(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer srv.Close()
-	c := NewClient(cli)
-	c.Close()
+	c := newConn(cli)
+	c.close()
 
 	_, err := c.do(context.Background(), &Request{Op: OpPing})
 	if !errors.Is(err, ErrNeverSent) {
-		t.Fatalf("err after Close = %v, want ErrNeverSent", err)
+		t.Fatalf("err after close = %v, want ErrNeverSent", err)
 	}
 }
 
@@ -98,8 +99,8 @@ func TestShutdownNeverSentAfterClose(t *testing.T) {
 // misclassification — and the whole dance must be race-clean.
 func TestShutdownConcurrentWaiters(t *testing.T) {
 	cli, srv := net.Pipe()
-	c := NewClient(cli)
-	defer c.Close()
+	c := newConn(cli)
+	defer c.close()
 	go io.Copy(io.Discard, srv) // swallow requests, never reply
 
 	const workers = 16
@@ -131,5 +132,66 @@ func TestShutdownConcurrentWaiters(t *testing.T) {
 		if errors.Is(err, ErrAmbiguous) == errors.Is(err, ErrNeverSent) {
 			t.Fatalf("waiter %d: ambiguous/never-sent classification inconsistent: %v", i, err)
 		}
+	}
+}
+
+// TestStrayResponsesDiscarded: a response whose Seq matches no in-flight
+// request, Seq 0 included, is dropped. It never resolves another request,
+// each pending call still gets its own response, and the connection stays
+// usable.
+func TestStrayResponsesDiscarded(t *testing.T) {
+	cli, srv := net.Pipe()
+	c := newConn(cli)
+	defer c.close()
+	defer srv.Close()
+
+	type answer struct {
+		seq  uint64
+		resp *Response
+		err  error
+	}
+	answers := make(chan answer, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			req := &Request{Op: OpPing}
+			resp, err := c.do(context.Background(), req)
+			answers <- answer{req.Seq, resp, err}
+		}()
+	}
+	// The scripted peer reads both requests, then sends two strays ahead
+	// of the real answers, which go out in reverse order.
+	var seqs []uint64
+	for i := 0; i < 2; i++ {
+		var req Request
+		if err := ReadMessage(srv, &req); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, req.Seq)
+	}
+	for _, resp := range []*Response{
+		{OK: true, Seq: 0, CorID: "stray-seq-0"},
+		{OK: true, Seq: seqs[0] + seqs[1] + 100, CorID: "stray-unknown-seq"},
+		{OK: true, Seq: seqs[1], CorID: fmt.Sprint(seqs[1])},
+		{OK: true, Seq: seqs[0], CorID: fmt.Sprint(seqs[0])},
+	} {
+		if err := WriteMessage(srv, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case a := <-answers:
+			if a.err != nil {
+				t.Fatalf("request %d: %v", a.seq, a.err)
+			}
+			if want := fmt.Sprint(a.seq); a.resp.CorID != want {
+				t.Fatalf("request %d resolved by response %q, want its own (%q)", a.seq, a.resp.CorID, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("pending request never resolved")
+		}
+	}
+	if !c.alive() {
+		t.Fatal("stray responses killed the connection")
 	}
 }

@@ -16,8 +16,7 @@ import (
 //     replay window deduplicates it.
 //
 // Both sentinels (and the underlying cause) are reachable through
-// errors.Is/As on any error a Client method returns for a transport
-// failure.
+// errors.Is/As on any transport failure a round trip returns.
 var (
 	// ErrNeverSent marks a request that never reached the wire.
 	ErrNeverSent = errors.New("nodeproto: request never sent")

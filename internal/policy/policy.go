@@ -95,18 +95,6 @@ func ReasonFromCode(c int) (Reason, bool) {
 // test iterates them.
 func NumReasons() int { return len(reasonNames) }
 
-// ReasonFromString maps a Reason's String() form back to the Reason —
-// the legacy inverse used when a denial crosses a wire as text only
-// (pre-code peers). New code should prefer ReasonFromCode.
-func ReasonFromString(s string) (Reason, bool) {
-	for r, name := range reasonNames {
-		if name == s {
-			return Reason(r), true
-		}
-	}
-	return 0, false
-}
-
 // ErrDenied is the sentinel every *Denial matches via errors.Is, so
 // callers can branch on "policy said no" without caring which rule fired.
 var ErrDenied = errors.New("policy: access denied")

@@ -237,10 +237,6 @@ func TestReasonCodeRoundTrip(t *testing.T) {
 		if !ok || got != r {
 			t.Fatalf("code round trip failed for %v (code %d)", r, r.Code())
 		}
-		got, ok = ReasonFromString(r.String())
-		if !ok || got != r {
-			t.Fatalf("string round trip failed for %v", r)
-		}
 	}
 	if _, ok := ReasonFromCode(-1); ok {
 		t.Fatal("negative code accepted")

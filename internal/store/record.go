@@ -15,9 +15,8 @@ import (
 // policy ops are JSON — rare, administrative, and in the vault case sealed
 // before framing so no cor plaintext ever reaches the disk.
 
-// VaultRecord is the durable form of one cor — the same fields
-// cor.Record persists in the legacy vault file. It is an upsert keyed by
-// ID: replaying a record with a known ID replaces the earlier state.
+// VaultRecord is the durable form of one cor.Record. It is an upsert keyed
+// by ID: replaying a record with a known ID replaces the earlier state.
 type VaultRecord struct {
 	ID          string   `json:"id"`
 	Plaintext   string   `json:"plaintext"`
@@ -79,9 +78,6 @@ func encodeAudit(dst []byte, e audit.Entry) []byte {
 	dst = append(dst, byte(e.Outcome))
 	dst = appendString(dst, e.Detail)
 	dst = appendUvarint(dst, e.DeviceSeq)
-	// Policy stamp fields append at the tail: decodeAudit reads them only
-	// when bytes remain, so records written before policy versioning (no
-	// tail) still decode.
 	dst = appendUvarint(dst, e.PolicyVersion)
 	dst = appendString(dst, e.PolicyHash)
 	return dst
@@ -148,11 +144,8 @@ func decodeAudit(p []byte) (audit.Entry, error) {
 	e.Outcome = audit.Outcome(d.byte())
 	e.Detail = d.string()
 	e.DeviceSeq = d.uvarint()
-	if d.err == nil && d.off < len(p) {
-		// Tail present: the record was written with a policy stamp.
-		e.PolicyVersion = d.uvarint()
-		e.PolicyHash = d.string()
-	}
+	e.PolicyVersion = d.uvarint()
+	e.PolicyHash = d.string()
 	if d.err != nil {
 		return audit.Entry{}, d.err
 	}

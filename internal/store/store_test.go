@@ -101,46 +101,13 @@ func TestAuditCodecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: got %+v want %+v", got, e)
 		}
 	}
-	// Truncations fail loudly — except a cut exactly at the pre-stamp
-	// boundary, which is byte-identical to a record written before policy
-	// versioning and must decode (backward compatibility). The frame CRC,
-	// not this codec, is the real torn-write detector.
-	e5 := entry(5)
-	full := encodeAudit(nil, e5)
-	legacy := e5
-	legacy.PolicyVersion, legacy.PolicyHash = 0, ""
-	// A zero stamp encodes as 2 tail bytes (uvarint 0 + empty string).
-	legacyLen := len(encodeAudit(nil, legacy)) - 2
+	// Every truncation fails loudly. The frame CRC, not this codec, is the
+	// real torn-write detector.
+	full := encodeAudit(nil, entry(5))
 	for cut := 0; cut < len(full); cut++ {
-		got, err := decodeAudit(full[:cut])
-		if cut == legacyLen {
-			if err != nil || !reflect.DeepEqual(got, legacy) {
-				t.Fatalf("legacy-boundary cut at %d: got %+v, %v", cut, got, err)
-			}
-			continue
-		}
-		if err == nil {
+		if _, err := decodeAudit(full[:cut]); err == nil {
 			t.Fatalf("truncated payload at %d decoded", cut)
 		}
-	}
-}
-
-// TestAuditCodecLegacyRecord pins backward compatibility: a record encoded
-// without the policy-stamp tail (the pre-control-plane format) decodes with
-// a zero stamp.
-func TestAuditCodecLegacyRecord(t *testing.T) {
-	e := entry(3)
-	e.PolicyVersion, e.PolicyHash = 0, ""
-	full := encodeAudit(nil, e)
-	// Strip the zero tail (uvarint 0 + empty string = 2 bytes) to get the
-	// exact legacy encoding.
-	legacy := full[:len(full)-2]
-	got, err := decodeAudit(legacy)
-	if err != nil {
-		t.Fatalf("legacy record rejected: %v", err)
-	}
-	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("legacy round trip: got %+v want %+v", got, e)
 	}
 }
 
