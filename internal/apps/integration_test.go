@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"tinman/internal/netsim"
+	"tinman/internal/node"
 	"tinman/internal/vm"
 )
 
@@ -231,7 +233,7 @@ func TestRevokedDeviceDenied(t *testing.T) {
 	}
 	env.World.Node.Policy.Revoke(env.World.Device.ID)
 	_, err = env.Login("paypal")
-	if err == nil || !strings.Contains(err.Error(), "revoked") {
+	if err == nil || !strings.Contains(err.Error(), "revoked") || !errors.Is(err, node.ErrRevoked) {
 		t.Fatalf("revoked device err = %v", err)
 	}
 }

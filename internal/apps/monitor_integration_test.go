@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"tinman/internal/netsim"
+	"tinman/internal/node"
 	"tinman/internal/vm"
 )
 
@@ -59,6 +61,10 @@ func TestMonitorAbortsBulkHarvest(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dynamic analysis") || !strings.Contains(err.Error(), "taint-width") {
 		t.Fatalf("err = %v, want taint-width abort", err)
+	}
+	// A monitor abort is an execution failure, not a policy denial.
+	if !errors.Is(err, node.ErrExecution) || errors.Is(err, node.ErrDenied) {
+		t.Fatalf("err = %v, want node.ErrExecution and not node.ErrDenied", err)
 	}
 	// The finding is audited.
 	found := false

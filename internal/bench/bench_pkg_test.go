@@ -57,40 +57,78 @@ func TestCaffeinemarkShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
-	rows, err := Caffeinemark(7)
+	rows, err := Caffeinemark(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != len(Kernels) {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	full, asym := AverageOverheads(rows)
+	var buf bytes.Buffer
+	PrintFig13(&buf, rows)
+	if !strings.Contains(buf.String(), "Figure 13") {
+		t.Fatal("report did not render")
+	}
+
 	// The paper's qualitative claims: full tainting costs something on
-	// average, and asymmetric costs less than full. Per-kernel numbers are
-	// too noisy on shared CI hosts for tight single-kernel bounds.
+	// average, and asymmetric costs less than full. The overheads are
+	// measured as medians of paired runs (medianOverhead), which hold on a
+	// busy machine where best-of-N timings of whole kernels do not.
+	var full, asym float64
+	for _, k := range Kernels {
+		kf, ka := medianOverhead(t, k, taint.Full), medianOverhead(t, k, taint.Asymmetric)
+		t.Logf("%-8s full %+.1f%%, asymmetric %+.1f%%", k.Name, 100*kf, 100*ka)
+		full += kf / float64(len(Kernels))
+		asym += ka / float64(len(Kernels))
+		// String is hit hard by full tainting (§6.1); asymmetric also pays
+		// there, but allow generous noise headroom.
+		if k.Name == "String" {
+			if kf < 0.03 {
+				t.Errorf("String full-tainting overhead %.1f%%, want noticeable", 100*kf)
+			}
+			if ka < -0.10 {
+				t.Errorf("String asymmetric overhead %.1f%%, implausibly negative", 100*ka)
+			}
+		}
+	}
 	if full <= 0 {
 		t.Errorf("full tainting average overhead %.1f%%, want positive", 100*full)
 	}
 	if asym >= full {
 		t.Errorf("asymmetric overhead %.1f%% should be below full %.1f%%", 100*asym, 100*full)
 	}
-	// String is hit hard by full tainting (§6.1); asymmetric also pays
-	// there, but allow generous noise headroom.
-	for _, r := range rows {
-		if r.Kernel == "String" {
-			if r.Overhead(taint.Full) < 0.03 {
-				t.Errorf("String full-tainting overhead %.1f%%, want noticeable", 100*r.Overhead(taint.Full))
+}
+
+// medianOverhead is k's slowdown under pol relative to taint.Off: the
+// median ratio over many pairs of short runs of the kernel, each run on a
+// fresh warmed VM, alternating which policy goes first. A pair shares the
+// machine's state of the moment, and the median discards the pairs a
+// preemption or a neighbour's burst hit.
+func medianOverhead(t *testing.T, k Kernel, pol taint.Policy) float64 {
+	const pairs, slice = 41, 8
+	warm, short := k, k
+	warm.Arg, short.Arg = k.Arg/64, k.Arg/slice
+	ratios := make([]float64, pairs)
+	for p := range ratios {
+		var d [2]time.Duration // [Off, pol]
+		for _, arm := range [2][2]int{{0, 1}, {1, 0}}[p%2] {
+			machine, err := NewCaffeineVM([2]taint.Policy{taint.Off, pol}[arm])
+			if err != nil {
+				t.Fatal(err)
 			}
-			if r.Overhead(taint.Asymmetric) < -0.10 {
-				t.Errorf("String asymmetric overhead %.1f%%, implausibly negative", 100*r.Overhead(taint.Asymmetric))
+			if _, err := RunKernel(machine, warm); err != nil {
+				t.Fatal(err)
 			}
+			machine.Heap.ClearDirty()
+			start := time.Now()
+			if _, err := RunKernel(machine, short); err != nil {
+				t.Fatal(err)
+			}
+			d[arm] = time.Since(start)
 		}
+		ratios[p] = float64(d[1]) / float64(d[0])
 	}
-	var buf bytes.Buffer
-	PrintFig13(&buf, rows)
-	if !strings.Contains(buf.String(), "Figure 13") {
-		t.Fatal("report did not render")
-	}
+	return median(ratios) - 1
 }
 
 func TestLoginLatencyShape(t *testing.T) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -9,17 +9,13 @@ import (
 	"tinman/internal/cor"
 	"tinman/internal/dsm"
 	"tinman/internal/node"
+	"tinman/internal/nodeproto"
 	"tinman/internal/obs"
 	"tinman/internal/taint"
 	"tinman/internal/tlssim"
 	"tinman/internal/vm"
 	"tinman/internal/vm/asm"
 )
-
-// deviceNativeNames lists the native methods every app VM provides; the
-// node registers the same names as non-offloadable stubs so its gate can
-// bounce them home (§3.1 case 2).
-var deviceNativeNames = []string{"https_request", "ui_notify"}
 
 // Report accumulates one app's offloading metrics — the raw material for
 // Table 3 and the latency breakdowns of Figs 14/15.
@@ -168,21 +164,18 @@ func (d *Device) InstallAppOpts(name, source string, opts InstallOpts) (*App, er
 	}
 
 	if d.w.enabled {
-		payload, err := json.Marshal(installRequest{Name: name, Source: source, DeviceID: d.ID})
+		resp, err := d.request(&nodeproto.Request{Op: nodeproto.OpInstall,
+			DeviceID: d.ID, App: name, Body: []byte(source)})
 		if err != nil {
 			return nil, err
 		}
-		reply, err := d.request(frame{Type: msgInstall, Payload: payload})
-		if err != nil {
-			return nil, err
+		if err := resp.Err(); err != nil {
+			return nil, fmt.Errorf("core: node rejected %s: %w", name, err)
 		}
-		if reply.Type == msgDenied {
-			return nil, fmt.Errorf("core: node rejected %s: %w", name, node.Denied(string(reply.Payload)))
-		}
-		if reply.Type != msgInstallOK || string(reply.Payload) != app.hash {
+		if resp.AppHash != app.hash {
 			return nil, fmt.Errorf("core: dex hash mismatch installing %s", name)
 		}
-		d.w.Node.SetAppLocks(name, app.locks)
+		d.w.Node.Svc.SetAppLocks(d.ID, name, app.locks)
 	}
 	d.apps[name] = app
 	return app, nil
@@ -323,16 +316,23 @@ func (a *App) sendWarmupChunk(epoch uint64) {
 	if err != nil || c == nil {
 		return // a capture error already aborted the attempt
 	}
-	f, err := encodeWarmupChunk(a.Name, c.Encode())
+	// Chunks are fire-and-forget: no request ID, no retry — losing one just
+	// degrades to the cold path. The ack finds its way back by Seq.
+	d.seq++
+	req := &nodeproto.Request{Op: nodeproto.OpDSMWarmup, Seq: d.seq,
+		DeviceID: d.ID, App: a.Name, Body: c.Encode()}
+	if trace, parent, ok := w.Obs.Current(); ok {
+		req.TraceID, req.SpanID = trace.Hex(), parent.Hex()
+	}
+	enc, err := encodeMsg(req)
+	if err == nil {
+		err = d.ctrl.Write(enc)
+	}
 	if err != nil {
 		a.ep.AbortWarmup()
 		return
 	}
-	enc := encodeFrame(f)
-	if err := d.ctrl.Write(enc); err != nil {
-		a.ep.AbortWarmup()
-		return
-	}
+	d.warmAcks[req.Seq] = warmAck{app: a, epoch: epoch, index: c.Index}
 	w.noteDeviceTransfer(len(enc))
 	// Chunk serialization is device CPU work, but paid concurrently: it
 	// lands as power draw and as pacing between chunks, not as a stall of
@@ -414,8 +414,8 @@ func (a *App) offload(th *vm.Thread, reason vm.StopReason) (*vm.Thread, vm.Value
 	a.settleWarmup()
 
 	var (
-		reply frame
-		wire  []byte
+		resp *nodeproto.Response
+		wire []byte
 	)
 	for {
 		mig, err := a.ep.CaptureMigration(th, reason)
@@ -432,11 +432,8 @@ func (a *App) offload(th *vm.Thread, reason vm.StopReason) (*vm.Thread, vm.Value
 		// Serialization is device CPU work.
 		w.advanceDeviceWork(time.Duration(int64(len(wire)) * w.Cost.SerializeNsPerByte))
 
-		env, err := json.Marshal(migrationEnvelope{App: a.Name, Bytes: wire})
-		if err != nil {
-			return nil, vm.Value{}, false, err
-		}
-		reply, err = a.dev.request(frame{Type: msgMigration, Payload: env})
+		resp, err = a.dev.request(&nodeproto.Request{Op: nodeproto.OpOffload,
+			DeviceID: a.dev.ID, App: a.Name, Body: wire})
 		if err != nil {
 			// The node may never have seen this sync, or lost its copy in a
 			// crash: forget the warm-up so the next offload re-ships the full
@@ -446,9 +443,9 @@ func (a *App) offload(th *vm.Thread, reason vm.StopReason) (*vm.Thread, vm.Value
 			a.ep.ResetWarmup()
 			return nil, vm.Value{}, false, err
 		}
-		if reply.Type == msgWarmMiss {
+		if rerr := resp.Err(); errors.Is(rerr, node.ErrWarmStale) {
 			if !warm {
-				return nil, vm.Value{}, false, fmt.Errorf("core: node warm-missed a cold migration: %s", reply.Payload)
+				return nil, vm.Value{}, false, fmt.Errorf("core: node warm-missed a cold migration: %w", rerr)
 			}
 			// The node does not hold our epoch ready (reconnect to a restarted
 			// node, shard handoff, torn warm-up): fall back to the cold path.
@@ -469,22 +466,15 @@ func (a *App) offload(th *vm.Thread, reason vm.StopReason) (*vm.Thread, vm.Value
 	if a.Report.FirstTriggerSyncBytes == 0 {
 		a.Report.FirstTriggerSyncBytes = len(wire)
 	}
-	if reply.Type == msgDenied {
-		return nil, vm.Value{}, false, fmt.Errorf("core: trusted node denied offload: %w", node.Denied(string(reply.Payload)))
+	if err := resp.Err(); err != nil {
+		return nil, vm.Value{}, false, fmt.Errorf("core: trusted node refused offload: %w", err)
 	}
-	if reply.Type != msgMigration {
-		return nil, vm.Value{}, false, fmt.Errorf("core: unexpected reply type %d to migration", reply.Type)
-	}
-	var renv migrationEnvelope
-	if err := json.Unmarshal(reply.Payload, &renv); err != nil {
-		return nil, vm.Value{}, false, err
-	}
-	back, err := dsm.DecodeMigration(renv.Bytes)
+	back, err := dsm.DecodeMigration(resp.Body)
 	if err != nil {
 		return nil, vm.Value{}, false, err
 	}
 	// Deserialization is device CPU work too.
-	w.advanceDeviceWork(time.Duration(int64(len(renv.Bytes)) * w.Cost.SerializeNsPerByte))
+	w.advanceDeviceWork(time.Duration(int64(len(resp.Body)) * w.Cost.SerializeNsPerByte))
 	next, err := a.ep.ApplyMigration(back)
 	if err != nil {
 		return nil, vm.Value{}, false, err
@@ -496,14 +486,14 @@ func (a *App) offload(th *vm.Thread, reason vm.StopReason) (*vm.Thread, vm.Value
 	a.Report.DirtyBytes = a.ep.Stats.DirtyBytes
 	a.Report.WarmupChunks = a.ep.Stats.WarmupChunks
 	a.Report.WarmupBytes = a.ep.Stats.WarmupBytes
-	if renv.Stats != nil {
-		a.Report.NodeInstrs = renv.Stats.Instrs
-		a.Report.NodeCalls = renv.Stats.Calls
-		a.Report.Syncs += renv.Stats.Syncs
-		a.Report.InitBytes += renv.Stats.InitBytes
-		a.Report.DirtyBytes += renv.Stats.DirtyBytes
-		if renv.Stats.ExecStartNs > 0 {
-			tte := time.Duration(renv.Stats.ExecStartNs) - t0
+	if st := resp.Stats; st != nil {
+		a.Report.NodeInstrs = st.Instrs
+		a.Report.NodeCalls = st.Calls
+		a.Report.Syncs += st.Syncs
+		a.Report.InitBytes += st.InitBytes
+		a.Report.DirtyBytes += st.DirtyBytes
+		if st.ExecStartNs > 0 {
+			tte := time.Duration(st.ExecStartNs) - t0
 			a.Report.TriggerToExec = tte
 			if a.Report.FirstTriggerToExec == 0 {
 				a.Report.FirstTriggerToExec = tte
@@ -659,28 +649,15 @@ func (a *App) injectAndSeal(hc *httpsConn, reqObj *vm.Object) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj := injectRequest{
-		App:        a.Name,
-		CorID:      reqObj.CorID,
-		Domain:     hc.domain,
-		ServerAddr: hc.addr,
-		ServerPort: hc.port,
-		ClientPort: hc.tcp.LocalPort(),
-		State:      stBytes,
-	}
-	payload, err := json.Marshal(inj)
+	resp, err := d.request(&nodeproto.Request{Op: nodeproto.OpInject,
+		DeviceID: d.ID, App: a.Name, CorID: reqObj.CorID, Domain: hc.domain,
+		ClientAddr: DeviceAddr, ClientPort: int(hc.tcp.LocalPort()),
+		TargetIP: hc.addr, ServerPort: int(hc.port), State: stBytes})
 	if err != nil {
 		return nil, err
 	}
-	reply, err := d.request(frame{Type: msgSSLInject, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	if reply.Type == msgDenied {
-		return nil, fmt.Errorf("https_request: %w", node.Denied(string(reply.Payload)))
-	}
-	if reply.Type != msgSSLInjectOK {
-		return nil, fmt.Errorf("https_request: unexpected inject reply %d", reply.Type)
+	if err := resp.Err(); err != nil {
+		return nil, fmt.Errorf("https_request: %w", err)
 	}
 	// Steps 2–3: seal the placeholder under the mark and let the filter
 	// redirect it.

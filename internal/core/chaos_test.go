@@ -209,6 +209,40 @@ func TestChaosSlowNodeReplaysNotReexecutes(t *testing.T) {
 	requireSameAudit(t, w, control)
 }
 
+// TestChaosReplayWaitsForModeledCompletion retries a slow offload while the
+// node is still computing it: the retries reach the replay window long
+// before the original's modeled completion, and their answer must not
+// arrive any earlier than that — a replay skips re-execution, not the
+// node's work. The offload can therefore take no less virtual time than in
+// an unhurried control run, up to link jitter (an early replay would win
+// back most of the node's ~600 ms).
+func TestChaosReplayWaitsForModeledCompletion(t *testing.T) {
+	// ~10 bytes of dirty reply state at 60 ms/byte keeps the node busy for
+	// ~600 ms; every attempt gives up after 100 ms.
+	cost := DefaultCostModel()
+	cost.SerializeNsPerByte = 60_000_000
+	hurried := chaosFaults()
+	hurried.RequestTimeout = 100 * time.Millisecond
+	hurried.RetryBackoffBase = 50 * time.Millisecond
+	hurried.RetryBackoffMax = 200 * time.Millisecond
+	hurried.MaxAttempts = 12
+	patient := chaosFaults()
+	patient.RequestTimeout = time.Minute
+
+	control, capp, cpw := newChaosWorld(t, Config{Seed: 43, Cost: cost, Fault: patient})
+	runTouch(t, control, capp, cpw)
+	w, app, pw := newChaosWorld(t, Config{Seed: 43, Cost: cost, Fault: hurried})
+	runTouch(t, w, app, pw)
+
+	if w.Device.ControlRetries() == 0 {
+		t.Fatal("no attempt timed out: the scenario tested nothing")
+	}
+	if early := capp.Report.DSMTime - app.Report.DSMTime; early > 50*time.Millisecond {
+		t.Fatalf("retried offload finished %v before the unhurried run: a replay beat the node's modeled work", early)
+	}
+	requireSameAudit(t, w, control)
+}
+
 // TestChaosNodeRestartMidOffload reboots the trusted node while an offload
 // is in flight: host down at the offload's start, back 1.2 s later with
 // all TCP state gone. The device must reconnect and complete.

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
 	"tinman/internal/netsim"
 	"tinman/internal/node"
+	"tinman/internal/nodeproto"
 	"tinman/internal/taint"
 	"tinman/internal/vm"
 )
@@ -40,7 +42,7 @@ func newTestWorld(t *testing.T, enabled bool) *World {
 }
 
 func TestFrameEncoding(t *testing.T) {
-	f := EncodeFrame(msgCatalog, []byte("payload"))
+	f := EncodeFrame(HSClientHello, []byte("payload"))
 	var r FrameReader
 	r.Feed(f[:3]) // partial
 	if _, ok, _ := r.Next(); ok {
@@ -48,7 +50,7 @@ func TestFrameEncoding(t *testing.T) {
 	}
 	r.Feed(f[3:])
 	got, ok, err := r.Next()
-	if err != nil || !ok || got.Type != msgCatalog || string(got.Payload) != "payload" {
+	if err != nil || !ok || got.Type != HSClientHello || string(got.Payload) != "payload" {
 		t.Fatalf("frame = %+v ok=%v err=%v", got, ok, err)
 	}
 	// Garbage length rejected.
@@ -56,6 +58,41 @@ func TestFrameEncoding(t *testing.T) {
 	r2.Feed([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
 	if _, _, err := r2.Next(); err == nil {
 		t.Fatal("implausible frame length accepted")
+	}
+}
+
+// TestMsgStreamSplitsFrames feeds two control messages — one with a binary
+// body, one without — through the simulated stream in small pieces: each
+// decodes whole, in order, only once all of its bytes have arrived.
+func TestMsgStreamSplitsFrames(t *testing.T) {
+	a := &nodeproto.Request{Op: nodeproto.OpOffload, Seq: 1, DeviceID: "d", App: "tiny", Body: []byte{0, 1, 2, 0xff}}
+	b := &nodeproto.Request{Op: nodeproto.OpCatalog, Seq: 2}
+	var wire []byte
+	for _, m := range []*nodeproto.Request{a, b} {
+		enc, err := encodeMsg(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, enc...)
+	}
+	var s msgStream
+	var got []*nodeproto.Request
+	for i := 0; i < len(wire); i += 7 {
+		s.feed(wire[i:min(i+7, len(wire))])
+		for {
+			req := new(nodeproto.Request)
+			n, err := s.next(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			got = append(got, req)
+		}
+	}
+	if len(got) != 2 || got[0].Op != a.Op || !bytes.Equal(got[0].Body, a.Body) || got[1].Seq != 2 || got[1].Body != nil {
+		t.Fatalf("decoded %+v", got)
 	}
 }
 
@@ -233,7 +270,7 @@ func TestMaliciousAppRefusedAtInstall(t *testing.T) {
 	// copy (same code => same hash).
 	w.Node.Malware.Add(app.Hash(), "TestTrojan")
 	_, err = w.Device.InstallApp("tiny2", tinyApp, 8)
-	if err == nil || !strings.Contains(err.Error(), "malware") {
+	if err == nil || !strings.Contains(err.Error(), "malware") || !errors.Is(err, node.ErrMalware) {
 		t.Fatalf("err = %v, want malware rejection", err)
 	}
 }

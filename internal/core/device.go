@@ -10,6 +10,7 @@ import (
 	"tinman/internal/fault"
 	"tinman/internal/netsim"
 	"tinman/internal/node"
+	"tinman/internal/nodeproto"
 	"tinman/internal/obs"
 	"tinman/internal/taint"
 	"tinman/internal/tcpsim"
@@ -23,17 +24,17 @@ var ErrControlTimeout = errors.New("core: control request timed out")
 // ControlTimeoutError carries the detail of one control-plane deadline
 // expiry; it unwraps to ErrControlTimeout.
 type ControlTimeoutError struct {
-	// Msg is the control message type that timed out (0 for a connect).
-	Msg uint8
+	// Op is the control operation that timed out ("" for a connect).
+	Op nodeproto.Op
 	// Wait is how long the device waited.
 	Wait time.Duration
 }
 
 func (e *ControlTimeoutError) Error() string {
-	if e.Msg == 0 {
+	if e.Op == "" {
 		return fmt.Sprintf("core: device: control connect timed out after %v", e.Wait)
 	}
-	return fmt.Sprintf("core: device: control request (message %d) timed out after %v", e.Msg, e.Wait)
+	return fmt.Sprintf("core: device: control request (%s) timed out after %v", e.Op, e.Wait)
 }
 
 func (e *ControlTimeoutError) Unwrap() error { return ErrControlTimeout }
@@ -57,18 +58,26 @@ type Device struct {
 	Stack  *tcpsim.Stack
 	policy taint.Policy
 
-	ctrl       *tcpsim.Conn
-	ctrlReader frameReader
-	ctrlQueue  []frame
+	ctrl   *tcpsim.Conn
+	ctrlIn msgStream
 
 	// Fault-tolerance machinery for the control channel (§5.4): requests
-	// carry device-minted IDs so retries after ambiguous failures execute
-	// at most once on the node; the breaker flips the device into
-	// cor-degraded mode when the node is plainly gone.
-	reqSeq  uint64
+	// carry deterministic device-minted IDs (<device>#n) so retries after
+	// ambiguous failures execute at most once on the node; the breaker
+	// flips the device into cor-degraded mode when the node is plainly
+	// gone. seq numbers every request sent, warm-up chunks included.
+	seq     uint64
 	retries uint64
 	breaker *fault.Breaker
 	backoff fault.Backoff
+
+	// Responses are matched by Seq: awaiting names the request roundTrip
+	// waits on (0 when none) and reply holds its response once pumped;
+	// warmAcks routes warm-up chunk acknowledgements to the app driver
+	// whose chunk they answer.
+	awaiting uint64
+	reply    *nodeproto.Response
+	warmAcks map[uint64]warmAck
 
 	catalog  map[string]cor.DeviceView
 	https    map[string]*httpsConn
@@ -89,6 +98,7 @@ func newDevice(w *World, host *netsim.Host, id string, pol taint.Policy, baselin
 		https:    make(map[string]*httpsConn),
 		baseline: baseline,
 		apps:     make(map[string]*App),
+		warmAcks: make(map[uint64]warmAck),
 		breaker: fault.NewBreaker(fault.BreakerConfig{
 			Threshold: w.Fault.BreakerThreshold,
 			Cooldown:  w.Fault.BreakerCooldown,
@@ -128,7 +138,7 @@ func (d *Device) dialControl() error {
 	})
 	if !c.Established() {
 		c.Abort() // stop the handshake retransmit timer for good
-		return &ControlTimeoutError{Msg: 0, Wait: d.w.Fault.ConnectTimeout}
+		return &ControlTimeoutError{Wait: d.w.Fault.ConnectTimeout}
 	}
 	d.ctrl = c
 	return nil
@@ -137,16 +147,17 @@ func (d *Device) dialControl() error {
 // reconnectControl replaces a dead control connection with a fresh one.
 // The old connection is aborted first: an abandoned simulated TCP
 // connection would otherwise re-arm its retransmission timer forever.
-// Buffered frames from the old connection are discarded — any reply they
+// Buffered bytes from the old connection are discarded — any reply they
 // carried belongs to a request the caller already gave up on, and the
-// node's replay table answers its retry instead.
+// node's replay window answers its retry instead — and so are the
+// warm-up acks still owed on it.
 func (d *Device) reconnectControl() error {
 	if d.ctrl != nil && !d.ctrl.Closed() {
 		d.ctrl.Abort()
 	}
 	d.ctrl = nil
-	d.ctrlReader = frameReader{}
-	d.ctrlQueue = nil
+	d.ctrlIn = msgStream{}
+	clear(d.warmAcks)
 	return d.dialControl()
 }
 
@@ -167,19 +178,16 @@ func (d *Device) Degraded() bool {
 // RefreshCatalog re-fetches the device-visible cor views; call after
 // registering new cors on the node.
 func (d *Device) RefreshCatalog() error {
-	reply, err := d.request(frame{Type: msgCatalog})
+	resp, err := d.request(&nodeproto.Request{Op: nodeproto.OpCatalog})
 	if err != nil {
 		return err
 	}
-	if reply.Type != msgCatalogReply {
-		return fmt.Errorf("core: device: unexpected catalog reply type %d", reply.Type)
-	}
-	var views []cor.DeviceView
-	if err := json.Unmarshal(reply.Payload, &views); err != nil {
+	if err := resp.Err(); err != nil {
 		return err
 	}
-	for _, v := range views {
-		d.catalog[v.ID] = v
+	for _, e := range resp.Catalog {
+		d.catalog[e.ID] = cor.DeviceView{ID: e.ID, Placeholder: e.Placeholder,
+			Description: e.Description, Bit: e.Bit, Class: cor.Class(e.Class)}
 	}
 	// Class changes ride the catalog: refresh every app endpoint's
 	// server-only mask so the next capture honors them.
@@ -214,81 +222,70 @@ func (d *Device) Catalog() []cor.DeviceView {
 	return out
 }
 
-// pump drains control-connection bytes into parsed frames. Warm-up
-// acknowledgements are routed straight to the owning app's driver rather
-// than queued: roundTrip treats the head of ctrlQueue as THE reply to the
-// in-flight request, and an out-of-band ack must never be mistaken for one.
+// warmAck is what a warm-up chunk's acknowledgement reports back to its
+// app's driver.
+type warmAck struct {
+	app   *App
+	epoch uint64
+	index int
+}
+
+// pump drains control-connection bytes into parsed responses: the one
+// roundTrip awaits, or a warm-up ack, which goes straight to the owning
+// app's driver. Anything else answers a request the device gave up on and
+// is dropped.
 func (d *Device) pump() error {
 	if d.ctrl == nil || d.ctrl.Readable() == 0 {
 		return nil
 	}
-	d.ctrlReader.feed(d.ctrl.Read(0))
+	d.ctrlIn.feed(d.ctrl.Read(0))
 	for {
-		f, ok, err := d.ctrlReader.next()
-		if err != nil {
+		resp := new(nodeproto.Response)
+		n, err := d.ctrlIn.next(resp)
+		if err != nil || n == 0 {
 			return err
 		}
-		if !ok {
-			return nil
+		if d.awaiting != 0 && resp.Seq == d.awaiting && d.reply == nil {
+			d.reply = resp
+			d.w.noteDeviceTransfer(n)
+		} else if ack, ok := d.warmAcks[resp.Seq]; ok {
+			// Losing an ack only costs the speculation, never correctness.
+			delete(d.warmAcks, resp.Seq)
+			d.w.noteDeviceTransfer(n)
+			ack.app.warmupAck(ack.epoch, ack.index, resp.OK)
 		}
-		if f.Type == msgWarmupAck {
-			d.handleWarmupAck(f)
-			continue
-		}
-		d.ctrlQueue = append(d.ctrlQueue, f)
 	}
-}
-
-// handleWarmupAck delivers one out-of-band warm-up acknowledgement to the
-// app it names. Unknown apps, stale epochs, and malformed frames are
-// silently dropped — losing an ack only costs the speculation, never
-// correctness.
-func (d *Device) handleWarmupAck(f frame) {
-	app, epoch, index, ok, err := decodeWarmupAck(f.Payload)
-	if err != nil {
-		return
-	}
-	a := d.apps[app]
-	if a == nil {
-		return
-	}
-	d.w.noteDeviceTransfer(len(f.Payload) + 5)
-	a.warmupAck(epoch, index, ok)
 }
 
 // request performs a synchronous control round trip with the full §5.4
 // fault-tolerance stack: a device-minted request ID makes retries safe
 // (the node executes each ID at most once), each attempt runs under a
 // deadline, failed attempts back off and reconnect, and the circuit
-// breaker fails cor-touching work fast once the node is plainly gone.
-func (d *Device) request(f frame) (frame, error) {
+// breaker fails cor-touching work fast once the node is plainly gone. The
+// error reports transport failure only; the node's own refusal comes back
+// as a response whose Err is non-nil.
+func (d *Device) request(req *nodeproto.Request) (*nodeproto.Response, error) {
 	if d.ctrl == nil && d.breaker.State() == fault.BreakerClosed {
-		return frame{}, fmt.Errorf("core: device: control plane not connected (TinMan disabled?)")
+		return nil, fmt.Errorf("core: device: control plane not connected (TinMan disabled?)")
 	}
 	if !d.breaker.Allow() {
-		return frame{}, fmt.Errorf("core: device: %w (circuit breaker open)", node.ErrNodeUnavailable)
+		return nil, fmt.Errorf("core: device: %w (circuit breaker open)", node.ErrNodeUnavailable)
 	}
 	// The control round trip is one span; the node joins the trace via the
-	// IDs stamped into the tagged frame (msgTaggedTrace).
+	// IDs stamped into the request.
 	var rpc *obs.Span
 	if tr := d.w.Obs; tr.Enabled() {
-		rpc = tr.StartSpan(obs.PhaseControlRPC, obs.Msg(f.Type))
+		rpc = tr.StartSpan(obs.PhaseControlRPC, obs.OpName(string(req.Op)))
+		req.TraceID, req.SpanID = rpc.Trace().Hex(), rpc.ID().Hex()
 	}
-	d.reqSeq++
-	reqID := fmt.Sprintf("%s#%d", d.ID, d.reqSeq)
-	var (
-		tagged frame
-		err    error
-	)
-	if rpc != nil {
-		tagged, err = encodeTaggedTrace(reqID, rpc.Trace(), rpc.ID(), f)
-	} else {
-		tagged, err = encodeTagged(reqID, f)
-	}
+	d.seq++
+	req.Seq = d.seq
+	req.ReqID = fmt.Sprintf("%s#%d", d.ID, d.seq)
+	wire, err := encodeMsg(req)
 	if err != nil {
 		d.breaker.Success() // local encoding error, not a node failure
 		rpc.End()
-		return frame{}, err
+		return nil, err
 	}
 	var lastErr error
 	attempts := 0
@@ -312,14 +309,14 @@ func (d *Device) request(f frame) (frame, error) {
 				lastErr = err
 				d.breaker.Failure()
 				d.endRequestSpan(rpc, 0, err)
-				return frame{}, fmt.Errorf("core: device: %w: %w", node.ErrNodeUnavailable, lastErr)
+				return nil, fmt.Errorf("core: device: %w: %w", node.ErrNodeUnavailable, lastErr)
 			}
 		}
-		reply, err := d.roundTrip(tagged, f.Type)
+		resp, err := d.roundTrip(wire, req)
 		if err == nil {
 			d.breaker.Success()
 			d.endRequestSpan(rpc, attempt, nil)
-			return reply, nil
+			return resp, nil
 		}
 		lastErr = err
 		d.breaker.Failure()
@@ -328,7 +325,7 @@ func (d *Device) request(f frame) (frame, error) {
 		}
 	}
 	d.endRequestSpan(rpc, attempts, lastErr)
-	return frame{}, fmt.Errorf("core: device: %w: %w", node.ErrNodeUnavailable, lastErr)
+	return nil, fmt.Errorf("core: device: %w: %w", node.ErrNodeUnavailable, lastErr)
 }
 
 // endRequestSpan closes a control_rpc span, recording retries beyond the
@@ -350,17 +347,17 @@ func (d *Device) endRequestSpan(rpc *obs.Span, retries int, err error) {
 	rpc.End()
 }
 
-// roundTrip writes one (tagged) request frame and steps the simulation
-// until the reply, a transport failure, or the per-attempt deadline — a
-// no-op wake event parked at the deadline guarantees RunUntil observes it
-// even when the network has gone completely silent.
-func (d *Device) roundTrip(wire frame, inner uint8) (frame, error) {
-	enc := encodeFrame(wire)
-	if err := d.ctrl.Write(enc); err != nil {
-		return frame{}, err
+// roundTrip writes one encoded request and steps the simulation until its
+// response, a transport failure, or the per-attempt deadline — a no-op
+// wake event parked at the deadline guarantees RunUntil observes it even
+// when the network has gone completely silent.
+func (d *Device) roundTrip(wire []byte, req *nodeproto.Request) (*nodeproto.Response, error) {
+	if err := d.ctrl.Write(wire); err != nil {
+		return nil, err
 	}
-	d.w.noteDeviceTransfer(len(enc))
+	d.w.noteDeviceTransfer(len(wire))
 	ctrl := d.ctrl
+	d.awaiting, d.reply = req.Seq, nil
 	waitStart := d.w.Net.Now()
 	deadline := waitStart + d.w.Fault.RequestTimeout
 	d.w.Net.Schedule(d.w.Fault.RequestTimeout, func() {})
@@ -370,8 +367,9 @@ func (d *Device) roundTrip(wire frame, inner uint8) (frame, error) {
 			pumpErr = err
 			return true
 		}
-		return len(d.ctrlQueue) > 0 || ctrl.Closed() || d.w.Net.Now() >= deadline
+		return d.reply != nil || ctrl.Closed() || d.w.Net.Now() >= deadline
 	})
+	d.awaiting = 0
 	// The COMET client does not sleep while the node works: the DSM thread
 	// polls the socket and services GC/bookkeeping, keeping the CPU at
 	// partial duty for the whole wait — including waits that end in failure.
@@ -379,18 +377,16 @@ func (d *Device) roundTrip(wire frame, inner uint8) (frame, error) {
 		d.w.CPU.NoteActive(waitStart, wait/2)
 	}
 	if pumpErr != nil {
-		return frame{}, pumpErr
+		return nil, pumpErr
 	}
-	if len(d.ctrlQueue) > 0 {
-		reply := d.ctrlQueue[0]
-		d.ctrlQueue = d.ctrlQueue[1:]
-		d.w.noteDeviceTransfer(len(reply.Payload) + 5)
-		return reply, nil
+	if resp := d.reply; resp != nil {
+		d.reply = nil
+		return resp, nil
 	}
 	if ctrl.Closed() {
-		return frame{}, fmt.Errorf("core: device: control connection reset")
+		return nil, fmt.Errorf("core: device: control connection reset")
 	}
-	return frame{}, &ControlTimeoutError{Msg: inner, Wait: d.w.Net.Now() - waitStart}
+	return nil, &ControlTimeoutError{Op: req.Op, Wait: d.w.Net.Now() - waitStart}
 }
 
 // --- HTTPS client (the "modified SSL library") ---
@@ -466,16 +462,15 @@ func (d *Device) httpsDial(domain string) (*httpsConn, error) {
 }
 
 // awaitFrame steps the simulation until one handshake frame arrives.
-func (hc *httpsConn) awaitFrame(n *netsim.Net) (frame, error) {
-	var r frameReader
-	r.buf = hc.buf
-	var got frame
+func (hc *httpsConn) awaitFrame(n *netsim.Net) (Frame, error) {
+	r := FrameReader{buf: hc.buf}
+	var got Frame
 	var ferr error
 	ok := n.RunUntil(func() bool {
 		if hc.tcp.Readable() > 0 {
-			r.feed(hc.tcp.Read(0))
+			r.Feed(hc.tcp.Read(0))
 		}
-		f, ok, err := r.next()
+		f, ok, err := r.Next()
 		if err != nil {
 			ferr = err
 			return true
@@ -488,10 +483,10 @@ func (hc *httpsConn) awaitFrame(n *netsim.Net) (frame, error) {
 	})
 	hc.buf = r.buf
 	if ferr != nil {
-		return frame{}, ferr
+		return Frame{}, ferr
 	}
 	if !ok || got.Type == 0 {
-		return frame{}, fmt.Errorf("handshake frame never arrived")
+		return Frame{}, fmt.Errorf("handshake frame never arrived")
 	}
 	return got, nil
 }

@@ -3,87 +3,38 @@
 // simplified TLS stack and the simulated TCP/network substrate into a
 // working device + trusted-node pair, and drives the on-demand
 // security-oriented offloading loop of §3.
+//
+// The device and its trusted node speak nodeproto, the one control
+// protocol, over a simulated TCP connection: the same frames, request IDs,
+// replay windows and typed errors as a device on real TCP. Core keeps only
+// what the simulation adds — splitting frames out of the simulated byte
+// stream, scheduling the node's modeled work, and the virtual clock. The
+// Frame type here is the TLS handshake's framing between clients and origin
+// servers.
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
-	"tinman/internal/obs"
-	"tinman/internal/tcpsim"
+	"tinman/internal/nodeproto"
 )
 
-// Control-plane message types exchanged between the device and the trusted
-// node over their TCP control connection.
-const (
-	// msgInstall ships an app's source (the dex transfer at warm-up, §6.2).
-	msgInstall uint8 = iota + 1
-	// msgInstallOK acknowledges installation (carrying the node-computed
-	// hash for cross-checking).
-	msgInstallOK
-	// msgMigration carries a dsm.Migration in either direction.
-	msgMigration
-	// msgDenied reports a policy denial for an attempted migration or
-	// injection; payload is the denial text.
-	msgDenied
-	// msgCatalog requests the device-visible cor catalog.
-	msgCatalog
-	// msgCatalogReply returns the catalog JSON.
-	msgCatalogReply
-	// msgSSLInject ships an SSL session state + target for session
-	// injection (§3.2); the node replies msgSSLInjectOK or msgDenied.
-	msgSSLInject
-	// msgSSLInjectOK confirms the node is armed for payload replacement.
-	msgSSLInjectOK
-	// msgTagged wraps any request message with a device-minted request ID
-	// so retries after an ambiguous failure (request sent, reply lost)
-	// execute at most once on the node. Payload: u8 idLen | id | u8 inner
-	// type | inner payload.
-	msgTagged
-	// msgTaggedTrace is msgTagged plus the requesting span's identity, so
-	// node-side spans join the device-minted trace. Payload: u8 idLen | id |
-	// 8B trace ID | 8B span ID | u8 inner type | inner payload. Devices emit
-	// it only while tracing is active — untraced runs keep the msgTagged
-	// wire bytes unchanged.
-	msgTaggedTrace
-	// msgWarmupChunk ships one background dsm.WarmupChunk (the speculative
-	// pre-migration pipeline). Fire-and-forget from the device's
-	// perspective: it is never wrapped in msgTagged and never retried —
-	// losing a chunk just degrades to the cold path. Payload: u8 appLen |
-	// app name | encoded chunk.
-	msgWarmupChunk
-	// msgWarmupAck acknowledges one warm-up chunk out of band (it is not a
-	// reply to any pending tagged request; the device routes it to the
-	// warm-up driver, not the request queue). Payload: u8 appLen | app name
-	// | u64 epoch | u64 index | u8 ok.
-	msgWarmupAck
-	// msgWarmMiss rejects a warm-path migration whose epoch the node does
-	// not hold ready; the device resets its DSM warm state and resends the
-	// full snapshot. Payload: the refusal text.
-	msgWarmMiss
-)
-
-// Frame is one length-prefixed control or handshake message: u32 length |
-// u8 type | payload. The same framing carries the TLS handshake between
-// clients and origin servers, so the apps package shares it.
+// Frame is one length-prefixed TLS handshake message: u32 length | u8 type |
+// payload. It carries the handshake between clients and origin servers, so
+// the apps package shares it.
 type Frame struct {
 	Type    uint8
 	Payload []byte
 }
 
-// frame is the package-internal shorthand.
-type frame = Frame
-
 // EncodeFrame produces the wire form of a frame.
 func EncodeFrame(t uint8, payload []byte) []byte {
-	return encodeFrame(frame{Type: t, Payload: payload})
-}
-
-func encodeFrame(f frame) []byte {
-	buf := make([]byte, 5+len(f.Payload))
-	binary.BigEndian.PutUint32(buf, uint32(1+len(f.Payload)))
-	buf[4] = f.Type
-	copy(buf[5:], f.Payload)
+	buf := make([]byte, 5+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(1+len(payload)))
+	buf[4] = t
+	copy(buf[5:], payload)
 	return buf
 }
 
@@ -116,135 +67,28 @@ func (r *FrameReader) Next() (Frame, bool, error) {
 	return f, true, nil
 }
 
-// lower-case aliases used by the package internals.
-type frameReader = FrameReader
-
-func (r *frameReader) feed(b []byte)              { r.Feed(b) }
-func (r *frameReader) next() (frame, bool, error) { return r.Next() }
-
-// sendFrame writes a frame to a connection.
-func sendFrame(c *tcpsim.Conn, f frame) error {
-	return c.Write(encodeFrame(f))
+// msgStream splits nodeproto messages out of a simulated TCP byte stream.
+type msgStream struct {
+	buf []byte
 }
 
-// encodeTagged wraps an inner request frame with a request ID for
-// at-most-once delivery. IDs are device-minted and at most 255 bytes.
-func encodeTagged(id string, f frame) (frame, error) {
-	if len(id) == 0 || len(id) > 255 {
-		return frame{}, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
+func (s *msgStream) feed(b []byte) { s.buf = append(s.buf, b...) }
+
+// next decodes the next complete message into v and returns its wire
+// length, or 0 when no complete message is buffered.
+func (s *msgStream) next(v any) (int, error) {
+	n, err := nodeproto.FrameLen(s.buf)
+	if err != nil || n == 0 {
+		return 0, err
 	}
-	p := make([]byte, 0, 2+len(id)+len(f.Payload))
-	p = append(p, byte(len(id)))
-	p = append(p, id...)
-	p = append(p, f.Type)
-	p = append(p, f.Payload...)
-	return frame{Type: msgTagged, Payload: p}, nil
+	err = nodeproto.ReadMessage(bytes.NewReader(s.buf[:n]), v)
+	s.buf = s.buf[n:]
+	return n, err
 }
 
-// encodeTaggedTrace is encodeTagged carrying the requesting span's identity.
-func encodeTaggedTrace(id string, trace obs.TraceID, span obs.SpanID, f frame) (frame, error) {
-	if len(id) == 0 || len(id) > 255 {
-		return frame{}, fmt.Errorf("core: tagged request ID length %d out of range", len(id))
-	}
-	p := make([]byte, 0, 18+len(id)+len(f.Payload))
-	p = append(p, byte(len(id)))
-	p = append(p, id...)
-	var ids [16]byte
-	binary.BigEndian.PutUint64(ids[:8], uint64(trace))
-	binary.BigEndian.PutUint64(ids[8:], uint64(span))
-	p = append(p, ids[:]...)
-	p = append(p, f.Type)
-	p = append(p, f.Payload...)
-	return frame{Type: msgTaggedTrace, Payload: p}, nil
-}
-
-// decodeTaggedTrace unwraps a msgTaggedTrace payload into the request ID,
-// the propagated trace context, and the inner frame.
-func decodeTaggedTrace(payload []byte) (string, obs.TraceID, obs.SpanID, frame, error) {
-	if len(payload) < 18 {
-		return "", 0, 0, frame{}, fmt.Errorf("core: short traced tagged frame")
-	}
-	n := int(payload[0])
-	if len(payload) < 18+n {
-		return "", 0, 0, frame{}, fmt.Errorf("core: truncated traced tagged frame")
-	}
-	id := string(payload[1 : 1+n])
-	trace := obs.TraceID(binary.BigEndian.Uint64(payload[1+n:]))
-	span := obs.SpanID(binary.BigEndian.Uint64(payload[9+n:]))
-	inner := frame{Type: payload[17+n], Payload: append([]byte(nil), payload[18+n:]...)}
-	return id, trace, span, inner, nil
-}
-
-// encodeWarmupChunk builds a msgWarmupChunk frame: u8 appLen | app | chunk.
-func encodeWarmupChunk(app string, chunk []byte) (frame, error) {
-	if len(app) == 0 || len(app) > 255 {
-		return frame{}, fmt.Errorf("core: warmup app name length %d out of range", len(app))
-	}
-	p := make([]byte, 0, 1+len(app)+len(chunk))
-	p = append(p, byte(len(app)))
-	p = append(p, app...)
-	p = append(p, chunk...)
-	return frame{Type: msgWarmupChunk, Payload: p}, nil
-}
-
-// decodeWarmupChunk splits a msgWarmupChunk payload.
-func decodeWarmupChunk(payload []byte) (string, []byte, error) {
-	if len(payload) < 2 {
-		return "", nil, fmt.Errorf("core: short warmup chunk frame")
-	}
-	n := int(payload[0])
-	if n == 0 || len(payload) < 1+n {
-		return "", nil, fmt.Errorf("core: truncated warmup chunk app name")
-	}
-	app := string(payload[1 : 1+n])
-	return app, append([]byte(nil), payload[1+n:]...), nil
-}
-
-// encodeWarmupAck builds a msgWarmupAck frame: u8 appLen | app | u64 epoch |
-// u64 index | u8 ok.
-func encodeWarmupAck(app string, epoch uint64, index int, ok bool) frame {
-	p := make([]byte, 0, 18+len(app))
-	p = append(p, byte(len(app)))
-	p = append(p, app...)
-	var u [16]byte
-	binary.BigEndian.PutUint64(u[:8], epoch)
-	binary.BigEndian.PutUint64(u[8:], uint64(index))
-	p = append(p, u[:]...)
-	if ok {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
-	}
-	return frame{Type: msgWarmupAck, Payload: p}
-}
-
-// decodeWarmupAck splits a msgWarmupAck payload.
-func decodeWarmupAck(payload []byte) (app string, epoch uint64, index int, ok bool, err error) {
-	if len(payload) < 18 {
-		return "", 0, 0, false, fmt.Errorf("core: short warmup ack frame")
-	}
-	n := int(payload[0])
-	if len(payload) != 18+n {
-		return "", 0, 0, false, fmt.Errorf("core: malformed warmup ack frame")
-	}
-	app = string(payload[1 : 1+n])
-	epoch = binary.BigEndian.Uint64(payload[1+n:])
-	index = int(binary.BigEndian.Uint64(payload[9+n:]))
-	ok = payload[17+n] != 0
-	return app, epoch, index, ok, nil
-}
-
-// decodeTagged unwraps a msgTagged payload into its request ID and inner
-// frame.
-func decodeTagged(payload []byte) (string, frame, error) {
-	if len(payload) < 2 {
-		return "", frame{}, fmt.Errorf("core: short tagged frame")
-	}
-	n := int(payload[0])
-	if len(payload) < 2+n {
-		return "", frame{}, fmt.Errorf("core: truncated tagged frame ID")
-	}
-	id := string(payload[1 : 1+n])
-	inner := frame{Type: payload[1+n], Payload: append([]byte(nil), payload[2+n:]...)}
-	return id, inner, nil
+// encodeMsg frames one nodeproto message for the simulated TCP stream.
+func encodeMsg(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := nodeproto.WriteMessage(&buf, v)
+	return buf.Bytes(), err
 }

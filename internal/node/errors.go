@@ -123,9 +123,31 @@ func SentinelForReason(r policy.Reason) error {
 	}
 }
 
-// Denied wraps a denial message that arrived as text over a transport so
-// callers can still test errors.Is(err, ErrDenied). Error() returns msg
-// unchanged, keeping wrapped transport messages byte-compatible.
-func Denied(msg string) error {
-	return &Error{kind: ErrDenied, msg: msg}
+// codes lists the sentinels a transport carries as a stable numeric error
+// code: a sentinel's code is its index plus one, so the zero value means
+// "no code". Append only — a code, once assigned, never changes meaning.
+// Denials travel as policy reason codes instead (SentinelForReason).
+var codes = []error{
+	ErrUnknownCor, ErrUnknownApp, ErrBadRequest, ErrWeakTLS, ErrRecordLength,
+	ErrNoInjection, ErrExecution, ErrShardDraining, ErrUnknownDevice,
+	ErrNotOwner, ErrWarmStale, ErrNotDurable,
+}
+
+// Code returns the stable code of the first sentinel err matches, or 0.
+func Code(err error) int {
+	for i, s := range codes {
+		if errors.Is(err, s) {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// SentinelForCode maps a code from Code back to its sentinel; nil when the
+// code is 0 or unknown to this build.
+func SentinelForCode(code int) error {
+	if code < 1 || code > len(codes) {
+		return nil
+	}
+	return codes[code-1]
 }

@@ -44,6 +44,12 @@ type hostedApp struct {
 	mon *monitor.Monitor
 }
 
+// DeviceNatives lists the native methods the TinMan device platform gives
+// every app VM. A node installing an app for a device registers them as
+// non-offloadable stubs, so touching one bounces the thread home (§3.1
+// case 2).
+var DeviceNatives = []string{"https_request", "ui_notify"}
+
 // InstallRequest is the node half of app installation (the warm-up dex
 // transfer, §6.2).
 type InstallRequest struct {
@@ -175,22 +181,28 @@ func (s *Service) SetAppLocks(deviceID, name string, lt *dsm.LockTable) {
 }
 
 // Stats reports the node-side counters after an offload episode (Table 3).
+// Transports ship it with the reply migration.
 type Stats struct {
-	Instrs     uint64
-	Calls      uint64
-	Syncs      int
-	InitBytes  int
-	DirtyBytes int
+	Instrs     uint64 `json:"instrs"`
+	Calls      uint64 `json:"calls"`
+	Syncs      int    `json:"syncs"`
+	InitBytes  int    `json:"init_bytes"`
+	DirtyBytes int    `json:"dirty_bytes"`
+	// Executed counts instructions run on the node during this episode
+	// (the simulation's compute-cost input).
+	Executed uint64 `json:"executed,omitempty"`
+	// ExecStartNs is the service clock (Unix ns) when the episode's thread
+	// began executing; 0 for a pure state sync. A device subtracts its
+	// trigger time to get the trigger-to-first-node-instruction latency
+	// that warm-up shortens.
+	ExecStartNs int64 `json:"exec_start_ns,omitempty"`
 }
 
 // OffloadResult is one completed offload round: the encoded reply migration
 // plus accounting.
 type OffloadResult struct {
 	Bytes []byte
-	// Executed counts instructions run on the node during this episode
-	// (the transport's compute-cost input).
-	Executed uint64
-	Stats    Stats
+	Stats Stats
 }
 
 // WarmupChunk applies one background warm-up chunk to the app's node-side
@@ -329,14 +341,17 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 		return nil, s.denyRestricted(err, app.hash, deviceID)
 	}
 	var (
-		stop     = vm.StopDone
-		executed uint64
+		stop      = vm.StopDone
+		executed  uint64
+		execStart int64
 	)
 	if th != nil {
 		app.machine.ResetIdle()
 		app.mon.BeginEpisode()
 		// Resume latency: migration arrival to first node instruction.
-		s.warm.resumeNs.Add(int64(s.clock().Sub(arrived)))
+		now := s.clock()
+		execStart = now.UnixNano()
+		s.warm.resumeNs.Add(int64(now.Sub(arrived)))
 		s.warm.resumes.Add(1)
 		before := app.machine.Instrs
 		st, runErr := th.Run()
@@ -356,14 +371,15 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 		return nil, s.denyRestricted(err, app.hash, deviceID)
 	}
 	return &OffloadResult{
-		Bytes:    reply.Encode(),
-		Executed: executed,
+		Bytes: reply.Encode(),
 		Stats: Stats{
-			Instrs:     app.machine.Instrs,
-			Calls:      app.machine.Calls,
-			Syncs:      app.ep.Stats.Syncs,
-			InitBytes:  app.ep.Stats.InitBytes,
-			DirtyBytes: app.ep.Stats.DirtyBytes,
+			Instrs:      app.machine.Instrs,
+			Calls:       app.machine.Calls,
+			Syncs:       app.ep.Stats.Syncs,
+			InitBytes:   app.ep.Stats.InitBytes,
+			DirtyBytes:  app.ep.Stats.DirtyBytes,
+			Executed:    executed,
+			ExecStartNs: execStart,
 		},
 	}, nil
 }

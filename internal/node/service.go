@@ -4,10 +4,11 @@
 // injection/offload session state. App and session state is keyed by device
 // ID, so a single Service instance serves many devices at once.
 //
-// Transports stay thin: the in-process simulation (internal/core) drives
-// the Service over the virtual-time control plane, and internal/nodeproto
-// dispatches real-TCP wire requests into the same instance. Both see the
-// identical policy evaluation, audit trail and error taxonomy (errors.go).
+// Transports stay thin: internal/nodeproto's dispatch is the one place
+// control requests become Service calls, whether they arrive over real TCP
+// or over the simulation's virtual-time TCP (internal/core). Every caller
+// sees the identical policy evaluation, audit trail and error taxonomy
+// (errors.go), whose sentinels cross the wire as stable codes.
 package node
 
 import (

@@ -375,9 +375,13 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatalf("no injection: %v", err)
 	}
 
-	// Wire-carried denial text still matches the sentinel.
-	if err := error(Denied("policy: x denied: something")); !errors.Is(err, ErrDenied) {
-		t.Fatal("Denied() lost the sentinel")
+	// A service error crosses a transport as its stable code, which maps
+	// back onto the same sentinel; an uncoded error carries no code.
+	if code := Code(err); code == 0 || SentinelForCode(code) != ErrNoInjection {
+		t.Fatalf("code %d does not map back to ErrNoInjection", code)
+	}
+	if Code(errors.New("plain")) != 0 || SentinelForCode(0) != nil || SentinelForCode(1<<20) != nil {
+		t.Fatal("uncoded errors or unknown codes map to a sentinel")
 	}
 }
 

@@ -132,17 +132,22 @@ func decodeRequest(body []byte, req *Request) bool {
 					return false
 				}
 				req.Policy = append(json.RawMessage(nil), v...)
-			case "chunk":
-				b64, ok := s.StrBytes()
+			case "client_addr":
+				if !decodeString(&s, &req.ClientAddr) {
+					return false
+				}
+			case "client_port":
+				v, ok := s.Int()
 				if !ok {
 					return false
 				}
-				out := make([]byte, base64.StdEncoding.DecodedLen(len(b64)))
-				n, err := base64.StdEncoding.Decode(out, b64)
-				if err != nil {
+				req.ClientPort = v
+			case "server_port":
+				v, ok := s.Int()
+				if !ok {
 					return false
 				}
-				req.Chunk = out[:n]
+				req.ServerPort = v
 			default:
 				return false
 			}
@@ -197,6 +202,22 @@ func decodeResponse(body []byte, resp *Response) bool {
 					return false
 				}
 				resp.DenialCode = v
+			case "error_code":
+				v, ok := s.Int()
+				if !ok {
+					return false
+				}
+				resp.ErrorCode = v
+			case "app_hash":
+				if !decodeString(&s, &resp.AppHash) {
+					return false
+				}
+			case "code_size":
+				v, ok := s.Int()
+				if !ok {
+					return false
+				}
+				resp.CodeSize = v
 			case "policy_version":
 				v, ok := s.UInt()
 				if !ok {

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"tinman/internal/node"
+	"tinman/internal/policy"
 )
 
 // requestCases covers every Request field plus shapes that must force the
@@ -34,6 +37,8 @@ var requestCases = []Request{
 	{Op: OpSetClass, CorID: "pw", Class: "public"},
 	{Op: OpPolicyInstall, Policy: json.RawMessage(`{"version":7,"revoked":["dev-1"],"rates":{"pw":{"max":3,"per":1000000000}}}`)},
 	{Op: OpPolicyVersion, Seq: 9},
+	{Op: OpInject, Seq: 10, ReqID: "dev#10", DeviceID: "dev", App: "paypal", CorID: "pw", Domain: "paypal.com",
+		State: json.RawMessage(`{"version":771}`), TargetIP: "198.51.100.7", ClientAddr: "10.0.0.2", ClientPort: 40001, ServerPort: 443},
 }
 
 var responseCases = []Response{
@@ -57,6 +62,9 @@ var responseCases = []Response{
 		{Seq: 2, Time: "2015-04-21T10:00:01Z", Outcome: "denied", Detail: "revoked",
 			DeviceSeq: 4, PolicyVersion: 12, PolicyHash: "abcdef012345"},
 	}},
+	{OK: true, Seq: 3, AppHash: "0123abcd", CodeSize: 412},
+	{OK: false, Seq: 4, Error: "node: offloaded execution failed", ErrorCode: 7},
+	{OK: true, Seq: 5, Stats: &node.Stats{Instrs: 10, Calls: 2, Syncs: 1, InitBytes: 600, DirtyBytes: 30, Executed: 8, ExecStartNs: 12345}},
 }
 
 // TestCodecMatchesStdlib round-trips every case through WriteMessage →
@@ -183,53 +191,212 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestWireBytesWithoutBody pins the encoding of messages that carry no
+// binary body to the bytes they had before bodies existed: a reseal
+// request, its response, and a policy denial.
+func TestWireBytesWithoutBody(t *testing.T) {
+	denial := errResponse(&policy.Denial{Reason: policy.ReasonRevoked, CorID: "pw", Detail: "device dev-1"})
+	denial.Seq = 8
+	for _, c := range []struct {
+		msg  any
+		want string
+	}{
+		{&Request{Op: OpReseal, Seq: 7, ReqID: "dev-1-n-3", CorID: "pw", AppHash: "abc123", DeviceID: "dev-1",
+			State: json.RawMessage(`{"version":771,"out":{"seq":3}}`), Domain: "login.example", TargetIP: "10.0.0.1",
+			RecordLen: 64, TraceID: "00000000000000a1", SpanID: "00000000000000b2"},
+			"\x00\x00\x01\x06{\"op\":\"reseal\",\"seq\":7,\"req_id\":\"dev-1-n-3\",\"cor_id\":\"pw\",\"app_hash\":\"abc123\",\"device_id\":\"dev-1\",\"state\":{\"version\":771,\"out\":{\"seq\":3}},\"domain\":\"login.example\",\"target_ip\":\"10.0.0.1\",\"record_len\":64,\"trace_id\":\"00000000000000a1\",\"span_id\":\"00000000000000b2\"}\n"},
+		{&Response{OK: true, Seq: 7, Record: []byte{0x17, 0x03, 0x03, 0x00, 0x05, 1, 2, 3, 4, 5}},
+			"\x00\x00\x000{\"ok\":true,\"seq\":7,\"record\":\"FwMDAAUBAgMEBQ==\"}\n"},
+		{denial,
+			"\x00\x00\x00\x88{\"ok\":false,\"seq\":8,\"error\":\"policy: pw denied: device access revoked (device dev-1)\",\"denial\":\"device access revoked\",\"denial_code\":4}\n"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, c.msg); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("%T encodes as\n%q\nwant\n%q", c.msg, buf.String(), c.want)
+		}
+	}
+}
+
+// TestBodyRoundTrip sends body-bearing messages through the codec: the
+// body survives byte for byte outside the JSON head, FrameLen reports a
+// frame only once all of it is buffered, and a body-less message still
+// decodes with a nil Body.
+func TestBodyRoundTrip(t *testing.T) {
+	body := []byte{0, 1, 2, '\n', '"', 0xff}
+	for _, msg := range []any{
+		&Request{Op: OpOffload, Seq: 3, DeviceID: "d", App: "a", Body: body},
+		&Response{OK: true, Seq: 3, Stats: &node.Stats{Instrs: 9, Executed: 4}, Body: body},
+		&Response{OK: true, Seq: 4},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, msg); err != nil {
+			t.Fatal(err)
+		}
+		frame := buf.Bytes()
+		if bytes.Contains(frame, []byte(`"body"`)) {
+			t.Fatalf("%T: body leaked into the JSON head: %q", msg, frame)
+		}
+		for i := 0; i < len(frame); i++ {
+			if n, err := FrameLen(frame[:i]); n != 0 || err != nil {
+				t.Fatalf("%T: FrameLen(%d of %d bytes) = %d, %v", msg, i, len(frame), n, err)
+			}
+		}
+		if n, err := FrameLen(frame); n != len(frame) || err != nil {
+			t.Fatalf("%T: FrameLen = %d, %v; want %d", msg, n, err, len(frame))
+		}
+		got := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+		if err := ReadMessage(bytes.NewReader(frame), got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, msg) {
+			t.Fatalf("round trip:\n got %#v\nwant %#v", got, msg)
+		}
+	}
+	// Only the two envelopes carry bodies.
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &Request{Op: OpPing, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	var other map[string]any
+	if err := ReadMessage(bytes.NewReader(buf.Bytes()), &other); err == nil {
+		t.Fatal("a body-bearing frame decoded into a map")
+	}
+}
+
+// TestFrameLengthBounds checks every length word against maxMessage: the
+// head alone, head plus body, and the empty body no encoder produces.
+func TestFrameLengthBounds(t *testing.T) {
+	frame := func(words ...uint32) []byte {
+		b := make([]byte, 4*len(words))
+		for i, w := range words {
+			binary.BigEndian.PutUint32(b[4*i:], w)
+		}
+		return b
+	}
+	for name, f := range map[string][]byte{
+		"empty head":        frame(0),
+		"huge head":         frame(maxMessage + 1),
+		"huge flagged head": frame(bodyFlag|(maxMessage+1), 1),
+		"empty body":        frame(bodyFlag|2, 0),
+		"head plus body":    frame(bodyFlag|2, maxMessage-1),
+		"all ones":          frame(0xffffffff, 0xffffffff),
+	} {
+		if _, err := FrameLen(f); err == nil {
+			t.Errorf("%s: FrameLen accepted the length words", name)
+		}
+		var req Request
+		if err := ReadMessage(bytes.NewReader(f), &req); err == nil {
+			t.Errorf("%s: ReadMessage accepted the length words", name)
+		}
+	}
+	var big bytes.Buffer
+	if err := WriteMessage(&big, &Request{Op: OpOffload, Body: make([]byte, maxMessage)}); err == nil {
+		t.Fatal("WriteMessage framed a message over the limit")
+	}
+}
+
 // FuzzReadMessage checks both envelopes' decoders against encoding/json on
-// arbitrary bodies: ReadMessage must never panic, must return exactly what
-// json.Unmarshal returns where it accepts, and must fail where it rejects.
-// This codec is the only code that decodes peer bytes, so a fast-path
-// shortcut that accepts what the full decoder rejects (or decodes it
-// differently) is a bug.
+// arbitrary heads, framed with and without a binary body: ReadMessage must
+// never panic, must return exactly what json.Unmarshal returns for the
+// head where it accepts — with the body attached byte for byte — and must
+// fail where it rejects. The head bytes are also read as a raw frame, whose
+// length words FrameLen must bound by maxMessage. This codec is the only
+// code that decodes peer bytes, so a fast-path shortcut that accepts what
+// the full decoder rejects (or decodes it differently) is a bug.
 func FuzzReadMessage(f *testing.F) {
 	for _, rc := range requestCases {
-		body, err := json.Marshal(rc)
+		head, err := json.Marshal(rc)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body)
+		f.Add(head, []byte(nil))
 	}
 	for _, rc := range responseCases {
-		body, err := json.Marshal(rc)
+		head, err := json.Marshal(rc)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body)
+		f.Add(head, []byte(nil))
 	}
-	for _, body := range append(append([]string(nil), foreignRequests...), foreignResponses...) {
-		f.Add([]byte(body))
+	for _, head := range append(append([]string(nil), foreignRequests...), foreignResponses...) {
+		f.Add([]byte(head), []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		frame := make([]byte, 4, 4+len(body))
-		binary.BigEndian.PutUint32(frame, uint32(len(body)))
-		frame = append(frame, body...)
-		checkDecode[Request](t, frame, body)
-		checkDecode[Response](t, frame, body)
+	for _, m := range []any{
+		&Request{Op: OpOffload, Seq: 5, ReqID: "dev#5", DeviceID: "dev", App: "paypal", Body: []byte{1, 2, 3}},
+		&Request{Op: OpDSMWarmup, Seq: 6, DeviceID: "dev", App: "paypal", Body: []byte("chunk")},
+		&Response{OK: true, Seq: 5, Stats: &node.Stats{Instrs: 7, Syncs: 1, Executed: 3, ExecStartNs: 99}, Body: []byte{0, 0xff}},
+		&Response{OK: false, Seq: 6, Error: "warm epoch 3 not ready", ErrorCode: 11},
+	} {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		frame := buf.Bytes()
+		if frame[0]&(bodyFlag>>24) == 0 {
+			f.Add(frame[4:], []byte(nil))
+			continue
+		}
+		head := int(binary.BigEndian.Uint32(frame) &^ bodyFlag)
+		f.Add(frame[8:8+head], frame[8+head:])
+		f.Add(frame, []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, head, body []byte) {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(head)))
+		if len(body) > 0 {
+			frame[0] |= bodyFlag >> 24
+			frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
+		}
+		frame = append(append(frame, head...), body...)
+		checkDecode[Request](t, frame, head, body)
+		checkDecode[Response](t, frame, head, body)
+		checkRawFrame(t, head)
 	})
 }
 
-// checkDecode compares ReadMessage against json.Unmarshal for one envelope.
-func checkDecode[T any](t *testing.T, frame, body []byte) {
+// checkDecode compares ReadMessage against json.Unmarshal of the head for
+// one envelope, with the frame's body as the envelope's Body.
+func checkDecode[T any](t *testing.T, frame, head, body []byte) {
 	var got, want T
 	gotErr := ReadMessage(bytes.NewReader(frame), &got)
-	if wantErr := json.Unmarshal(body, &want); wantErr != nil {
+	if wantErr := json.Unmarshal(head, &want); wantErr != nil {
 		if gotErr == nil {
-			t.Fatalf("%T: ReadMessage accepted %q, encoding/json rejects it: %v", got, body, wantErr)
+			t.Fatalf("%T: ReadMessage accepted %q, encoding/json rejects it: %v", got, head, wantErr)
 		}
 		return
 	}
 	if gotErr != nil {
-		t.Fatalf("%T: ReadMessage rejected %q: %v", got, body, gotErr)
+		t.Fatalf("%T: ReadMessage rejected %q: %v", got, head, gotErr)
+	}
+	if len(body) > 0 {
+		switch w := any(&want).(type) {
+		case *Request:
+			w.Body = body
+		case *Response:
+			w.Body = body
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%T: body %q:\n got %#v\nwant %#v", got, body, got, want)
+		t.Fatalf("%T: head %q, body %q:\n got %#v\nwant %#v", got, head, body, got, want)
+	}
+}
+
+// checkRawFrame reads arbitrary bytes as a frame: a frame FrameLen reports
+// complete stays within maxMessage and decodes the same whatever follows.
+func checkRawFrame(t *testing.T, raw []byte) {
+	n, err := FrameLen(raw)
+	if err != nil || n == 0 {
+		return
+	}
+	if n > len(raw) || n > 8+maxMessage {
+		t.Fatalf("FrameLen(%q) = %d", raw, n)
+	}
+	var exact, padded Request
+	e1 := ReadMessage(bytes.NewReader(raw[:n]), &exact)
+	e2 := ReadMessage(bytes.NewReader(raw), &padded)
+	if (e1 == nil) != (e2 == nil) || e1 == nil && !reflect.DeepEqual(exact, padded) {
+		t.Fatalf("frame %q decodes differently with trailing bytes: %v / %v", raw, e1, e2)
 	}
 }

@@ -86,6 +86,39 @@ func RedirectOwner(err error) (string, bool) {
 	return "", false
 }
 
+// ServiceError is any other failure the node reported. Code carries the
+// stable node.Code of the service error, so errors.Is(err,
+// node.ErrExecution) — or node.ErrWarmStale, node.ErrUnknownApp — behaves
+// identically in-process and over the wire.
+type ServiceError struct {
+	Code    int
+	Message string
+}
+
+func (e *ServiceError) Error() string { return "nodeproto: " + e.Message }
+
+// Is matches the node sentinel the code names; an unknown code matches
+// nothing.
+func (e *ServiceError) Is(target error) bool {
+	s := node.SentinelForCode(e.Code)
+	return s != nil && s == target
+}
+
+// Err maps a refusal onto its typed client error — *DenialError,
+// *NotOwnerError or *ServiceError — and returns nil when r is OK.
+func (r *Response) Err() error {
+	switch {
+	case r.OK:
+		return nil
+	case r.Denial != "":
+		return &DenialError{Reason: r.Denial, Code: r.DenialCode - 1, Message: r.Error}
+	case r.Owner != "":
+		return &NotOwnerError{Owner: r.Owner, Message: r.Error}
+	default:
+		return &ServiceError{Code: r.ErrorCode, Message: r.Error}
+	}
+}
+
 // errClosed is the terminal error after Close.
 var errClosed = errors.New("nodeproto: client closed")
 
@@ -375,7 +408,7 @@ func (c *conn) abandon(seq uint64, w *waiter) {
 
 // do performs one round trip and maps protocol-level failures to errors.
 // On failure the response is never returned: callers get (nil, err), with
-// policy refusals wrapped in an errors.As-able *DenialError.
+// the node's refusal typed by Response.Err.
 //
 // do is also the client's tracing point: when the caller's context carries
 // a span, the round trip becomes a control_rpc child whose IDs are stamped
@@ -388,15 +421,8 @@ func (c *conn) do(ctx context.Context, req *Request) (*Response, error) {
 		req.SpanID = rpc.ID().Hex()
 	}
 	resp, err := c.roundTrip(ctx, req)
-	if err == nil && !resp.OK {
-		switch {
-		case resp.Denial != "":
-			err = &DenialError{Reason: resp.Denial, Code: resp.DenialCode - 1, Message: resp.Error}
-		case resp.Owner != "":
-			err = &NotOwnerError{Owner: resp.Owner, Message: resp.Error}
-		default:
-			err = fmt.Errorf("nodeproto: %s", resp.Error)
-		}
+	if err == nil {
+		err = resp.Err()
 	}
 	if err != nil {
 		rpc.Add(obs.Err(classifyErr(err)))

@@ -1,6 +1,7 @@
 package nodeproto
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -136,7 +137,9 @@ func TestFleetWire(t *testing.T) {
 
 // TestWireHandoffExportImport moves a device shard between two standalone
 // servers purely over the wire: export on one node, import on the other,
-// with the per-device audit sequence continuing on the importer.
+// with the per-device audit sequence continuing on the importer and an
+// offload executed before the move replaying — migration bytes and all —
+// instead of running again.
 func TestWireHandoffExportImport(t *testing.T) {
 	ctx := context.Background()
 	newNode := func() (*Server, *ReconnectClient) {
@@ -175,6 +178,7 @@ func TestWireHandoffExportImport(t *testing.T) {
 			t.Fatalf("reseal %d on A: %v", i, err)
 		}
 	}
+	offload, offloaded := offloadOnce(t, cA, dev, benchCor)
 	onA := srvA.Svc.Audit.Find(audit.Query{DeviceID: dev})
 	if len(onA) == 0 {
 		t.Fatal("no audit history on A")
@@ -197,6 +201,21 @@ func TestWireHandoffExportImport(t *testing.T) {
 	}
 	if _, ok := srvB.Svc.Shard(dev); !ok {
 		t.Fatal("shard not attached on B after import")
+	}
+
+	// The client retries the offload (same ReqID) against the new owner:
+	// the shard's replay window answers with the recorded reply, body
+	// included, and nothing executes or audits again.
+	replayed, err := cB.Do(ctx, offload)
+	if err != nil {
+		t.Fatalf("offload replay on B: %v", err)
+	}
+	if !bytes.Equal(replayed.Body, offloaded.Body) || replayed.Stats == nil || *replayed.Stats != *offloaded.Stats {
+		t.Fatalf("replayed offload reply differs: %d body bytes, stats %+v; original %d, %+v",
+			len(replayed.Body), replayed.Stats, len(offloaded.Body), offloaded.Stats)
+	}
+	if n := len(srvB.Svc.Audit.Find(audit.Query{DeviceID: dev})); n != 0 {
+		t.Fatalf("replayed offload re-executed on B: %d audit entries", n)
 	}
 
 	// The sequence continues where the exporter stopped.

@@ -1,15 +1,17 @@
-// Package nodeproto implements TinMan's trusted-node service over a real
-// network: a JSON request/response protocol carrying the operations a
-// device needs from the node — cor registration and catalog, app binding,
-// policy administration, audit queries, and the heart of the SSL/TCP
-// offload path: resealing a marked record with cor plaintext under an
-// injected session state (§3.2–§3.4).
+// Package nodeproto is TinMan's one device↔node control protocol: a
+// length-prefixed JSON request/response envelope, optionally followed by a
+// raw binary body, carrying every operation a device needs from its
+// trusted node — cor registration and catalog, app binding, policy
+// administration and audit queries, the DSM offload path (app install,
+// warm-up chunks, migrations; §3.1) and the SSL/TCP offload path (session
+// injection and resealing a marked record with cor plaintext; §3.2–§3.4).
 //
-// The in-process simulation (internal/core) exercises the full system
-// including device-side tainting; this package is the deployable
-// counterpart for the trusted-node half, served by cmd/tinman-node and
-// consumed by cmd/tinman-device through ReconnectClient (one node) or
-// FleetClient (a fleet).
+// Server's dispatch is the only code that turns a control request into
+// node.Service calls. Real TCP reaches it through Server.Serve, consumed by
+// cmd/tinman-device through ReconnectClient (one node) or FleetClient (a
+// fleet); the in-process simulation (internal/core) splits the same frames
+// out of its simulated TCP stream with FrameLen and hands each request to
+// Server.Dispatch on the virtual clock.
 package nodeproto
 
 import (
@@ -21,6 +23,7 @@ import (
 	"sync"
 
 	"tinman/internal/fastjson"
+	"tinman/internal/node"
 )
 
 // Op names a protocol operation.
@@ -52,6 +55,13 @@ const (
 	// stale, falling back to the cold path), so clients fire them without
 	// retry budgets and never block foreground requests on them.
 	OpDSMWarmup Op = "dsm_warmup"
+
+	// The DSM offload path (§3.1) and SSL session injection (§3.2). Like
+	// reseal, they are keyed to a device shard: they dedup in the shard's
+	// replay window and a fleet member gates them on ownership.
+	OpInstall Op = "install" // ship an app's source (Body) for node-side hosting
+	OpOffload Op = "offload" // run an encoded dsm.Migration (Body) on the node
+	OpInject  Op = "inject"  // arm payload replacement for one TLS flow
 
 	// Control plane (internal/ctl): versioned policy administration. A node
 	// wired to a fleet control plane fans these out to every member, exactly
@@ -98,18 +108,26 @@ type Request struct {
 	// travels only between trusted nodes (the export holds cor plaintext);
 	// device-facing clients never set it.
 	Shard json.RawMessage `json:"shard,omitempty"`
-	// App names the installed app an OpDSMWarmup chunk belongs to (the
-	// device half of the AppKey; DeviceID is the other half).
+	// App names the installed app an install, offload, inject or warm-up
+	// request concerns (the device half of the AppKey; DeviceID is the
+	// other half).
 	App string `json:"app,omitempty"`
-	// Chunk is the encoded dsm.WarmupChunk for OpDSMWarmup. Like a
-	// migration, it carries cor IDs only — never plaintext.
-	Chunk []byte `json:"chunk,omitempty"`
+	// ClientAddr, ClientPort and ServerPort complete the TLS flow an
+	// OpInject arms (TargetIP is the server address).
+	ClientAddr string `json:"client_addr,omitempty"`
+	ClientPort int    `json:"client_port,omitempty"`
+	ServerPort int    `json:"server_port,omitempty"`
 	// Class is the cor sensitivity class ("public", "sensitive",
 	// "server-only") for OpRegister/OpGenerate/OpSetClass. Empty keeps the
 	// default (sensitive).
 	Class string `json:"class,omitempty"`
 	// Policy carries a marshaled policy.Snapshot for OpPolicyInstall.
 	Policy json.RawMessage `json:"policy,omitempty"`
+	// Body travels as the frame's raw binary body, not in the JSON head:
+	// the app source for OpInstall, the encoded dsm.Migration for
+	// OpOffload, the encoded dsm.WarmupChunk for OpDSMWarmup. Like a
+	// migration, a chunk carries cor IDs only — never plaintext.
+	Body []byte `json:"-"`
 }
 
 // CatalogEntry is the device-visible cor metadata.
@@ -175,10 +193,31 @@ type Response struct {
 	Owner string `json:"owner,omitempty"`
 	// Shard is the marshaled node.ShardExport answering OpHandoffExport.
 	Shard json.RawMessage `json:"shard,omitempty"`
+	// ErrorCode is the stable numeric form (node.Code) of a failure that is
+	// not a policy denial; 0 when there is none. Clients map it back onto
+	// the node sentinels, so errors.Is works across the wire.
+	ErrorCode int `json:"error_code,omitempty"`
+	// AppHash and CodeSize answer OpInstall: the node-computed dex hash
+	// (the device cross-checks it) and the verified program's size.
+	AppHash  string `json:"app_hash,omitempty"`
+	CodeSize int    `json:"code_size,omitempty"`
+	// Stats carries the node-side counters with an OpOffload reply.
+	Stats *node.Stats `json:"stats,omitempty"`
+	// Body is the reply migration of an OpOffload. On the wire it travels
+	// as the frame's raw binary body; the JSON form exists for replay
+	// records, which cross a shard handoff as JSON.
+	Body []byte `json:"body,omitempty"`
 }
 
-// maxMessage bounds a single protocol message.
+// maxMessage bounds a single protocol message: its head and its body
+// together.
 const maxMessage = 16 << 20
+
+// bodyFlag marks a frame whose JSON head is followed by a raw binary body.
+// A frame is u32 head length | head, or — with the flag set on that word —
+// u32 head length|bodyFlag | u32 body length | head | body. A message
+// without a body therefore encodes exactly as before bodies existed.
+const bodyFlag = 1 << 31
 
 // maxPooled bounds the buffers kept in the pools; larger one-off messages
 // (a big catalog, a long audit query) are allocated and dropped rather
@@ -189,7 +228,7 @@ const maxPooled = 1 << 20
 // busy node does not allocate per request.
 var writeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBufPool recycles the body buffers ReadMessage decodes from.
+// readBufPool recycles the head buffers ReadMessage decodes from.
 // json.Unmarshal copies everything it stores (including json.RawMessage
 // and []byte fields), so the buffer can be reused immediately after.
 var readBufPool = sync.Pool{New: func() any {
@@ -197,10 +236,23 @@ var readBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// WriteMessage frames and writes one JSON message. The 4-byte length
-// header and the body leave in a single Write, so a bufio.Writer or a raw
-// conn both see one contiguous frame.
+// WriteMessage frames and writes one JSON message, with a Request's or
+// Response's Body as the frame's binary body. The whole frame leaves in a
+// single Write, so a bufio.Writer or a raw conn both see one contiguous
+// frame.
 func WriteMessage(w io.Writer, v any) error {
+	var body []byte
+	switch m := v.(type) {
+	case *Request:
+		body = m.Body
+	case *Response:
+		if len(m.Body) > 0 {
+			body = m.Body
+			head := *m
+			head.Body = nil
+			v = &head
+		}
+	}
 	buf := writeBufPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooled {
@@ -209,41 +261,113 @@ func WriteMessage(w io.Writer, v any) error {
 		}
 	}()
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // header placeholder, patched below
+	hdr := 4
+	if len(body) > 0 {
+		hdr = 8
+	}
+	buf.Write(make([]byte, hdr)) // length words, patched below
 	enc := json.NewEncoder(buf)
 	if err := enc.Encode(v); err != nil {
 		return fmt.Errorf("nodeproto: marshal: %v", err)
 	}
-	frame := buf.Bytes()
-	body := len(frame) - 4
-	if body > maxMessage {
-		return fmt.Errorf("nodeproto: message of %d bytes exceeds limit", body)
+	head := buf.Len() - hdr
+	if head+len(body) > maxMessage {
+		return fmt.Errorf("nodeproto: message of %d bytes exceeds limit", head+len(body))
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body))
+	buf.Write(body)
+	frame := buf.Bytes()
+	binary.BigEndian.PutUint32(frame, uint32(head))
+	if len(body) > 0 {
+		frame[0] |= bodyFlag >> 24
+		binary.BigEndian.PutUint32(frame[4:], uint32(len(body)))
+	}
 	_, err := w.Write(frame)
 	return err
 }
 
-// ReadMessage reads one framed JSON message into v.
+// headLength decodes a frame's first length word.
+func headLength(word uint32) (n int, hasBody bool, err error) {
+	hasBody = word&bodyFlag != 0
+	word &^= bodyFlag
+	if word == 0 || word > maxMessage {
+		return 0, false, fmt.Errorf("nodeproto: implausible message length %d", word)
+	}
+	return int(word), hasBody, nil
+}
+
+// bodyLength decodes a flagged frame's body length word; an empty body is
+// never encoded, and head plus body stay within maxMessage.
+func bodyLength(word uint32, head int) (int, error) {
+	if word == 0 || uint64(word)+uint64(head) > maxMessage {
+		return 0, fmt.Errorf("nodeproto: implausible body length %d", word)
+	}
+	return int(word), nil
+}
+
+// FrameLen reports the length of the complete frame at the start of b, or 0
+// when b holds only a prefix of one. Transports that cannot block inside
+// ReadMessage — the simulation's event-driven TCP — use it to split frames
+// out of a byte stream before decoding each with ReadMessage.
+func FrameLen(b []byte) (int, error) {
+	if len(b) < 4 {
+		return 0, nil
+	}
+	head, hasBody, err := headLength(binary.BigEndian.Uint32(b))
+	if err != nil {
+		return 0, err
+	}
+	n := 4 + head
+	if hasBody {
+		if len(b) < 8 {
+			return 0, nil
+		}
+		body, err := bodyLength(binary.BigEndian.Uint32(b[4:]), head)
+		if err != nil {
+			return 0, err
+		}
+		n += 4 + body
+	}
+	if len(b) < n {
+		return 0, nil
+	}
+	return n, nil
+}
+
+// ReadMessage reads one framed message into v. A frame's binary body lands
+// in the Request's or Response's Body; any other v refuses one.
 func ReadMessage(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxMessage {
-		return fmt.Errorf("nodeproto: implausible message length %d", n)
+	n, hasBody, err := headLength(binary.BigEndian.Uint32(hdr[:]))
+	if err != nil {
+		return err
+	}
+	var body []byte
+	if hasBody {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return err
+		}
+		m, err := bodyLength(binary.BigEndian.Uint32(hdr[:]), n)
+		if err != nil {
+			return err
+		}
+		body = make([]byte, m)
 	}
 	bp := readBufPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
+	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	body := (*bp)[:n]
+	head := (*bp)[:n]
 	defer func() {
 		if cap(*bp) <= maxPooled {
 			readBufPool.Put(bp)
 		}
 	}()
+	if _, err := io.ReadFull(r, head); err != nil {
+		return err
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return err
 	}
@@ -253,17 +377,32 @@ func ReadMessage(r io.Reader, v any) error {
 	// falling back so a partially-filled fast-path attempt cannot leak.
 	switch t := v.(type) {
 	case *Request:
-		if decodeRequest(body, t) {
-			return nil
+		if !decodeRequest(head, t) {
+			*t = Request{}
+			err = unmarshal(head, t)
 		}
-		*t = Request{}
+		if hasBody {
+			t.Body = body
+		}
 	case *Response:
-		if decodeResponse(body, t) {
-			return nil
+		if !decodeResponse(head, t) {
+			*t = Response{}
+			err = unmarshal(head, t)
 		}
-		*t = Response{}
+		if hasBody {
+			t.Body = body
+		}
+	default:
+		if hasBody {
+			return fmt.Errorf("nodeproto: unexpected body on a %T message", v)
+		}
+		err = unmarshal(head, v)
 	}
-	if err := fastjson.Unmarshal(body, v); err != nil {
+	return err
+}
+
+func unmarshal(head []byte, v any) error {
+	if err := fastjson.Unmarshal(head, v); err != nil {
 		return fmt.Errorf("nodeproto: unmarshal: %v", err)
 	}
 	return nil

@@ -27,23 +27,18 @@ const (
 	DefaultMaxInflight  = 64
 )
 
-// Server exposes the trusted-node service behind a real TCP listener. The
-// domain logic — vault, policy, reseal, audit — lives in node.Service;
-// this type only frames, dispatches and correlates. It is safe for
-// concurrent connections, and each connection is pipelined: requests are
-// handled concurrently (bounded by MaxInflight) and answered as they
-// finish, correlated by Request.Seq.
+// Server exposes the trusted-node service behind the control protocol. The
+// domain logic — vault, policy, offload, reseal, audit — lives in
+// node.Service; this type only frames, dispatches and correlates. Serve
+// runs it on a real TCP listener; it is safe for concurrent connections,
+// and each connection is pipelined: requests are handled concurrently
+// (bounded by MaxInflight) and answered as they finish, correlated by
+// Request.Seq. Other transports hand decoded requests to Dispatch.
 type Server struct {
 	// Svc is the transport-agnostic service every request dispatches into;
 	// administration (cmd/tinman-node, tests) reaches the vault, policy
 	// engine and audit log through it.
 	Svc *node.Service
-
-	// replays is the at-most-once window for requests that carry a ReqID
-	// but are not keyed to a device shard: a replayed ID returns the
-	// recorded response instead of re-executing, so a client may safely
-	// resend after an ambiguous transport failure.
-	replays *node.ReplayCache
 
 	// Logf receives operational messages; nil silences them.
 	Logf func(format string, args ...any)
@@ -114,6 +109,7 @@ func (s *Server) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 	for _, op := range []Op{OpRegister, OpGenerate, OpCatalog, OpBind, OpRevoke,
 		OpRestore, OpReseal, OpDerive, OpAudit, OpPing,
 		OpWhoOwns, OpHandoffExport, OpHandoffImport, OpDSMWarmup,
+		OpInstall, OpOffload, OpInject,
 		OpPolicyInstall, OpPolicyVersion, OpSetClass} {
 		sm.requests[op] = m.Counter(fmt.Sprintf(`tinman_node_requests_total{op=%q}`, op))
 		sm.latency[op] = m.Histogram(fmt.Sprintf(`tinman_node_request_seconds{op=%q}`, op))
@@ -137,9 +133,9 @@ type placementAccepter interface {
 }
 
 // SetPlacement registers this server as fleet member selfID routing through
-// p. Call before Serve. Device-keyed requests (reseals) for devices owned
-// elsewhere are refused with Response.Owner naming the right member, and
-// OpWhoOwns answers from p.
+// p. Call before Serve. Device-keyed requests (reseals, installs, offloads,
+// injections) for devices owned elsewhere are refused with Response.Owner
+// naming the right member, and OpWhoOwns answers from p.
 func (s *Server) SetPlacement(selfID string, p Placement) {
 	s.selfID = selfID
 	s.placement = p
@@ -170,11 +166,7 @@ func NewServer() *Server {
 // NewServerWith serves an existing service instance — this is how several
 // transports share one trusted-node brain.
 func NewServerWith(svc *node.Service) *Server {
-	return &Server{
-		Svc:     svc,
-		replays: node.NewReplayCache(node.ReplayCacheConfig{}),
-		closed:  make(chan struct{}),
-	}
+	return &Server{Svc: svc, closed: make(chan struct{})}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -302,8 +294,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		go func() {
 			defer workers.Done()
 			for req := range reqq {
-				resp := s.dispatch(ctx, req)
-				resp.Seq = req.Seq
+				resp, _ := s.Dispatch(ctx, req)
 				respq <- resp
 			}
 		}()
@@ -381,11 +372,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		// Cheap read-only ops skip the worker handoff: two channel hops and
 		// a goroutine wakeup cost more than serving a cached catalog. They
-		// still go through dispatch so instrumentation sees every request
-		// (dispatch never consults the replay window for them).
+		// still go through Dispatch so instrumentation sees every request
+		// (Dispatch never consults the replay window for them).
 		if req.Op == OpCatalog || req.Op == OpPing {
-			resp := s.dispatch(ctx, req)
-			resp.Seq = req.Seq
+			resp, _ := s.Dispatch(ctx, req)
 			respq <- resp
 			continue
 		}
@@ -395,13 +385,14 @@ func (s *Server) handleConn(conn net.Conn) {
 
 // mutating reports whether an op has side effects that must not run twice
 // when a client replays it: registrations and derived-ID minting, policy
-// changes, and reseals (which append audit entries and consume rate-limit
-// budget). Ping and the catalog/audit reads are naturally idempotent, so
-// replaying them fresh is cheaper than caching their (large) responses.
-// Warm-up chunks skip the window too: the dsm epoch protocol already makes
-// duplicates and reorderings safe (a stale chunk drops the warm state and
-// the offload falls back cold), and caching megabyte chunks would bloat the
-// replay window for no correctness gain.
+// changes, installs, offloads, injections and reseals (which append audit
+// entries and consume rate-limit budget). Ping and the catalog/audit reads
+// are naturally idempotent, so replaying them fresh is cheaper than
+// caching their (large) responses. Warm-up chunks skip the window too: the
+// dsm epoch protocol already makes duplicates and reorderings safe (a
+// stale chunk drops the warm state and the offload falls back cold), and
+// caching megabyte chunks would bloat the replay window for no correctness
+// gain.
 func mutating(op Op) bool {
 	switch op {
 	case OpPing, OpCatalog, OpAudit, OpWhoOwns, OpDSMWarmup, OpPolicyVersion:
@@ -410,18 +401,33 @@ func mutating(op Op) bool {
 	return true
 }
 
-// dispatch routes one request through the replay window when the client
-// tagged a non-idempotent op with a ReqID, otherwise straight to handle.
-// The stored response is copied before the caller stamps Seq onto it: two
-// replays of one ID may race on different connections, and each needs its
-// own Seq.
+// deviceKeyed reports whether an op acts on one device's shard. Such ops
+// pass the fleet ownership gate and dedup in the shard's own replay window,
+// which is exported with the shard, so at-most-once survives a drain: the
+// replayed ID answers from the record on the new owner.
+func deviceKeyed(op Op) bool {
+	switch op {
+	case OpReseal, OpInstall, OpOffload, OpInject:
+		return true
+	}
+	return false
+}
+
+// Dispatch serves one decoded request and stamps its Seq on the response.
+// A mutating op tagged with a ReqID runs at most once: device-keyed ops in
+// the device shard's replay window, the rest in the service-wide one.
+// replayed reports that the response is the recorded result of an earlier
+// execution rather than a fresh one. The stored response is copied before
+// Seq is stamped: two replays of one ID may race on different connections,
+// and each needs its own Seq.
 //
-// dispatch is also the server's single instrumentation point: every request
+// Dispatch is also the server's single instrumentation point: every request
 // (including the read-loop fast path) becomes a node_op span — joined to
 // the device's trace when the request carries TraceID/SpanID — and updates
 // the in-flight/latency/error/replay collectors. With SetObs unset all of
-// this is nil-safe no-ops.
-func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
+// this is nil-safe no-ops; a transport on a virtual clock passes its own
+// span in ctx instead, and the service attributes its children there.
+func (s *Server) Dispatch(ctx context.Context, req *Request) (resp *Response, replayed bool) {
 	s.sm.inflight.Inc()
 	s.sm.requests[req.Op].Inc()
 	var span *obs.Span
@@ -432,7 +438,6 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
 
-	var resp *Response
 	if r := s.ownershipGate(req); r != nil {
 		// Refused before the replay window sees it: a not-owner answer must
 		// not be recorded under the ReqID, or the redirected retry's result
@@ -440,32 +445,13 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		resp = r
 	} else if req.ReqID == "" || !mutating(req.Op) {
 		resp = s.handle(ctx, req)
-	} else if req.Op == OpReseal && req.DeviceID != "" {
-		// Device-keyed mutations dedup in the device shard's own window, so
-		// at-most-once survives a drain: the window is exported with the
-		// shard and the replayed ID answers from the record on the new
-		// owner. A record that crossed a handoff comes back as raw JSON.
-		v, replayed := s.Svc.ReplayDo(req.DeviceID, req.ReqID, func() any {
-			return s.handle(context.WithoutCancel(ctx), req)
-		})
-		if replayed {
-			s.sm.replays.Inc()
-			if span != nil {
-				span.Add(obs.Note("replay"))
-			}
-		}
-		if raw, ok := node.ReplayedRaw(v); ok {
-			r := new(Response)
-			if err := json.Unmarshal(raw, r); err != nil {
-				r = fail("replayed record undecodable: %v", err)
-			}
-			resp = r
-		} else {
-			r := *(v.(*Response))
-			resp = &r
-		}
 	} else {
-		v, replayed := s.replays.Do(req.ReqID, func() any {
+		window := ""
+		if deviceKeyed(req.Op) {
+			window = req.DeviceID
+		}
+		var v any
+		v, replayed = s.Svc.ReplayDo(window, req.ReqID, func() any {
 			// Detach from the connection's lifetime: if this conn dies
 			// mid-execution, the real outcome is still recorded, so the
 			// client's replay on a fresh conn gets it instead of a cached
@@ -478,9 +464,19 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 				span.Add(obs.Note("replay"))
 			}
 		}
-		r := *(v.(*Response))
-		resp = &r
+		// A record that crossed a handoff comes back as raw JSON.
+		if raw, ok := node.ReplayedRaw(v); ok {
+			r := new(Response)
+			if err := json.Unmarshal(raw, r); err != nil {
+				r = fail("replayed record undecodable: %v", err)
+			}
+			resp = r
+		} else {
+			r := *(v.(*Response))
+			resp = &r
+		}
 	}
+	resp.Seq = req.Seq
 
 	if !resp.OK {
 		s.sm.errors.Inc()
@@ -495,7 +491,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 	span.End()
 	s.sm.latency[req.Op].Observe(s.obs.Now() - start)
 	s.sm.inflight.Dec()
-	return resp
+	return resp, replayed
 }
 
 // ownershipGate refuses device-keyed data-path requests for devices whose
@@ -505,7 +501,7 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 // specific member by design and pass; a standalone server (no placement)
 // gates nothing.
 func (s *Server) ownershipGate(req *Request) *Response {
-	if s.placement == nil || req.Op != OpReseal || req.DeviceID == "" {
+	if s.placement == nil || !deviceKeyed(req.Op) || req.DeviceID == "" {
 		return nil
 	}
 	var (
@@ -670,13 +666,50 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 		}
 		return &Response{OK: true}
 	case OpDSMWarmup:
+		if req.DeviceID == "" || req.App == "" || len(req.Body) == 0 {
+			return fail("dsm_warmup requires device_id, app and a chunk body")
+		}
+		if err := s.Svc.WarmupChunk(ctx, req.DeviceID, req.App, req.Body); err != nil {
+			return errResponse(err)
+		}
+		return &Response{OK: true}
+	case OpInstall:
+		if req.DeviceID == "" || req.App == "" || len(req.Body) == 0 {
+			return fail("install requires device_id, app and a source body")
+		}
+		res, err := s.Svc.Install(ctx, node.InstallRequest{
+			DeviceID: req.DeviceID, Name: req.App, Source: string(req.Body),
+			NonOffloadableNatives: node.DeviceNatives,
+		})
+		if err != nil {
+			return errResponse(err)
+		}
+		return &Response{OK: true, AppHash: res.Hash, CodeSize: res.CodeSize}
+	case OpOffload:
+		if req.DeviceID == "" || req.App == "" || len(req.Body) == 0 {
+			return fail("offload requires device_id, app and a migration body")
+		}
+		res, err := s.Svc.Offload(ctx, req.DeviceID, req.App, req.Body)
+		if err != nil {
+			return errResponse(err)
+		}
+		return &Response{OK: true, Stats: &res.Stats, Body: res.Bytes}
+	case OpInject:
 		if req.DeviceID == "" || req.App == "" {
-			return fail("dsm_warmup requires device_id and app")
+			return fail("inject requires device_id and app")
 		}
-		if len(req.Chunk) == 0 {
-			return fail("dsm_warmup requires chunk")
+		if req.ClientPort < 0 || req.ClientPort > 0xffff || req.ServerPort < 0 || req.ServerPort > 0xffff {
+			return fail("inject: port out of range")
 		}
-		if err := s.Svc.WarmupChunk(ctx, req.DeviceID, req.App, req.Chunk); err != nil {
+		err := s.Svc.ArmInjection(ctx, node.InjectRequest{
+			DeviceID: req.DeviceID, App: req.App, CorID: req.CorID, Domain: req.Domain,
+			Key: node.InjectionKey{
+				ClientAddr: req.ClientAddr, ClientPort: uint16(req.ClientPort),
+				ServerAddr: req.TargetIP, ServerPort: uint16(req.ServerPort),
+			},
+			State: req.State,
+		})
+		if err != nil {
 			return errResponse(err)
 		}
 		return &Response{OK: true}
@@ -721,8 +754,9 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 	}
 }
 
+// fail answers a malformed request.
 func fail(format string, args ...any) *Response {
-	return &Response{OK: false, Error: fmt.Sprintf(format, args...)}
+	return &Response{OK: false, Error: fmt.Sprintf(format, args...), ErrorCode: node.Code(node.ErrBadRequest)}
 }
 
 // applyClass tags a freshly registered cor with the request's sensitivity
@@ -741,15 +775,15 @@ func (s *Server) applyClass(ctx context.Context, corID, class string) error {
 }
 
 // errResponse converts a service error into the wire envelope: policy
-// refusals carry the machine-readable reason in Denial; everything else is
-// a plain error string, byte-identical to the service's message.
+// refusals carry the machine-readable reason in Denial; everything else
+// carries the service's message and its stable node.Code.
 func errResponse(err error) *Response {
 	var d *policy.Denial
 	if errors.As(err, &d) {
 		return &Response{OK: false, Error: d.Error(), Denial: d.Reason.String(),
 			DenialCode: d.Reason.Code() + 1}
 	}
-	return &Response{OK: false, Error: err.Error()}
+	return &Response{OK: false, Error: err.Error(), ErrorCode: node.Code(err)}
 }
 
 // catalogCache pairs a DeviceViews snapshot with its wire conversion.

@@ -6,8 +6,8 @@
 // # Spans
 //
 // Trace and span IDs are minted on the device side and propagated to the
-// trusted node on the wire (nodeproto Request.TraceID/SpanID, core's
-// msgTaggedTrace frame), so one login renders as a single tree: taint
+// trusted node on the wire (nodeproto Request.TraceID/SpanID, over TCP and
+// over the simulated link alike), so one login renders as a single tree: taint
 // trigger -> DSM migrate -> node execution -> sync-back, with TLS session
 // injection, TCP payload replacement and policy decisions attributed as
 // child spans. Timestamps come from an injected clock: the netsim virtual
