@@ -3,10 +3,11 @@
 #   make build        compile everything
 #   make vet          static checks
 #   make test         full test suite
-#   make check        formatting + vet + build + test (this module and the
-#                     tinbench/ benchmark module) + differential + chaos +
-#                     crash-chaos + fleet-smoke + obs-smoke + guardrail +
-#                     bench-smoke, the pre-commit gate
+#   make check        formatting + vet + build + orphan-package check +
+#                     test (this module and the tinbench/ benchmark module)
+#                     + differential + chaos + crash-chaos + fleet-smoke +
+#                     obs-smoke + guardrail + bench-smoke, the pre-commit
+#                     gate
 #   make differential interpreter equivalence gate: analyzed (taint
 #                     pre-analysis fast path) vs instrumented vs reference
 #   make race         race-detector pass over the concurrent subsystems
@@ -19,10 +20,10 @@
 #   make fleet-smoke  trusted-node fleet gate: placement, drain/rebalance
 #                     handoff, crash failover, wire-level routing + merged
 #                     audit, all under -race
-#   make guardrail    leak-guardrail gate: a full loadgen run's exporter
-#                     output (spans, trace, metrics, audit) swept for every
-#                     fingerprinted secret — must find the seeded canary
-#                     and nothing else
+#   make guardrail    leak-guardrail gate: the exporter output (spans,
+#                     trace, metrics, audit) of 400 catalog and reseal
+#                     operations swept for every fingerprinted secret —
+#                     must find the seeded canary and nothing else
 #   make obs-smoke    observability gate: traced login with valid exports,
 #                     zero-alloc disabled path, Fig 13 hook-cost guard
 #   make bench-smoke  one iteration of every benchmark (a does-it-run gate,
@@ -38,6 +39,12 @@
 #   make bench-store  append a storage-engine run (WAL append throughput vs
 #                     the in-memory sharded log, recovery time vs log size)
 #                     to BENCH_store.json
+#
+# The three bench-* targets build tinman-bench into .bench_build/ and run
+# the binary, so each appended run records the commit it measured (`go
+# run` stamps no VCS revision) beside the Go version, GOMAXPROCS and CPU.
+# Node and fleet throughput are tinbench's `reseal` and `fleet` workloads
+# (bash tinbench/run.sh --workload reseal), not a make target.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -57,9 +64,11 @@ test:
 	$(GO) test ./...
 
 # The one command CI and contributors run before pushing: fails on any
-# unformatted file, vet finding, build error, or test failure. tinbench/ is
-# its own module, so the root `go test ./...` never compiles it; it is
-# vetted and tested separately against this tree.
+# unformatted file, vet finding, build error, orphaned internal package, or
+# test failure. An internal package is orphaned when no command, example or
+# tinbench imports it, directly or not; only its own tests keep it alive.
+# tinbench/ is its own module, so the root `go test ./...` never compiles
+# it; it is vetted and tested separately against this tree.
 check:
 	@unformatted="$$($(GOFMT) -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -67,6 +76,11 @@ check:
 	fi
 	$(GO) vet ./...
 	$(GO) build ./...
+	@deps="$$($(GO) list -deps ./cmd/... ./examples/... && cd tinbench && $(GO) list -deps .)" || exit 1; \
+	orphans="$$($(GO) list ./internal/... | grep -vxF "$$deps")"; \
+	if [ -n "$$orphans" ]; then \
+		echo "internal packages that no command, example or tinbench imports:"; echo "$$orphans"; exit 1; \
+	fi
 	$(GO) test ./...
 	cd tinbench && $(GO) vet . && $(GO) test -count=1 .
 	$(MAKE) differential
@@ -133,11 +147,12 @@ fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleetWire|TestWireHandoff' ./internal/nodeproto/
 	$(GO) test -race -count=1 -run 'TestShard|TestHandoff' ./internal/node/ ./internal/core/
 
-# Leak-guardrail gate: fingerprint the benchmark cor's plaintext and all
-# four TLS session keys, drive a full loadgen run against an instrumented
-# node, and sweep every exporter surface. The clean run must report zero
-# findings; the deliberately seeded canary span must be caught (a silent
-# scanner would make the zero indistinguishable from blindness).
+# Leak-guardrail gate: fingerprint the test cor's plaintext and all four
+# TLS session keys, drive 400 catalog and reseal operations from 4
+# concurrent device loops at an instrumented node (any failed operation
+# fails the gate), and sweep every exporter surface. The clean run must
+# report zero findings; the deliberately seeded canary span must be caught
+# (a silent scanner would make the zero indistinguishable from blindness).
 guardrail:
 	$(GO) test -count=1 -run 'TestGuardrailLoadgen' ./internal/ctl/guardrail/
 	$(GO) test -count=1 -run 'TestSweeperCanary|TestScanner' ./internal/ctl/guardrail/
@@ -155,11 +170,12 @@ bench-smoke:
 # trajectory always records what partial instrumentation bought.
 ANALYZE ?= both
 bench-json:
+	$(GO) build -o .bench_build/tinman-bench ./cmd/tinman-bench
 ifeq ($(ANALYZE),both)
-	$(GO) run ./cmd/tinman-bench -json BENCH_vm.json -analyze=off -label "$(LABEL) analyze=off"
-	$(GO) run ./cmd/tinman-bench -json BENCH_vm.json -analyze=on -label "$(LABEL) analyze=on"
+	.bench_build/tinman-bench -json BENCH_vm.json -analyze=off -label "$(LABEL) analyze=off"
+	.bench_build/tinman-bench -json BENCH_vm.json -analyze=on -label "$(LABEL) analyze=on"
 else
-	$(GO) run ./cmd/tinman-bench -json BENCH_vm.json -analyze=$(ANALYZE) -label "$(LABEL) analyze=$(ANALYZE)"
+	.bench_build/tinman-bench -json BENCH_vm.json -analyze=$(ANALYZE) -label "$(LABEL) analyze=$(ANALYZE)"
 endif
 
 # Warm-vs-cold speculative offload run appended to BENCH_offload.json:
@@ -167,13 +183,15 @@ endif
 # sync bytes with warm-up disabled versus enabled, plus the background
 # stream's volume and the admission hit/miss counters.
 bench-offload:
-	$(GO) run ./cmd/tinman-bench -offload BENCH_offload.json -label "$(LABEL)"
+	$(GO) build -o .bench_build/tinman-bench ./cmd/tinman-bench
+	.bench_build/tinman-bench -offload BENCH_offload.json -label "$(LABEL)"
 
 # Storage-engine run appended to BENCH_store.json: WAL append throughput
 # (serial, group-commit, pipelined) against the in-memory sharded audit
 # log, and recovery time vs log size with and without snapshots.
 bench-store:
-	$(GO) run ./cmd/tinman-bench -store BENCH_store.json -label "$(LABEL)"
+	$(GO) build -o .bench_build/tinman-bench ./cmd/tinman-bench
+	.bench_build/tinman-bench -store BENCH_store.json -label "$(LABEL)"
 
 clean:
 	$(GO) clean ./...

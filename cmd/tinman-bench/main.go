@@ -13,16 +13,9 @@
 //	                              # (default off = the paper's fully
 //	                              # instrumented interpreter)
 //
-// Beyond the paper's figures, -throughput measures the trusted-node
-// service itself: an in-process node on loopback TCP under parallel
-// catalog+reseal device loops pipelined over one connection:
-//
-//	tinman-bench -throughput                     # 8 clients, 2s
-//	tinman-bench -throughput -clients 16 -tduration 5s
-//	tinman-bench -throughput -metrics            # + Prometheus text dump after
-//	tinman-bench -throughput -nodes 3            # consistent-hash fleet:
-//	                                             # per-node p50/p99 plus the
-//	                                             # cost of drain + rebalance
+// Trusted-node and fleet throughput are not measured here: tinbench
+// (`bash tinbench/run.sh --workload reseal|fleet`) drives them, and a
+// running node exports its own metrics (`tinman-node -admin`).
 //
 // -spans augments Fig 14/15 with the observability subsystem's per-phase
 // span breakdown (self time per phase of each traced login, plus how much
@@ -34,12 +27,13 @@
 // -json FILE appends a machine-readable Caffeinemark run (per-kernel ns/op
 // and allocs/op under every policy, plus the unlinked reference
 // interpreter) to FILE — `make bench-json` maintains BENCH_vm.json this
-// way. -cpuprofile/-memprofile capture pprof profiles of whatever work the
-// invocation performs.
+// way, as `make bench-offload` and `make bench-store` maintain their files
+// with -offload and -store. Each run records the binary's commit, so build
+// the binary rather than `go run` it. -cpuprofile/-memprofile capture
+// pprof profiles of whatever work the invocation performs.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +43,6 @@ import (
 
 	"tinman/internal/bench"
 	"tinman/internal/netsim"
-	"tinman/internal/nodeproto"
 	"tinman/internal/obs"
 )
 
@@ -62,12 +55,6 @@ func main() {
 		short    = flag.Bool("short", false, "shorten the battery experiments")
 		ablation = flag.Bool("ablation", false, "also run the design-choice ablations")
 		analyze  = flag.String("analyze", "off", "static taint pre-analysis for Fig 13 / -json runs: off (paper's fully instrumented interpreter) or on (uninstrumented fast path for provably taint-free code)")
-
-		throughput = flag.Bool("throughput", false, "measure trusted-node service throughput instead of the paper figures")
-		clients    = flag.Int("clients", 8, "throughput: concurrent device loops")
-		tduration  = flag.Duration("tduration", 2*time.Second, "throughput: measurement duration")
-		metrics    = flag.Bool("metrics", false, "throughput: print the node's Prometheus metrics after the run")
-		nodes      = flag.Int("nodes", 1, "throughput: trusted-node fleet size (>1 runs the consistent-hash fleet and reports per-node latency plus drain/rebalance cost)")
 
 		spans    = flag.Bool("spans", false, "augment Fig 14/15 with the per-phase span breakdown")
 		traceout = flag.String("traceout", "", "write traced Wi-Fi logins as Chrome trace_event JSON to this file")
@@ -130,7 +117,7 @@ func main() {
 			fail(err)
 		}
 		bench.PrintVMBenchRun(out, run)
-		if err := bench.AppendVMBench(*jsonPath, run); err != nil {
+		if err := bench.AppendRun(*jsonPath, run); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(out, "appended to %s\n", *jsonPath)
@@ -144,7 +131,7 @@ func main() {
 			fail(err)
 		}
 		bench.PrintStoreBenchRun(out, run)
-		if err := bench.AppendStoreBench(*storePath, run); err != nil {
+		if err := bench.AppendRun(*storePath, run); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(out, "appended to %s\n", *storePath)
@@ -159,23 +146,10 @@ func main() {
 		}
 		bench.PrintOffload(out, rows)
 		run := bench.PackOffload(*label, netsim.WiFi, *seed, rows)
-		if err := bench.AppendOffload(*offloadPath, run); err != nil {
+		if err := bench.AppendRun(*offloadPath, run); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(out, "appended to %s\n", *offloadPath)
-		return
-	}
-
-	if *throughput {
-		if *nodes > 1 {
-			if err := runFleetThroughput(*nodes, *clients, *tduration); err != nil {
-				fail(err)
-			}
-			return
-		}
-		if err := runThroughput(*clients, *tduration, *metrics); err != nil {
-			fail(err)
-		}
 		return
 	}
 
@@ -265,98 +239,6 @@ func main() {
 		}
 		bench.PrintBattery(out, "Figure 17 (paper: curves nearly coincide)", curves)
 	}
-}
-
-// runThroughput boots an in-process trusted node on loopback TCP and
-// drives it with parallel catalog+reseal loops over one pipelined
-// connection. With dump set the node carries an obs metrics registry and
-// its Prometheus text exposition is printed after the run.
-func runThroughput(clients int, dur time.Duration, dump bool) error {
-	srv, addr, state, shutdown, err := nodeproto.NewThroughputServer()
-	if err != nil {
-		return err
-	}
-	defer shutdown()
-	var m *obs.Metrics
-	if dump {
-		m = obs.NewMetrics()
-		srv.SetObs(nil, m)
-	}
-
-	fmt.Printf("trusted-node throughput: %d clients, 1 conn, %v, loopback %s\n", clients, dur, addr)
-	res, err := nodeproto.RunThroughput(addr, state, nodeproto.ThroughputOptions{
-		Workers:  clients,
-		Duration: dur,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  %v\n", res)
-	ws := srv.Svc.WarmStats()
-	fmt.Printf("  warm-up: %d chunks applied, %d hits / %d misses, avg resume %v\n",
-		ws.Chunks, ws.Hits, ws.Misses, time.Duration(ws.AvgResumeNs).Round(time.Microsecond))
-	if dump {
-		fmt.Println("\nnode metrics (Prometheus text format):")
-		if err := m.WritePrometheus(os.Stdout); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runFleetThroughput boots an n-member trusted-node fleet on loopback TCP
-// (one wire server per member, consistent-hash routed) and drives it with
-// the fleet client, reporting per-node latency. Afterwards it prices the
-// maintenance operations the fleet exists for: draining one member's
-// devices to the survivors and rebalancing them back after uncordon.
-func runFleetThroughput(nodes, clients int, dur time.Duration) error {
-	f, members, state, shutdown, err := nodeproto.StartFleetThroughput(nodes)
-	if err != nil {
-		return err
-	}
-	defer shutdown()
-
-	fmt.Printf("trusted-node fleet throughput: %d nodes, %d clients, %v, loopback\n",
-		nodes, clients, dur)
-	res, err := nodeproto.RunFleetThroughput(members, state, nodeproto.ThroughputOptions{
-		Workers:  clients,
-		Duration: dur,
-	})
-	if err != nil {
-		return err
-	}
-	res.Warm = nodeproto.FleetWarmStats(f)
-	fmt.Println("  " + res.String())
-
-	ctx := context.Background()
-	drained := f.Members()[0]
-	start := time.Now()
-	moved, err := f.Drain(ctx, drained)
-	if err != nil {
-		return fmt.Errorf("drain %s: %v", drained, err)
-	}
-	drainTook := time.Since(start)
-	fmt.Printf("drain %s: %d devices in %v", drained, moved, drainTook.Round(time.Microsecond))
-	if moved > 0 {
-		fmt.Printf(" (%v/device)", (drainTook / time.Duration(moved)).Round(time.Microsecond))
-	}
-	fmt.Println()
-
-	if err := f.Uncordon(drained); err != nil {
-		return err
-	}
-	start = time.Now()
-	moved, err = f.Rebalance(ctx)
-	if err != nil {
-		return fmt.Errorf("rebalance: %v", err)
-	}
-	rebTook := time.Since(start)
-	fmt.Printf("uncordon + rebalance: %d devices in %v", moved, rebTook.Round(time.Microsecond))
-	if moved > 0 {
-		fmt.Printf(" (%v/device)", (rebTook / time.Duration(moved)).Round(time.Microsecond))
-	}
-	fmt.Println()
-	return nil
 }
 
 // spanExtras renders the Wi-Fi traced-login artifacts requested on the

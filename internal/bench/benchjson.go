@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"tinman/internal/taint"
@@ -16,7 +19,99 @@ import (
 // (and `make bench-json`) append a run to BENCH_vm.json so interpreter
 // performance can be tracked across commits. The schema is deliberately
 // flat — one entry per kernel×policy with ns/op and allocs/op — so any
-// plotting script can consume it without knowing the harness.
+// plotting script can consume it without knowing the harness. It also
+// holds what the three BENCH_*.json trajectories share: the run header
+// and the appender.
+
+// RunHeader opens every trajectory run: its label and time, and the
+// commit, Go version, GOMAXPROCS and CPU that produced its numbers.
+type RunHeader struct {
+	Label      string `json:"label"`
+	Time       string `json:"time"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPU        string `json:"cpu"`
+}
+
+// newRunHeader stamps a header for a run labelled label, made now by this
+// binary on this machine.
+func newRunHeader(label string) RunHeader {
+	return RunHeader{
+		Label:      label,
+		Time:       time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		Commit:     commit(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        cpuModel(),
+	}
+}
+
+// commit is the VCS revision the binary was built from, with "+dirty" for
+// a modified tree. `go build` in a git checkout stamps it; `go run` and
+// test binaries do not, and read "unknown".
+func commit() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, s := range bi.Settings {
+		switch {
+		case s.Key == "vcs.revision":
+			rev = s.Value
+		case s.Key == "vcs.modified" && s.Value == "true":
+			dirty = "+dirty"
+		}
+	}
+	return rev + dirty
+}
+
+// cpuModel is the first "model name" in /proc/cpuinfo, or "unknown".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// AppendRun appends run to the trajectory {"runs": [...]} at path,
+// creating the file on first use. Earlier runs are carried over as raw
+// JSON, keeping their keys, values and number spellings (only whitespace
+// is re-indented), so a field later added to or dropped from a run type
+// never edits a past run.
+func AppendRun(path string, run any) error {
+	var file struct {
+		Runs []json.RawMessage `json:"runs"`
+	}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &file); err != nil {
+			return fmt.Errorf("bench: %s exists but is not a bench trajectory: %v", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	raw, err := json.Marshal(run)
+	if err != nil {
+		return fmt.Errorf("bench: encoding a run for %s: %w", path, err)
+	}
+	file.Runs = append(file.Runs, raw)
+	data, err := json.MarshalIndent(&file, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 // VMBenchEntry is one kernel under one interpreter configuration.
 type VMBenchEntry struct {
@@ -37,19 +132,12 @@ type VMBenchEntry struct {
 
 // VMBenchRun is one invocation of the emitter.
 type VMBenchRun struct {
-	Label     string         `json:"label"`
-	Time      string         `json:"time"`
-	GoVersion string         `json:"go_version"`
-	Rounds    int            `json:"rounds"`
-	Entries   []VMBenchEntry `json:"entries"`
+	RunHeader
+	Rounds  int            `json:"rounds"`
+	Entries []VMBenchEntry `json:"entries"`
 	// GeomeanOffNs summarizes the untainted kernels: the geometric mean of
 	// their ns/op (the number the linking optimization is gated on).
 	GeomeanOffNs float64 `json:"geomean_off_ns"`
-}
-
-// VMBenchFile is the on-disk shape: a run trajectory, oldest first.
-type VMBenchFile struct {
-	Runs []VMBenchRun `json:"runs"`
 }
 
 // measureKernel times one kernel on one VM configuration: best wall time of
@@ -109,12 +197,7 @@ func MeasureVMBench(label string, rounds int, analyze bool) (VMBenchRun, error) 
 	if rounds <= 0 {
 		rounds = 5
 	}
-	run := VMBenchRun{
-		Label:     label,
-		Time:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Rounds:    rounds,
-	}
+	run := VMBenchRun{RunHeader: newRunHeader(label), Rounds: rounds}
 	logOff := 0.0
 	for _, k := range Kernels {
 		for _, pol := range Fig13Policies {
@@ -135,25 +218,6 @@ func MeasureVMBench(label string, rounds int, analyze bool) (VMBenchRun, error) 
 	}
 	run.GeomeanOffNs = math.Exp(logOff / float64(len(Kernels)))
 	return run, nil
-}
-
-// AppendVMBench appends run to the JSON trajectory at path, creating the
-// file on first use.
-func AppendVMBench(path string, run VMBenchRun) error {
-	var file VMBenchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("bench: %s exists but is not a bench trajectory: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	file.Runs = append(file.Runs, run)
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // PrintVMBenchRun renders a run the way `go test -bench` would, for the

@@ -143,7 +143,7 @@ func logDriftVsRecorded(t *testing.T, disabledNs map[string]float64) {
 		t.Logf("no BENCH_vm.json to compare against: %v", err)
 		return
 	}
-	var file VMBenchFile
+	var file struct{ Runs []VMBenchRun }
 	if err := json.Unmarshal(data, &file); err != nil || len(file.Runs) == 0 {
 		t.Logf("BENCH_vm.json unusable: %v", err)
 		return

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tinman/internal/apps"
-	"tinman/internal/core"
 	"tinman/internal/netsim"
 )
 
@@ -126,6 +125,3 @@ func Table3(seed int64) ([]Table3Row, error) {
 	}
 	return rows, nil
 }
-
-// suppress unused import when core types are referenced only in docs.
-var _ = core.DeviceAddr

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"tinman/internal/apps"
@@ -123,21 +120,13 @@ type OffloadEntry struct {
 
 // OffloadRun is one invocation of the emitter.
 type OffloadRun struct {
-	Label     string         `json:"label"`
-	Time      string         `json:"time"`
-	GoVersion string         `json:"go_version"`
-	Profile   string         `json:"profile"`
-	Seed      int64          `json:"seed"`
-	Entries   []OffloadEntry `json:"entries"`
+	RunHeader
+	Profile string         `json:"profile"`
+	Seed    int64          `json:"seed"`
+	Entries []OffloadEntry `json:"entries"`
 }
 
-// OffloadFile is the on-disk shape of BENCH_offload.json: a run
-// trajectory, oldest first.
-type OffloadFile struct {
-	Runs []OffloadRun `json:"runs"`
-}
-
-// MeasureOffload runs the comparison and packages it for AppendOffload.
+// MeasureOffload runs the comparison and packages it for AppendRun.
 func MeasureOffload(label string, profile netsim.Profile, seed int64) (OffloadRun, error) {
 	rows, err := Offload(profile, seed)
 	if err != nil {
@@ -149,13 +138,7 @@ func MeasureOffload(label string, profile netsim.Profile, seed int64) (OffloadRu
 // PackOffload wraps already-measured rows as an appendable run, so callers
 // that printed the rows need not measure twice.
 func PackOffload(label string, profile netsim.Profile, seed int64, rows []OffloadRow) OffloadRun {
-	run := OffloadRun{
-		Label:     label,
-		Time:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Profile:   profile.Name,
-		Seed:      seed,
-	}
+	run := OffloadRun{RunHeader: newRunHeader(label), Profile: profile.Name, Seed: seed}
 	for _, r := range rows {
 		run.Entries = append(run.Entries, OffloadEntry{
 			App:                 r.App,
@@ -173,23 +156,4 @@ func PackOffload(label string, profile netsim.Profile, seed int64, rows []Offloa
 		})
 	}
 	return run
-}
-
-// AppendOffload appends run to the JSON trajectory at path, creating the
-// file on first use.
-func AppendOffload(path string, run OffloadRun) error {
-	var file OffloadFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("bench: %s exists but is not an offload trajectory: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	file.Runs = append(file.Runs, run)
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,8 +53,9 @@ func TestOffloadShape(t *testing.T) {
 	}
 }
 
-// TestOffloadJSONRoundTrip checks the emitter produces entries that survive
-// the append/decode cycle AppendOffload's readers depend on.
+// TestOffloadJSONRoundTrip checks the emitter produces entries and a run
+// header that survive the append/decode cycle the trajectory's readers
+// depend on.
 func TestOffloadJSONRoundTrip(t *testing.T) {
 	run, err := MeasureOffload("test", netsim.WiFi, 42)
 	if err != nil {
@@ -66,11 +70,24 @@ func TestOffloadJSONRoundTrip(t *testing.T) {
 		}
 	}
 	path := t.TempDir() + "/BENCH_offload.json"
-	if err := AppendOffload(path, run); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := AppendRun(path, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendOffload(path, run); err != nil {
+	var file struct{ Runs []OffloadRun }
+	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatal(err)
+	}
+	if len(file.Runs) != 2 || !reflect.DeepEqual(file.Runs[1], run) {
+		t.Fatalf("decoded trajectory %+v, want two copies of %+v", file.Runs, run)
+	}
+	if h := run.RunHeader; h.GoVersion == "" || h.GOMAXPROCS <= 0 || h.NumCPU <= 0 || h.Commit == "" || h.CPU == "" {
+		t.Fatalf("run header incomplete: %+v", h)
 	}
 	var sb strings.Builder
 	rows, err := Offload(netsim.WiFi, 42)

@@ -11,11 +11,8 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -59,16 +56,9 @@ type StoreRecoveryEntry struct {
 
 // StoreBenchRun is one invocation of `tinman-bench -store`.
 type StoreBenchRun struct {
-	Label     string               `json:"label"`
-	Time      string               `json:"time"`
-	GoVersion string               `json:"go_version"`
-	Append    []StoreAppendEntry   `json:"append"`
-	Recovery  []StoreRecoveryEntry `json:"recovery"`
-}
-
-// StoreBenchFile is the on-disk shape: a run trajectory, oldest first.
-type StoreBenchFile struct {
-	Runs []StoreBenchRun `json:"runs"`
+	RunHeader
+	Append   []StoreAppendEntry   `json:"append"`
+	Recovery []StoreRecoveryEntry `json:"recovery"`
 }
 
 // storeBenchSealer pays the vault KDF once per process.
@@ -221,11 +211,7 @@ func measureRecovery(records, snapEvery int) (StoreRecoveryEntry, error) {
 
 // MeasureStoreBench runs the full storage-engine grid.
 func MeasureStoreBench(label string) (StoreBenchRun, error) {
-	run := StoreBenchRun{
-		Label:     label,
-		Time:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-	}
+	run := StoreBenchRun{RunHeader: newRunHeader(label)}
 	const records = 32_768
 	// Throughput rows are best-of-3: scheduler and GC noise at these run
 	// lengths is easily 30%, and the best run is the one that measures the
@@ -273,25 +259,6 @@ func MeasureStoreBench(label string) (StoreBenchRun, error) {
 		run.Recovery = append(run.Recovery, snap)
 	}
 	return run, nil
-}
-
-// AppendStoreBench appends run to the JSON trajectory at path, creating the
-// file on first use.
-func AppendStoreBench(path string, run StoreBenchRun) error {
-	var file StoreBenchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("bench: %s exists but is not a bench trajectory: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	file.Runs = append(file.Runs, run)
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // PrintStoreBenchRun renders a run for the operator.

@@ -1,7 +1,6 @@
 package guardrail_test
 
 import (
-	"net"
 	"os"
 	"testing"
 	"time"
@@ -11,16 +10,16 @@ import (
 	"tinman/internal/obs"
 )
 
-// TestGuardrailThroughputOverhead measures loadgen req/s with and without
-// the background sweeper — the number EXPERIMENTS.md reports for
-// "guardrail sweep overhead under -throughput load". The sweeper runs at
-// 10× the production cadence (500ms vs tinman-node's 5s interval), so the
-// reported overhead is a conservative upper bound. A back-to-back sweep
-// loop is deliberately NOT measured as "the" overhead: each sweep copies
-// and renders the whole flight recorder under the tracer mutex, so a
-// zero-gap loop serializes against every span on the request path and
-// says nothing about the paced production sweeper. Skipped unless
-// TINMAN_MEASURE is set: it is a measurement, not a correctness gate.
+// TestGuardrailThroughputOverhead measures drive's ops/s with and
+// without the background sweeper — the number EXPERIMENTS.md reports for
+// "guardrail sweep overhead". The sweeper runs at 10× the production
+// cadence (500ms vs tinman-node's 5s interval), so the reported overhead
+// is a conservative upper bound. A back-to-back sweep loop is
+// deliberately NOT measured as "the" overhead: each sweep copies and
+// renders the whole flight recorder under the tracer mutex, so a zero-gap
+// loop serializes against every span on the request path and says nothing
+// about the paced production sweeper. Skipped unless TINMAN_MEASURE is
+// set: it is a measurement, not a correctness gate.
 func TestGuardrailThroughputOverhead(t *testing.T) {
 	if os.Getenv("TINMAN_MEASURE") == "" {
 		t.Skip("set TINMAN_MEASURE=1 to run the overhead measurement")
@@ -30,22 +29,13 @@ func TestGuardrailThroughputOverhead(t *testing.T) {
 		met := obs.NewMetrics()
 		srv := nodeproto.NewServer()
 		srv.SetObs(tr, met)
-		state, err := nodeproto.PrepareThroughputServer(srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(l)
 		defer srv.Close()
 
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		if sweep {
 			sc := guardrail.New()
-			sc.AddSecret("bench-pw-plaintext", []byte("hunter2-benchmark!"))
+			sc.AddSecret("bench-pw-plaintext", []byte(benchSecret))
 			sw := &guardrail.Sweeper{Scanner: sc, Tracer: tr, Metrics: met, Audit: srv.Svc.Audit}
 			go func() {
 				defer close(done)
@@ -66,22 +56,16 @@ func TestGuardrailThroughputOverhead(t *testing.T) {
 		} else {
 			close(done)
 		}
-		res, err := nodeproto.RunThroughput(l.Addr().String(), state, nodeproto.ThroughputOptions{
-			Workers:  8,
-			Duration: 3 * time.Second,
-		})
+		res, _ := drive(t, srv, 8, 0, 3*time.Second)
 		close(stop)
 		<-done
-		if err != nil {
-			t.Fatal(err)
+		if res.failed > 0 {
+			t.Fatalf("%d operations failed under load, first: %v", res.failed, res.firstErr)
 		}
-		if res.Errors > 0 {
-			t.Fatalf("errors under load: %v", res.FirstErr)
-		}
-		return res.ReqPerSec
+		return float64(res.catalogs+res.reseals) / res.elapsed.Seconds()
 	}
 	base := run(false)
 	swept := run(true)
-	t.Logf("baseline: %.0f req/s", base)
-	t.Logf("sweeping continuously: %.0f req/s (%.1f%% overhead)", swept, 100*(base-swept)/base)
+	t.Logf("baseline: %.0f ops/s", base)
+	t.Logf("sweeping at 500ms: %.0f ops/s (%.1f%% overhead)", swept, 100*(base-swept)/base)
 }

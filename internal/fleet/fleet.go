@@ -209,7 +209,7 @@ func (f *Fleet) Members() []string {
 	return append([]string(nil), f.order...)
 }
 
-// MemberService exposes a member's Service (tests, loadgen, audit export).
+// MemberService exposes a member's Service (tests, tinbench, audit export).
 // It is available even for a down member — the caller is the simulation's
 // god view — but routing never sends traffic there.
 func (f *Fleet) MemberService(id string) (*node.Service, error) {

@@ -2,42 +2,28 @@ package nodeproto
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 )
 
-// BenchmarkNodeThroughput drives a live loopback-TCP node with 8 parallel
-// device loops doing the catalog+reseal mix over one pipelined connection
-// and reports req/s plus latency percentiles as benchmark metrics:
-//
-//	go test -bench NodeThroughput -benchtime 2000x ./internal/nodeproto/
-func BenchmarkNodeThroughput(b *testing.B) {
-	addr, state, shutdown, err := StartThroughputServer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer shutdown()
-	b.ResetTimer()
-	res, err := RunThroughput(addr, state, ThroughputOptions{Workers: 8, Requests: b.N})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.ReqPerSec, "req/s")
-	b.ReportMetric(float64(res.P50.Microseconds()), "p50-µs")
-	b.ReportMetric(float64(res.P99.Microseconds()), "p99-µs")
-	b.ReportMetric(0, "ns/op") // wall time is the req/s metric; per-op ns is misleading with parallel workers
-}
-
 // BenchmarkResealLatency measures single-request reseal latency over
 // loopback TCP (no pipelining, one worker) — the per-call cost a single
-// device sees.
+// device sees. Node throughput under concurrent sessions is tinbench's
+// `reseal` workload.
 func BenchmarkResealLatency(b *testing.B) {
-	addr, state, shutdown, err := StartThroughputServer()
+	srv := NewServer()
+	state, err := PrepareThroughputServer(srv)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer shutdown()
-	nc, err := dialer(addr, 5*time.Second)()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	nc, err := dialer(l.Addr().String(), 5*time.Second)()
 	if err != nil {
 		b.Fatal(err)
 	}
