@@ -5,9 +5,11 @@
 #   make test         full test suite
 #   make check        formatting + vet + build + orphan-package check +
 #                     test (this module and the tinbench/ benchmark module)
-#                     + differential + chaos + crash-chaos + fleet-smoke +
-#                     obs-smoke + guardrail + bench-smoke, the pre-commit
-#                     gate
+#                     + run-filters + differential + chaos + crash-chaos +
+#                     fleet-smoke + obs-smoke + guardrail + bench-smoke, the
+#                     pre-commit gate
+#   make run-filters  every -run filter below selects at least one test in
+#                     each package it names
 #   make differential interpreter equivalence gate: analyzed (taint
 #                     pre-analysis fast path) vs instrumented vs reference
 #   make race         race-detector pass over the concurrent subsystems
@@ -21,9 +23,10 @@
 #                     handoff, crash failover, wire-level routing + merged
 #                     audit, all under -race
 #   make guardrail    leak-guardrail gate: the exporter output (spans,
-#                     trace, metrics, audit) of 400 catalog and reseal
-#                     operations swept for every fingerprinted secret —
-#                     must find the seeded canary and nothing else
+#                     trace, metrics, audit) and the node→device protocol
+#                     bytes of 400 catalog and reseal operations swept for
+#                     every fingerprinted secret — must find the seeded
+#                     canary and nothing else
 #   make obs-smoke    observability gate: traced login with valid exports,
 #                     zero-alloc disabled path, Fig 13 hook-cost guard
 #   make bench-smoke  one iteration of every benchmark (a does-it-run gate,
@@ -50,7 +53,7 @@ GO ?= go
 GOFMT ?= gofmt
 LABEL ?= $(shell git log -1 --format=%h 2>/dev/null || echo manual)
 
-.PHONY: all build vet test check differential race chaos crash-chaos fleet-smoke obs-smoke guardrail bench-smoke bench-json bench-offload bench-store clean
+.PHONY: all build vet test check run-filters differential race chaos crash-chaos fleet-smoke obs-smoke guardrail bench-smoke bench-json bench-offload bench-store clean
 
 all: build vet test
 
@@ -83,6 +86,7 @@ check:
 	fi
 	$(GO) test ./...
 	cd tinbench && $(GO) vet . && $(GO) test -count=1 .
+	$(MAKE) run-filters
 	$(MAKE) differential
 	$(MAKE) chaos
 	$(MAKE) crash-chaos
@@ -90,6 +94,22 @@ check:
 	$(MAKE) obs-smoke
 	$(MAKE) guardrail
 	$(MAKE) bench-smoke
+
+# `go test -run X` passes when X matches nothing, so a renamed or deleted
+# test would drop out of its gate silently. Every -run filter in this
+# Makefile must select at least one test, fuzz target or example (per
+# `go test -list`) in each package its line names. A -run beside -bench
+# deselects tests on purpose and is skipped.
+run-filters:
+	@awk '/^\t\$$\(GO\) test .*-run / && !/-bench/ { \
+		for (i = 1; i <= NF; i++) if ($$i == "-run") { f = $$(i + 1); gsub("\047", "", f) } \
+		for (i = 1; i <= NF; i++) if ($$i ~ /^\.\//) print f, $$i \
+	}' Makefile | while read -r filter pkg; do \
+		list="$$($(GO) test -list "$$filter" "$$pkg")" || exit 1; \
+		if ! printf '%s\n' "$$list" | grep -qE '^(Test|Fuzz|Example)'; then \
+			echo "-run '$$filter' selects no test in $$pkg"; exit 1; \
+		fi; \
+	done
 
 # The node service plus the transports that drive it concurrently get a
 # dedicated -race pass (multi-device service tests live in internal/node);

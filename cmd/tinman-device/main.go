@@ -5,9 +5,12 @@
 // so the node reseals the cor-bearing record — the device never holds the
 // secret.
 //
-// Start a node first:
+// The cor is set up once, in the safe environment (§2.3), when the node
+// boots: cors.json beside this file registers the password "demo-pw",
+// whitelists demo-bank.example and binds it to this app's hash. Start a
+// node with it first:
 //
-//	tinman-node -listen 127.0.0.1:7443 &
+//	tinman-node -listen 127.0.0.1:7443 -cors cmd/tinman-device/cors.json &
 //	tinman-device -node 127.0.0.1:7443
 package main
 
@@ -49,19 +52,9 @@ func run(nodeAddr, deviceID string) error {
 	}
 	fmt.Printf("connected to trusted node at %s\n", nodeAddr)
 
-	// One-time safe-environment setup (§2.3): register the password and
-	// bind it to this app.
-	const appHash = "demo-app-hash-1"
-	corID := fmt.Sprintf("demo-pw-%d", time.Now().UnixNano())
-	if err := node.Register(corID, "correct horse battery", "demo password", "demo-bank.example"); err != nil {
-		return fmt.Errorf("registering cor: %v", err)
-	}
-	if err := node.Bind(corID, appHash); err != nil {
-		return err
-	}
-	fmt.Printf("registered cor %q and bound it to app %s\n", corID, appHash)
-
 	// The device fetches the catalog: descriptions and placeholders only.
+	// The node registered the cor and bound it to appHash at boot.
+	const corID, appHash = "demo-pw", "demo-app-hash-1"
 	catalog, err := node.Catalog()
 	if err != nil {
 		return err
@@ -71,6 +64,9 @@ func run(nodeAddr, deviceID string) error {
 		if e.ID == corID {
 			placeholder = e.Placeholder
 		}
+	}
+	if placeholder == "" {
+		return fmt.Errorf("cor %q is not in the node's catalog; start tinman-node with -cors cmd/tinman-device/cors.json", corID)
 	}
 	fmt.Printf("device catalog shows %d cor(s); placeholder for ours: %q\n", len(catalog), placeholder)
 

@@ -18,14 +18,15 @@
 // everything in memory. tinman-audit -store reads a store's audit log
 // offline, and -json exports it as JSON lines.
 //
-// With -admin set the node also serves the control-plane endpoint. The
-// read-only half needs no credentials: GET /metrics (Prometheus text
-// format), GET /spans (flight-recorder dump as JSON lines), GET /trace
-// (Chrome trace_event JSON for chrome://tracing or Perfetto),
-// GET /policy/version and GET /policy. The mutating half — POST /policy
-// (hot-reload a policy snapshot), POST /revoke, POST /restore and
-// POST /class — requires the bearer token in TINMAN_ADMIN_TOKEN; with no
-// token in the environment every mutation is refused (fail closed).
+// With -admin set the node also serves the control-plane endpoint, its
+// only administration path: the device protocol carries no admin op. Reads
+// need no credentials: GET /metrics (Prometheus text format), GET /spans
+// (flight-recorder dump as JSON lines), GET /trace (Chrome trace_event JSON
+// for chrome://tracing or Perfetto), GET /policy/version and GET /policy.
+// Mutations — POST /policy (hot-reload a policy snapshot), POST /revoke,
+// POST /restore and POST /class — require the bearer token in
+// TINMAN_ADMIN_TOKEN; with no token in the environment every mutation is
+// refused (fail closed).
 // Exports pass through the obs redaction gate, so they never carry cor
 // plaintext or vault key material — and the guardrail sweeper continuously
 // re-verifies that: every vault plaintext is fingerprinted (raw, hex,
@@ -33,11 +34,15 @@
 // directory is swept for hits, which are logged and counted in
 // guardrail_findings_total.
 //
-// The optional cors file pre-registers records:
+// The optional cors file registers records at boot, the one-time
+// safe-environment setup of §2.3 (cmd/tinman-device/cors.json is the
+// demo's). It is how cors reach a tinman-node; -store keeps them across
+// restarts, and records it already recovered are skipped:
 //
 //	[
 //	  {"id": "bank-pw", "plaintext": "hunter2!", "description": "bank",
-//	   "whitelist": ["bank.example.com"]}
+//	   "whitelist": ["bank.example.com"], "bind": ["<app hash>"],
+//	   "class": "sensitive"}
 //	]
 package main
 
@@ -136,9 +141,8 @@ func main() {
 	}
 }
 
-// serveAdmin exposes the control plane over HTTP: the read-only
-// observability and policy-version endpoints plus the token-gated mutating
-// half. It binds the listener synchronously (so a bad address fails at
+// serveAdmin exposes the control plane over HTTP: the open observability
+// and policy-read endpoints plus the token-gated mutations. It binds the listener synchronously (so a bad address fails at
 // startup), serves in the background, and starts the guardrail sweeper.
 func serveAdmin(srv *nodeproto.Server, tr *obs.Tracer, m *obs.Metrics, addr, storeDir string) error {
 	token := os.Getenv("TINMAN_ADMIN_TOKEN")

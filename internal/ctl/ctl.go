@@ -8,11 +8,13 @@
 // coordinates through a narrow Target interface that both a standalone
 // node.Service and a fleet.Fleet satisfy. What ctl adds on top:
 //
-//   - HTTP admin surface, split into a read-only half (metrics, spans,
-//     traces, policy version) and a mutating half (policy install, device
-//     revocation, class changes) gated by a bearer token. Unauthorized
-//     mutation attempts are refused with 403 AND recorded in the audit
-//     log — probing the control plane is itself an auditable event.
+//   - HTTP admin surface, the one administration path a running node
+//     exposes (the device protocol, internal/nodeproto, carries no admin
+//     op): read-only endpoints (metrics, spans, traces, policy) open to
+//     scrapes, and mutating ones (policy install, device revocation, class
+//     changes) gated by a bearer token. Unauthorized mutation attempts are
+//     refused with 403 AND recorded in the audit log — probing the control
+//     plane is itself an auditable event.
 //   - The leak guardrail (ctl/guardrail): a scanner that fingerprints
 //     every secret the node holds and sweeps every byte stream that
 //     leaves the process for them.
@@ -30,7 +32,6 @@ import (
 
 // Target applies control-plane mutations. node.Service satisfies it for a
 // standalone node; fleet.Fleet satisfies it with fleet-wide propagation.
-// (nodeproto.ControlPlane is the same contract on the wire side.)
 type Target interface {
 	InstallPolicy(ctx context.Context, snap *policy.Snapshot) (policy.Stamp, error)
 	Revoke(deviceID string) error
@@ -48,9 +49,6 @@ type Config struct {
 	// Export returns the current policy document for GET /policy; nil
 	// hides that endpoint.
 	Export func() *policy.Snapshot
-	// Versions reports per-member applied snapshot versions (fleet
-	// deployments); nil omits the member map from GET /policy/version.
-	Versions func() map[string]uint64
 	// Audit receives control-plane audit entries: accepted mutations and
 	// unauthorized attempts. Nil skips auditing (tests only — production
 	// callers always pass the node's log).

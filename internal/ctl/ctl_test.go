@@ -65,7 +65,8 @@ func post(t *testing.T, url, token, body string) *http.Response {
 }
 
 // TestAdminAuth: mutations without the bearer token are refused with 403
-// AND recorded in the audit log; the right token goes through.
+// AND recorded in the audit log; the right token goes through, and POST
+// /class applies a known class and refuses an unknown one.
 func TestAdminAuth(t *testing.T) {
 	svc, ts := newPlane(t)
 
@@ -101,6 +102,15 @@ func TestAdminAuth(t *testing.T) {
 	resp = post(t, ts.URL+"/restore", adminToken, `{"device_id":"phone-1"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restore: status %d", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/class", adminToken, `{"cor_id":"pw","class":"bogus"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown class: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/class", adminToken, `{"cor_id":"pw","class":"server-only"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reclassify: status %d", resp.StatusCode)
+	}
+	if got := svc.Cors.Get("pw").Class; got != cor.ClassServerOnly {
+		t.Fatalf("class after POST /class = %q, want server-only", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package guardrail_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"crypto/rsa"
@@ -29,12 +30,57 @@ type load struct {
 	elapsed                   time.Duration
 }
 
+// wireCapture is a listener that keeps every byte the server writes to the
+// connections it accepts: the node→device half of the device protocol.
+type wireCapture struct {
+	net.Listener
+	mu  sync.Mutex
+	out bytes.Buffer
+}
+
+func (w *wireCapture) Accept() (net.Conn, error) {
+	c, err := w.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &capturedConn{Conn: c, w: w}, nil
+}
+
+// bytes returns a copy of everything captured so far.
+func (w *wireCapture) bytes() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]byte(nil), w.out.Bytes()...)
+}
+
+type capturedConn struct {
+	net.Conn
+	w *wireCapture
+}
+
+func (c *capturedConn) Write(p []byte) (int, error) {
+	c.w.mu.Lock()
+	c.w.out.Write(p)
+	c.w.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// listen opens a loopback listener for drive.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // drive registers the cor "bench-pw" (whitelisted for bench.example) on
-// srv, serves srv on loopback and drives it through one ReconnectClient:
-// workers device loops alternate reseal and catalog until ops operations
-// have been attempted or, with ops 0, for d. It returns the tally and the
-// device TLS session state the reseals carried. The caller closes srv.
-func drive(t *testing.T, srv *nodeproto.Server, workers, ops int, d time.Duration) (load, json.RawMessage) {
+// srv, serves srv on l and drives it through one ReconnectClient: workers
+// device loops alternate reseal and catalog until ops operations have been
+// attempted or, with ops 0, for d. It returns the tally and the device TLS
+// session state the reseals carried. The caller closes srv.
+func drive(t *testing.T, srv *nodeproto.Server, l net.Listener, workers, ops int, d time.Duration) (load, json.RawMessage) {
 	t.Helper()
 	if _, err := srv.Svc.Cors.Register("bench-pw", benchSecret, "guardrail cor", "bench.example"); err != nil {
 		t.Fatal(err)
@@ -49,10 +95,6 @@ func drive(t *testing.T, srv *nodeproto.Server, workers, ops int, d time.Duratio
 		t.Fatal(err)
 	}
 	state, err := json.Marshal(device.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +157,10 @@ func drive(t *testing.T, srv *nodeproto.Server, workers, ops int, d time.Duratio
 // and reseal traffic against an instrumented node with every secret the
 // node holds fingerprinted — the cor's plaintext and all four TLS session
 // keys — must produce ZERO findings across spans, trace, metrics and audit
-// output. Then a deliberately seeded leak proves the scanner actually
-// fires: a zero-finding report from a broken scanner would be
-// indistinguishable from a clean system.
+// output, and across every byte the node wrote to its device connections.
+// Then a deliberately seeded leak proves the scanner actually fires: a
+// zero-finding report from a broken scanner would be indistinguishable
+// from a clean system.
 func TestGuardrailLoadgen(t *testing.T) {
 	tr := obs.New(obs.Options{})
 	met := obs.NewMetrics()
@@ -126,7 +169,8 @@ func TestGuardrailLoadgen(t *testing.T) {
 	defer srv.Close()
 
 	const workers, ops = 4, 400
-	res, state := drive(t, srv, workers, ops, 0)
+	wire := &wireCapture{Listener: listen(t)}
+	res, state := drive(t, srv, wire, workers, ops, 0)
 	if res.failed > 0 {
 		t.Fatalf("%d operations failed, first: %v", res.failed, res.firstErr)
 	}
@@ -164,6 +208,17 @@ func TestGuardrailLoadgen(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("clean run leaked: %v", findings)
+	}
+	// The device protocol leaves the process too. Only the node→device
+	// direction is swept: reseal requests carry the device's own TLS
+	// session keys by design. A capture without the catalog placeholder
+	// would make a zero here meaningless.
+	out := wire.bytes()
+	if placeholder := srv.Svc.Cors.Get("bench-pw").Placeholder; !bytes.Contains(out, []byte(placeholder)) {
+		t.Fatalf("node→device capture (%d bytes) lacks the catalog placeholder %q", len(out), placeholder)
+	}
+	if found := sc.Scan("wire", out); len(found) != 0 {
+		t.Fatalf("node→device protocol leaked: %v", found)
 	}
 
 	// The canary: seed the flight recorder with a span note carrying the

@@ -56,7 +56,7 @@ func TestGuardrailThroughputOverhead(t *testing.T) {
 		} else {
 			close(done)
 		}
-		res, _ := drive(t, srv, 8, 0, 3*time.Second)
+		res, _ := drive(t, srv, listen(t), 8, 0, 3*time.Second)
 		close(stop)
 		<-done
 		if res.failed > 0 {

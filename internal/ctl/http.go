@@ -13,23 +13,25 @@ import (
 	"tinman/internal/policy"
 )
 
-// The admin HTTP surface is split in two halves registered separately, so
-// a deployment can serve them on one mux (the common case: one -admin
-// address, mutation gated per request) or bind the mutating half to a
-// stricter interface. Read-only endpoints never require the token —
-// metrics scrapes must not carry credentials — and mutating endpoints
-// always do, failing closed when no token is configured.
-
-// ReadOnlyRoutes registers the observability and policy-read endpoints:
+// Routes registers the admin surface on mux — the single -admin address
+// cmd/tinman-node serves:
 //
-//	GET /metrics        Prometheus text format
-//	GET /spans          flight-recorder dump, JSON lines
-//	GET /trace          Chrome trace_event JSON
-//	GET /policy/version current policy stamp (+ per-member versions)
-//	GET /policy         current policy document (when Export is wired)
+//	GET  /metrics         Prometheus text format
+//	GET  /spans           flight-recorder dump, JSON lines
+//	GET  /trace           Chrome trace_event JSON
+//	GET  /policy/version  current policy stamp
+//	GET  /policy          current policy document (when Export is wired)
+//	POST /policy          install a policy snapshot (body: policy.Snapshot JSON)
+//	POST /revoke          revoke a device (body: {"device_id": "..."})
+//	POST /restore         restore a device (body: {"device_id": "..."})
+//	POST /class           reclassify a cor (body: {"cor_id": "...", "class": "..."})
 //
-// tr and m may be nil; their endpoints then serve empty output.
-func (p *Plane) ReadOnlyRoutes(mux *http.ServeMux, tr *obs.Tracer, m *obs.Metrics) {
+// Reads never require the token — metrics scrapes must not carry
+// credentials. Every POST handler checks the bearer token first; a missing
+// or wrong token is answered 403 and recorded in the audit log, and no
+// configured token refuses every mutation (fail closed). tr and m may be
+// nil; their endpoints then serve empty output.
+func (p *Plane) Routes(mux *http.ServeMux, tr *obs.Tracer, m *obs.Metrics) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		if m != nil {
@@ -54,54 +56,21 @@ func (p *Plane) ReadOnlyRoutes(mux *http.ServeMux, tr *obs.Tracer, m *obs.Metric
 			return
 		}
 		stamp := p.Stamp()
-		out := struct {
-			Version uint64            `json:"version"`
-			Hash    string            `json:"hash"`
-			Members map[string]uint64 `json:"members,omitempty"`
-		}{Version: stamp.Version, Hash: stamp.Hash}
-		if p.cfg.Versions != nil {
-			out.Members = p.cfg.Versions()
-		}
-		writeJSON(w, out)
+		writeJSON(w, struct {
+			Version uint64 `json:"version"`
+			Hash    string `json:"hash"`
+		}{Version: stamp.Version, Hash: stamp.Hash})
 	})
-	if p.cfg.Export != nil {
-		mux.HandleFunc("/policy", func(w http.ResponseWriter, r *http.Request) {
-			switch r.Method {
-			case http.MethodGet:
-				writeJSON(w, p.cfg.Export())
-			case http.MethodPost:
-				// The mutating half owns POST /policy; when both halves share
-				// one mux its handler is registered under the same pattern via
-				// the method check in MutatingRoutes' dispatcher below.
-				p.handlePolicyInstall(w, r)
-			default:
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			}
-		})
-	}
-}
-
-// MutatingRoutes registers the token-gated mutation endpoints:
-//
-//	POST /policy   install a policy snapshot (body: policy.Snapshot JSON)
-//	POST /revoke   revoke a device (body: {"device_id": "..."})
-//	POST /restore  restore a device (body: {"device_id": "..."})
-//	POST /class    reclassify a cor (body: {"cor_id": "...", "class": "..."})
-//
-// Every handler checks the bearer token first; a missing or wrong token is
-// answered 403 and recorded in the audit log. When Export is also wired
-// (ReadOnlyRoutes registered GET+POST /policy on this mux already), the
-// /policy pattern is skipped here to avoid a duplicate registration.
-func (p *Plane) MutatingRoutes(mux *http.ServeMux) {
-	if p.cfg.Export == nil {
-		mux.HandleFunc("/policy", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
+	mux.HandleFunc("/policy", func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
 			p.handlePolicyInstall(w, r)
-		})
-	}
+		case r.Method == http.MethodGet && p.cfg.Export != nil:
+			writeJSON(w, p.cfg.Export())
+		default:
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		}
+	})
 	mux.HandleFunc("/revoke", p.deviceHandler("revoke", p.Revoke))
 	mux.HandleFunc("/restore", p.deviceHandler("restore", p.Restore))
 	mux.HandleFunc("/class", func(w http.ResponseWriter, r *http.Request) {
@@ -131,13 +100,6 @@ func (p *Plane) MutatingRoutes(mux *http.ServeMux) {
 		}
 		writeJSON(w, map[string]string{"cor_id": body.CorID, "class": string(class)})
 	})
-}
-
-// Routes registers both halves on one mux — the single -admin address
-// shape cmd/tinman-node serves.
-func (p *Plane) Routes(mux *http.ServeMux, tr *obs.Tracer, m *obs.Metrics) {
-	p.ReadOnlyRoutes(mux, tr, m)
-	p.MutatingRoutes(mux)
 }
 
 // authorize checks the request's bearer token against the configured one,

@@ -66,8 +66,8 @@ func auditWire(t testing.TB, entries []audit.Entry) []string {
 }
 
 // TestDurableNodeRoundTrip drives every durable mutation class through the
-// Service — register/generate/derive cors, an offload that mints a derived
-// cor, reseals, bind/revoke/restore — then kills the node and recovers a
+// Service — register/generate cors, an offload that mints a derived cor,
+// reseals, bind/revoke/restore — then kills the node and recovers a
 // fresh Service from the store. The recovered node must present the same
 // catalog, plaintexts, policy decisions, and audit trail, resume per-device
 // sequences gap-free, and leave no cor plaintext on disk.
@@ -82,9 +82,6 @@ func TestDurableNodeRoundTrip(t *testing.T) {
 	}
 	gen, err := svc.GenerateCor(ctx, "gen", "minted on node", 12, "shop.com")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.DeriveNamed(ctx, "pw", "pw-hash", "sha256-hex"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,7 +125,7 @@ func TestDurableNodeRoundTrip(t *testing.T) {
 	if got := svc2.Cors.Len(); got != wantCors {
 		t.Fatalf("recovered %d cors, want %d", got, wantCors)
 	}
-	for _, id := range []string{"pw", "gen", "pw-hash", masked.CorID} {
+	for _, id := range []string{"pw", "gen", masked.CorID} {
 		was, is := svc.Cors.Get(id), svc2.Cors.Get(id)
 		if is == nil {
 			t.Fatalf("cor %q lost in recovery", id)
@@ -169,9 +166,9 @@ func TestDurableNodeRoundTrip(t *testing.T) {
 		t.Fatalf("generated whitelist = %v", gen.Whitelist)
 	}
 
-	// No cor plaintext on disk — not the registered, generated, derived, or
-	// node-minted secrets.
-	secrets := []string{"hunter2!", gen.Plaintext, svc.Cors.Get("pw-hash").Plaintext, derived.Plaintext}
+	// No cor plaintext on disk — not the registered, generated or
+	// offload-derived secrets.
+	secrets := []string{"hunter2!", gen.Plaintext, derived.Plaintext}
 	if hits := fault.ScanForPlaintext(fs.DiskBytes(), secrets); len(hits) != 0 {
 		t.Fatalf("cor plaintext on disk: %v", hits)
 	}

@@ -12,8 +12,8 @@ import (
 // TestConcurrentDevices drives the service from several device goroutines at
 // once — the scenario the wire transport creates with one goroutine per
 // connection. Each device installs its own app instance, offloads repeatedly
-// (exercising the apps map and the derivedSeq counter through result
-// masking), reseals, arms and fires injections (the injections map), and
+// (exercising the apps map and the derivedSeq counter: each login's result
+// is masked as a derived cor minted through the resolver's MaskID), reseals, arms and fires injections (the injections map), and
 // reads the catalog, while a churn goroutine revokes and restores an
 // unrelated device. Run under -race; the seed's simulation loop was
 // single-threaded and hid these hazards.
@@ -50,7 +50,7 @@ func TestConcurrentDevices(t *testing.T) {
 			st := states[i]
 			state, _ := sessionState(t)
 			for r := 0; r < rounds; r++ {
-				// Offload round: mints a derived cor on the node.
+				// Offload round: MaskID mints a derived cor on the node.
 				if _, err := st.half.login(t, svc, st.cor); err != nil {
 					errs <- fmt.Errorf("dev-%d round %d offload: %w", i, r, err)
 					return
@@ -86,11 +86,6 @@ func TestConcurrentDevices(t *testing.T) {
 				}
 				if _, err := svc.AuditQuery(ctx, audit.Query{DeviceID: st.half.id}); err != nil {
 					errs <- err
-					return
-				}
-				// Derive with a per-device unique name.
-				if _, err := svc.DeriveNamed(ctx, st.cor, fmt.Sprintf("%s-h%d", st.cor, r), "sha256-hex"); err != nil {
-					errs <- fmt.Errorf("dev-%d round %d derive: %w", i, r, err)
 					return
 				}
 			}

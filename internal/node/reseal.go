@@ -3,8 +3,6 @@ package node
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"hash/maphash"
 	"sync"
@@ -150,10 +148,4 @@ func (c *stateCache) put(raw []byte, st *tlssim.State) {
 		c.m = make(map[uint64]stateEntry)
 	}
 	c.m[h] = stateEntry{raw: append([]byte(nil), raw...), st: st}
-}
-
-// sha256hex is the standard derivation used for node-computed cors.
-func sha256hex(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
 }

@@ -71,10 +71,6 @@ type Service struct {
 	// the index routes it to the right shard.
 	flows map[InjectionKey]string
 
-	// adminReplays is the at-most-once window for operations that carry no
-	// device identity (registrations, policy administration).
-	adminReplays *ReplayCache
-
 	// met holds the Options.Metrics collectors (nil-safe when unset).
 	met serviceMetrics
 
@@ -154,7 +150,6 @@ func New(opts Options) *Service {
 		replayCfg:     replayCfg,
 		shards:        make(map[string]*DeviceShard),
 		flows:         make(map[InjectionKey]string),
-		adminReplays:  NewReplayCache(replayCfg),
 		clock:         opts.Clock,
 	}
 	if s.clock == nil {
@@ -217,34 +212,6 @@ func (s *Service) GenerateCor(ctx context.Context, id, description string, n int
 	}
 	if whitelist != nil {
 		s.Policy.SetWhitelist(rec.ID, whitelist)
-	}
-	if err := s.durVaultRec(rec.ID); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// DeriveNamed registers a node-computed derivation of an existing cor. The
-// derived plaintext is computed here from the parent — a device never
-// supplies secret content (e.g. the sha256-hex password hash of §4.1).
-func (s *Service) DeriveNamed(ctx context.Context, parentID, newID, derivation string) (*cor.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	parent := s.Cors.Get(parentID)
-	if parent == nil {
-		return nil, errf(ErrUnknownCor, "unknown parent cor %q", parentID)
-	}
-	var content string
-	switch derivation {
-	case "", "sha256-hex":
-		content = sha256hex(parent.Plaintext)
-	default:
-		return nil, errf(ErrBadRequest, "unknown derivation %q", derivation)
-	}
-	rec, err := s.Cors.Derive(parentID, newID, content)
-	if err != nil {
-		return nil, badRequest(err)
 	}
 	if err := s.durVaultRec(rec.ID); err != nil {
 		return nil, err

@@ -303,6 +303,21 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatalf("unknown cor: %v", err)
 	}
 
+	// A device-keyed call without a device ID is a bad request and attaches
+	// no shard keyed "".
+	if _, err := svc.Reseal(ctx, ResealRequest{CorID: "pw", Domain: "bank.com", State: state}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("reseal without device ID: %v", err)
+	}
+	if _, err := svc.Install(ctx, InstallRequest{Name: "login", Source: loginSrc}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("install without device ID: %v", err)
+	}
+	if svc.AttachShard("", 0) {
+		t.Fatal("AttachShard attached a shard for an empty device ID")
+	}
+	if _, ok := svc.Shard(""); ok {
+		t.Fatal("a shard keyed by the empty device ID exists")
+	}
+
 	// Plain policy denial (app not bound) carries ErrDenied plus the
 	// extractable *policy.Denial.
 	svc.BindApp("pw", "the-right-app")

@@ -132,11 +132,11 @@ type ShardInfo struct {
 
 // --- serializable export ---
 
-// ShardExport is the wire form of a detached shard: everything another
-// trusted node needs to resume serving the device. Both ends of a handoff
-// are trusted nodes (§2.5), so the export may carry derived-cor plaintext
-// and armed session state; it must only ever travel node-to-node over the
-// fleet control plane, never to a device.
+// ShardExport is a detached shard: everything another trusted node needs
+// to resume serving the device. Both ends of a handoff are trusted nodes
+// (§2.5), so the export may carry derived-cor plaintext and armed session
+// state; it moves only in process between fleet members (fleet.Handoff),
+// never over the device protocol.
 //
 // VM heap state is deliberately not exported: apps are re-installed from
 // source on the importing node and the device's DSM re-warms on its next
@@ -187,21 +187,6 @@ type CorExport struct {
 	Plaintext string `json:"plaintext"`
 }
 
-// Encode marshals the export for the handoff control plane.
-func (e *ShardExport) Encode() ([]byte, error) { return json.Marshal(e) }
-
-// DecodeShardExport parses a handoff payload.
-func DecodeShardExport(data []byte) (*ShardExport, error) {
-	var e ShardExport
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("node: bad shard export: %v", err)
-	}
-	if e.DeviceID == "" {
-		return nil, fmt.Errorf("node: shard export missing device_id")
-	}
-	return &e, nil
-}
-
 // --- Service-level shard lifecycle ---
 
 // lookupShard returns the attached shard, or nil.
@@ -231,6 +216,9 @@ func (s *Service) shard(deviceID string) *DeviceShard {
 // enter holds inflight>0, which blocks DetachShard from completing, so the
 // shard stays attached for the operation's duration.
 func (s *Service) shardEnter(deviceID string) (*DeviceShard, error) {
+	if deviceID == "" {
+		return nil, errf(ErrBadRequest, "device ID required")
+	}
 	sh := s.shard(deviceID)
 	if err := sh.enter(); err != nil {
 		// A draining shard stays in the map until DetachShard removes it;
@@ -249,6 +237,9 @@ func (s *Service) shardEnter(deviceID string) (*DeviceShard, error) {
 // derivedSeq ≤ auditSeq always holds, making the audit watermark a
 // conservative bound that keeps post-failover mints collision-free.
 func (s *Service) AttachShard(deviceID string, auditSeqFloor uint64) (created bool) {
+	if deviceID == "" {
+		return false
+	}
 	s.mu.Lock()
 	sh := s.shards[deviceID]
 	if sh == nil {
@@ -461,13 +452,14 @@ func (s *Service) Shard(deviceID string) (ShardInfo, bool) {
 }
 
 // ReplayDo routes an at-most-once execution through the device's replay
-// window (attaching the shard on first touch); deviceID "" uses the
-// service-global window for admin operations. replayed reports a dedup
+// window (attaching the shard on first touch). replayed reports a dedup
 // hit. The recorded value may come back as ReplayedRaw when the window
-// crossed a node handoff — see ReplayCache.Import.
+// crossed a node handoff — see ReplayCache.Import. An empty deviceID has
+// no shard and so no window: fn runs unrecorded, and every device-keyed
+// Service call it makes refuses the empty ID itself.
 func (s *Service) ReplayDo(deviceID, reqID string, fn func() any) (val any, replayed bool) {
 	if deviceID == "" {
-		return s.adminReplays.Do(reqID, fn)
+		return fn(), false
 	}
 	return s.shard(deviceID).replays.Do(reqID, fn)
 }

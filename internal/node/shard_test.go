@@ -131,16 +131,6 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	if len(exp.Apps) != 1 || len(exp.Injections) != 1 || len(exp.DerivedCors) == 0 {
 		t.Fatalf("export = %+v", exp)
 	}
-	// The export survives its wire encoding.
-	wire, err := exp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err = DecodeShardExport(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	if err := dst.ImportShard(ctx, exp); err != nil {
 		t.Fatal(err)
 	}

@@ -53,18 +53,6 @@ func decodeRequest(body []byte, req *Request) bool {
 				if !decodeString(&s, &req.CorID) {
 					return false
 				}
-			case "plaintext":
-				if !decodeString(&s, &req.Plaintext) {
-					return false
-				}
-			case "description":
-				if !decodeString(&s, &req.Description) {
-					return false
-				}
-			case "parent_id":
-				if !decodeString(&s, &req.ParentID) {
-					return false
-				}
 			case "app_hash":
 				if !decodeString(&s, &req.AppHash) {
 					return false
@@ -81,16 +69,6 @@ func decodeRequest(body []byte, req *Request) bool {
 				if !decodeString(&s, &req.TargetIP) {
 					return false
 				}
-			case "whitelist":
-				if !decodeStrings(&s, &req.Whitelist) {
-					return false
-				}
-			case "length":
-				v, ok := s.Int()
-				if !ok {
-					return false
-				}
-				req.Length = v
 			case "record_len":
 				v, ok := s.Int()
 				if !ok {
@@ -112,26 +90,10 @@ func decodeRequest(body []byte, req *Request) bool {
 					return false
 				}
 				req.State = append(json.RawMessage(nil), v...)
-			case "shard":
-				v, ok := s.RawValue()
-				if !ok {
-					return false
-				}
-				req.Shard = append(json.RawMessage(nil), v...)
 			case "app":
 				if !decodeString(&s, &req.App) {
 					return false
 				}
-			case "class":
-				if !decodeString(&s, &req.Class) {
-					return false
-				}
-			case "policy":
-				v, ok := s.RawValue()
-				if !ok {
-					return false
-				}
-				req.Policy = append(json.RawMessage(nil), v...)
 			case "client_addr":
 				if !decodeString(&s, &req.ClientAddr) {
 					return false
@@ -218,30 +180,10 @@ func decodeResponse(body []byte, resp *Response) bool {
 					return false
 				}
 				resp.CodeSize = v
-			case "policy_version":
-				v, ok := s.UInt()
-				if !ok {
-					return false
-				}
-				resp.PolicyVersion = v
-			case "policy_hash":
-				if !decodeString(&s, &resp.PolicyHash) {
-					return false
-				}
-			case "cor_id":
-				if !decodeString(&s, &resp.CorID) {
-					return false
-				}
 			case "owner":
 				if !decodeString(&s, &resp.Owner) {
 					return false
 				}
-			case "shard":
-				v, ok := s.RawValue()
-				if !ok {
-					return false
-				}
-				resp.Shard = append(json.RawMessage(nil), v...)
 			case "record":
 				b64, ok := s.StrBytes()
 				if !ok {
@@ -439,27 +381,4 @@ func decodeString(s *fastjson.Scanner, dst *string) bool {
 	}
 	*dst = v
 	return true
-}
-
-// decodeStrings decodes a string list; a repeated key bails, leaving
-// encoding/json's overwrite semantics to it.
-func decodeStrings(s *fastjson.Scanner, dst *[]string) bool {
-	if *dst != nil || !s.Consume('[') {
-		return false
-	}
-	if s.Consume(']') {
-		*dst = []string{}
-		return true
-	}
-	for {
-		v, ok := s.Str()
-		if !ok {
-			return false
-		}
-		*dst = append(*dst, v)
-		if s.Consume(',') {
-			continue
-		}
-		return s.Consume(']')
-	}
 }

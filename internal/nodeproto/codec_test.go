@@ -17,26 +17,26 @@ var requestCases = []Request{
 	{},
 	{Op: OpPing},
 	{Op: OpCatalog, Seq: 7},
-	{Op: OpRegister, CorID: "pw", Plaintext: "hunter2", Description: "the password", Whitelist: []string{"a.example", "b.example"}},
-	{Op: OpGenerate, CorID: "tok", Length: 32, Whitelist: []string{}},
-	{Op: OpBind, CorID: "pw", AppHash: "deadbeef"},
-	{Op: OpRevoke, DeviceID: "phone-1"},
-	{Op: OpDerive, CorID: "pw-web", ParentID: "pw", Description: "derived"},
+	{Op: OpWhoOwns, DeviceID: "phone-1"},
+	{Op: OpInstall, Seq: 2, ReqID: "phone-1#2", DeviceID: "phone-1", App: "paypal"},
+	{Op: OpReseal, CorID: "pw", AppHash: "deadbeef"},
+	{Op: OpAudit, DeviceID: "phone-1"},
+	{Op: OpOffload, ReqID: "phone-1#3", DeviceID: "phone-1", App: "paypal"},
 	{Op: OpReseal, Seq: 1 << 40, CorID: "pw", AppHash: "abc", DeviceID: "phone-1",
 		State:  json.RawMessage(`{"version":771,"out":{"seq":3,"key":"qg=="}}`),
 		Domain: "login.example", TargetIP: "10.0.0.1", RecordLen: 64},
 	{Op: OpAudit, CorID: "pw", DeviceID: "phone-1"},
 	// Escapes and non-ASCII: the fast path must reject these and the
 	// fallback must still produce the right answer.
-	{Op: OpRegister, CorID: "q", Plaintext: "line1\nline2 \"quoted\""},
-	{Op: OpRegister, CorID: "q", Description: "naïve café — ключ"},
-	{Op: OpRegister, CorID: "q", Description: "a<b&c>d"},
+	{Op: OpReseal, CorID: "q", Domain: "line1\nline2 \"quoted\""},
+	{Op: OpAudit, CorID: "naïve café — ключ"},
+	{Op: OpReseal, CorID: "q", Domain: "a<b&c>d"},
 	{Op: OpReseal, CorID: "pw", State: json.RawMessage(`"opaque-string-state"`)},
 	{Op: OpReseal, CorID: "pw", State: json.RawMessage(`[1,2,{"x":"]"}]`)},
-	{Op: OpRegister, CorID: "pw", Plaintext: "hunter2", Class: "server-only"},
-	{Op: OpSetClass, CorID: "pw", Class: "public"},
-	{Op: OpPolicyInstall, Policy: json.RawMessage(`{"version":7,"revoked":["dev-1"],"rates":{"pw":{"max":3,"per":1000000000}}}`)},
-	{Op: OpPolicyVersion, Seq: 9},
+	{Op: OpDSMWarmup, DeviceID: "phone-1", App: "paypal", TraceID: "00000000000000a1", SpanID: "00000000000000b2"},
+	{Op: OpInject, DeviceID: "phone-1", App: "paypal", ClientPort: 0, ServerPort: 65535},
+	{Op: OpReseal, State: json.RawMessage(`{"version":7,"revoked":["dev-1"],"rates":{"pw":{"max":3,"per":1000000000}}}`)},
+	{Op: OpWhoOwns, Seq: 9},
 	{Op: OpInject, Seq: 10, ReqID: "dev#10", DeviceID: "dev", App: "paypal", CorID: "pw", Domain: "paypal.com",
 		State: json.RawMessage(`{"version":771}`), TargetIP: "198.51.100.7", ClientAddr: "10.0.0.2", ClientPort: 40001, ServerPort: 443},
 }
@@ -44,7 +44,7 @@ var requestCases = []Request{
 var responseCases = []Response{
 	{},
 	{OK: true},
-	{OK: true, Seq: 42, CorID: "pw"},
+	{OK: true, Seq: 42, Owner: "node-2"},
 	{OK: false, Error: "unknown cor \"x\"", Denial: "whitelist"},
 	{OK: true, Record: []byte{0x17, 0x03, 0x03, 0x00, 0xff, 0x01}},
 	{OK: true, Catalog: []CatalogEntry{}},
@@ -56,7 +56,7 @@ var responseCases = []Response{
 		{Seq: 1, Time: "2015-04-21T10:00:00Z", AppHash: "h", CorID: "pw", Device: "d", Domain: "x.example", Outcome: "allowed", Detail: "record resealed"},
 	}},
 	{OK: false, Error: "denied: device revoked", Denial: "revoked", DenialCode: 3},
-	{OK: true, PolicyVersion: 12, PolicyHash: "abcdef012345"},
+	{OK: false, Seq: 12, Error: "node: not owner: device d is owned by node-3", Owner: "node-3"},
 	{OK: true, Catalog: []CatalogEntry{{ID: "pw", Placeholder: "p", Description: "d", Bit: 1, Class: "server-only"}}},
 	{OK: true, Audit: []AuditEntry{
 		{Seq: 2, Time: "2015-04-21T10:00:01Z", Outcome: "denied", Detail: "revoked",
@@ -111,8 +111,9 @@ func TestCodecMatchesStdlib(t *testing.T) {
 }
 
 // foreignRequests and foreignResponses are hand-written JSON a third-party
-// peer might produce — reordered keys, extra whitespace, unknown fields,
-// escaped strings, null values.
+// peer might produce — reordered keys, extra whitespace, unknown fields
+// (among them the admin keys an older peer sent), escaped strings, null
+// values.
 var foreignRequests = []string{
 	`{}`,
 	`{ "op" : "ping" }`,
@@ -123,6 +124,7 @@ var foreignRequests = []string{
 	`{"op":"regi\u0073ter","cor_id":"pw"}`,
 	`{"op":"catalog","seq":18446744073709551615}`,
 	`{"whitelist":["a","b","c"],"op":"register"}`,
+	`{"op":"policy_install","plaintext":"hunter2","policy":{"revoked":["d"]},"shard":{"device_id":"d"},"length":8}`,
 }
 
 var foreignResponses = []string{

@@ -88,11 +88,9 @@ func TestContextDeadlineMidFlight(t *testing.T) {
 // TestWireDenialSentinels: a policy denial that crossed the wire still
 // matches the node package's typed sentinels on the client side.
 func TestWireDenialSentinels(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("pw", "secret99", "", "good.com"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Revoke("dev1"); err != nil {
+	c, s := testServer(t)
+	register(t, s, "pw", "secret99", "good.com")
+	if err := s.Svc.Revoke("dev1"); err != nil {
 		t.Fatal(err)
 	}
 	device, _ := establishSession(t)

@@ -80,7 +80,6 @@ func StartFleetThroughput(n int) (f *fleet.Fleet, members map[string]string, sta
 		}
 		srv := NewServerWith(svc)
 		srv.SetPlacement(id, f)
-		srv.SetControlPlane(f)
 		l, lerr := net.Listen("tcp", "127.0.0.1:0")
 		if lerr != nil {
 			closeAll()

@@ -3,7 +3,6 @@ package nodeproto
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -135,11 +134,12 @@ func TestFleetWire(t *testing.T) {
 	}
 }
 
-// TestWireHandoffExportImport moves a device shard between two standalone
-// servers purely over the wire: export on one node, import on the other,
-// with the per-device audit sequence continuing on the importer and an
-// offload executed before the move replaying — migration bytes and all —
-// instead of running again.
+// TestWireHandoffExportImport moves a device shard between two served
+// nodes the way fleet.Handoff does, in process — DetachShard on one node,
+// ImportShard on the other; the device protocol carries no shard export —
+// and checks what a device sees over the wire afterwards: the per-device
+// audit sequence continues on the importer, and an offload executed before
+// the move replays — migration bytes and all — instead of running again.
 func TestWireHandoffExportImport(t *testing.T) {
 	ctx := context.Background()
 	newNode := func() (*Server, *ReconnectClient) {
@@ -157,13 +157,6 @@ func TestWireHandoffExportImport(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		return srv, dialTest(t, l.Addr().String())
 	}
-	// Each import is a fresh Request: reusing one would reuse its minted
-	// ReqID, and the replay window would answer the second import from the
-	// first one's record.
-	importShard := func(c *ReconnectClient, raw json.RawMessage) error {
-		_, err := c.Do(ctx, &Request{Op: OpHandoffImport, Shard: raw})
-		return err
-	}
 	srvA, cA := newNode()
 	srvB, cB := newNode()
 
@@ -178,25 +171,21 @@ func TestWireHandoffExportImport(t *testing.T) {
 			t.Fatalf("reseal %d on A: %v", i, err)
 		}
 	}
-	offload, offloaded := offloadOnce(t, cA, dev, benchCor)
+	offload, offloaded := offloadOnce(t, cA, srvA, dev, benchCor)
 	onA := srvA.Svc.Audit.Find(audit.Query{DeviceID: dev})
 	if len(onA) == 0 {
 		t.Fatal("no audit history on A")
 	}
 	maxSeq := onA[len(onA)-1].DeviceSeq
 
-	exported, err := cA.Do(ctx, &Request{Op: OpHandoffExport, DeviceID: dev})
+	exp, err := srvA.Svc.DetachShard(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := exported.Shard
-	if len(raw) == 0 {
-		t.Fatal("empty shard export")
-	}
 	if _, ok := srvA.Svc.Shard(dev); ok {
-		t.Fatal("shard still attached on A after export")
+		t.Fatal("shard still attached on A after detach")
 	}
-	if err := importShard(cB, raw); err != nil {
+	if err := srvB.Svc.ImportShard(ctx, exp); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := srvB.Svc.Shard(dev); !ok {
@@ -231,7 +220,7 @@ func TestWireHandoffExportImport(t *testing.T) {
 	}
 
 	// A double import is refused rather than forking the shard.
-	if err := importShard(cB, raw); err == nil {
+	if err := srvB.Svc.ImportShard(ctx, exp); err == nil {
 		t.Fatal("importing over an existing shard succeeded")
 	}
 }

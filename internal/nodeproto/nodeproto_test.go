@@ -6,12 +6,15 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tinman/internal/cor"
+	"tinman/internal/node"
 	"tinman/internal/tlssim"
 )
 
@@ -38,6 +41,16 @@ func dialTest(t *testing.T, addr string) *ReconnectClient {
 	return c
 }
 
+// register initializes a cor on the server's service — the boot-time,
+// safe-environment setup (§2.3) that tinman-node -cors performs; the
+// device protocol has no registration op.
+func register(t *testing.T, s *Server, id, plaintext string, whitelist ...string) {
+	t.Helper()
+	if _, err := s.Svc.RegisterCor(context.Background(), id, plaintext, id+" description", whitelist...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // apps256 is the sha256-hex derivation the node computes.
 func apps256(s string) string {
 	sum := sha256.Sum256([]byte(s))
@@ -51,30 +64,26 @@ func TestPing(t *testing.T) {
 	}
 }
 
+// TestRegisterAndCatalog: a cor registered on the node reaches the device
+// as catalog metadata and a placeholder, never its plaintext.
 func TestRegisterAndCatalog(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("bank-pw", "hunter2!", "bank password", "bank.com"); err != nil {
-		t.Fatal(err)
-	}
+	c, s := testServer(t)
+	register(t, s, "bank-pw", "hunter2!", "bank.com")
 	cat, err := c.Catalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cat) != 1 || cat[0].ID != "bank-pw" {
+	if len(cat) != 1 || cat[0].ID != "bank-pw" || cat[0].Description != "bank-pw description" {
 		t.Fatalf("catalog = %+v", cat)
 	}
 	if cat[0].Placeholder == "hunter2!" || len(cat[0].Placeholder) != 8 {
 		t.Fatalf("placeholder = %q", cat[0].Placeholder)
 	}
-	// Duplicate registration fails cleanly.
-	if err := c.Register("bank-pw", "x", ""); err == nil {
-		t.Fatal("duplicate register accepted")
-	}
 }
 
 func TestGenerateKeepsPlaintextOnNode(t *testing.T) {
 	c, s := testServer(t)
-	if err := c.Generate("gen-pw", "generated", 20, "site.com"); err != nil {
+	if _, err := s.Svc.GenerateCor(context.Background(), "gen-pw", "generated", 20, "site.com"); err != nil {
 		t.Fatal(err)
 	}
 	cat, err := c.Catalog()
@@ -90,23 +99,33 @@ func TestGenerateKeepsPlaintextOnNode(t *testing.T) {
 	}
 }
 
-func TestDeriveSha256(t *testing.T) {
+// TestWireClassRoundTrip: the catalog carries each cor's sensitivity class
+// over the wire, and a reclassification reaches the next catalog fetch.
+func TestWireClassRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	c, s := testServer(t)
-	if err := c.Register("pw", "secret-password", ""); err != nil {
-		t.Fatal(err)
+	register(t, s, "pw", "hunter2!")
+	classOf := func(id string) string {
+		t.Helper()
+		entries, err := c.Catalog()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.ID == id {
+				return e.Class
+			}
+		}
+		t.Fatalf("cor %s not in catalog", id)
+		return ""
 	}
-	if err := c.Derive("pw", "pw-hash", "sha256-hex"); err != nil {
-		t.Fatal(err)
-	}
-	rec := s.Svc.Cors.Get("pw-hash")
-	if rec == nil || rec.Plaintext != apps256("secret-password") {
-		t.Fatalf("derived = %+v", rec)
-	}
-	if err := c.Derive("nope", "x", ""); err == nil {
-		t.Fatal("derive from unknown parent accepted")
-	}
-	if err := c.Derive("pw", "pw-hash2", "rot13"); err == nil {
-		t.Fatal("unknown derivation accepted")
+	for _, class := range []cor.Class{cor.ClassServerOnly, cor.ClassSensitive} {
+		if err := s.Svc.SetCorClass(ctx, "pw", class); err != nil {
+			t.Fatal(err)
+		}
+		if got := classOf("pw"); got != string(class) {
+			t.Fatalf("catalog class = %q, want %q", got, class)
+		}
 	}
 }
 
@@ -125,10 +144,8 @@ func establishSession(t *testing.T) (*tlssim.Session, *tlssim.Session) {
 }
 
 func TestResealEndToEnd(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("cc", "4111111111111111", "credit card", "shop.com"); err != nil {
-		t.Fatal(err)
-	}
+	c, s := testServer(t)
+	register(t, s, "cc", "4111111111111111", "shop.com")
 	device, origin := establishSession(t)
 
 	// The device computes the placeholder-bearing record only to learn its
@@ -168,11 +185,9 @@ func TestResealEndToEnd(t *testing.T) {
 }
 
 func TestResealPolicyDenials(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("pw", "secret99", "", "good.com"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Bind("pw", "official-app"); err != nil {
+	c, s := testServer(t)
+	register(t, s, "pw", "secret99", "good.com")
+	if err := s.Svc.BindApp("pw", "official-app"); err != nil {
 		t.Fatal(err)
 	}
 	device, _ := establishSession(t)
@@ -188,14 +203,14 @@ func TestResealPolicyDenials(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// Revoked device.
-	if err := c.Revoke("dev1"); err != nil {
+	if err := s.Svc.Revoke("dev1"); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Reseal("pw", device.Export(), "official-app", "dev1", "good.com", "", 0)
 	if err == nil || !strings.Contains(err.Error(), "revoked") {
 		t.Fatalf("err = %v", err)
 	}
-	if err := c.Restore("dev1"); err != nil {
+	if err := s.Svc.Restore("dev1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err = c.Reseal("pw", device.Export(), "official-app", "dev1", "good.com", "", 0); err != nil {
@@ -215,10 +230,8 @@ func TestResealPolicyDenials(t *testing.T) {
 }
 
 func TestResealRefusesTLS10(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("pw", "secret99", ""); err != nil {
-		t.Fatal(err)
-	}
+	c, s := testServer(t)
+	register(t, s, "pw", "secret99")
 	key, _ := rsa.GenerateKey(rand.Reader, 1024)
 	dev, _, _, err := tlssim.Handshake(
 		tlssim.ClientConfig{MaxVersion: tlssim.TLS10, Suites: []tlssim.Suite{tlssim.SuiteAESCBCSHA256}},
@@ -226,19 +239,17 @@ func TestResealRefusesTLS10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Reseal("pw", dev.Export(), "", "", "", "", 0)
+	_, err = c.Reseal("pw", dev.Export(), "", "dev1", "", "", 0)
 	if err == nil || !strings.Contains(err.Error(), "implicit-IV") {
 		t.Fatalf("err = %v, want TLS1.0 refusal", err)
 	}
 }
 
 func TestResealLengthGuard(t *testing.T) {
-	c, _ := testServer(t)
-	if err := c.Register("pw", "secret99", ""); err != nil {
-		t.Fatal(err)
-	}
+	c, s := testServer(t)
+	register(t, s, "pw", "secret99")
 	device, _ := establishSession(t)
-	_, err := c.Reseal("pw", device.Export(), "", "", "", "", 7)
+	_, err := c.Reseal("pw", device.Export(), "", "dev1", "", "", 7)
 	if err == nil || !strings.Contains(err.Error(), "desynchronize") {
 		t.Fatalf("err = %v, want length guard", err)
 	}
@@ -247,11 +258,11 @@ func TestResealLengthGuard(t *testing.T) {
 func TestUnknownOpAndCor(t *testing.T) {
 	c, _ := testServer(t)
 	device, _ := establishSession(t)
-	if _, err := c.Reseal("nope", device.Export(), "", "", "", "", 0); err == nil {
-		t.Fatal("unknown cor accepted")
+	if _, err := c.Reseal("nope", device.Export(), "", "dev1", "", "", 0); !errors.Is(err, node.ErrUnknownCor) {
+		t.Fatalf("unknown cor: %v", err)
 	}
-	if _, err := c.Do(context.Background(), &Request{Op: "frobnicate"}); err == nil {
-		t.Fatal("unknown op accepted")
+	if _, err := c.Do(context.Background(), &Request{Op: "frobnicate"}); !errors.Is(err, node.ErrBadRequest) {
+		t.Fatalf("unknown op: %v", err)
 	}
 }
 

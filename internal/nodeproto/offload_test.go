@@ -110,9 +110,7 @@ func TestDSMOffloadOverTCP(t *testing.T) {
 	ctx := context.Background()
 	cl, srv := testServer(t)
 	const dev, password = "phone-1", "hunter2!"
-	if err := cl.Register("pw", password, "bank password", "bank.example"); err != nil {
-		t.Fatal(err)
-	}
+	register(t, srv, "pw", password, "bank.example")
 	catalog, err := cl.Catalog()
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +124,7 @@ func TestDSMOffloadOverTCP(t *testing.T) {
 	if inst.AppHash != d.prog.Hash() || inst.CodeSize == 0 {
 		t.Fatalf("install answered hash %q size %d, device computed %q", inst.AppHash, inst.CodeSize, d.prog.Hash())
 	}
-	if err := cl.Bind("pw", inst.AppHash); err != nil {
+	if err := srv.Svc.BindApp("pw", inst.AppHash); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,10 +192,11 @@ func TestDSMOffloadOverTCP(t *testing.T) {
 	}
 }
 
-// offloadOnce installs loginSrc for dev, binds corID to it and offloads one
-// cold login migration, returning the request (its minted ReqID included)
-// and the node's reply.
-func offloadOnce(t *testing.T, cl *ReconnectClient, dev, corID string) (*Request, *Response) {
+// offloadOnce installs loginSrc for dev through cl, binds corID to it on
+// srv and offloads one cold login migration, which mints a derived cor on
+// the node, returning the request (its minted ReqID included) and the
+// node's reply.
+func offloadOnce(t *testing.T, cl *ReconnectClient, srv *Server, dev, corID string) (*Request, *Response) {
 	t.Helper()
 	ctx := context.Background()
 	catalog, err := cl.Catalog()
@@ -209,7 +208,7 @@ func offloadOnce(t *testing.T, cl *ReconnectClient, dev, corID string) (*Request
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Bind(corID, inst.AppHash); err != nil {
+	if err := srv.Svc.BindApp(corID, inst.AppHash); err != nil {
 		t.Fatal(err)
 	}
 	req := &Request{Op: OpOffload, DeviceID: dev, App: "login", Body: d.runToTrigger(t, corID).Encode()}

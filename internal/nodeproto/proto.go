@@ -1,10 +1,14 @@
 // Package nodeproto is TinMan's one device↔node control protocol: a
 // length-prefixed JSON request/response envelope, optionally followed by a
-// raw binary body, carrying every operation a device needs from its
-// trusted node — cor registration and catalog, app binding, policy
-// administration and audit queries, the DSM offload path (app install,
-// warm-up chunks, migrations; §3.1) and the SSL/TCP offload path (session
-// injection and resealing a marked record with cor plaintext; §3.2–§3.4).
+// raw binary body, carrying exactly the operations a device needs from its
+// trusted node — liveness, the cor catalog, audit queries, fleet routing
+// (who_owns), the DSM offload path (app install, warm-up chunks,
+// migrations; §3.1) and the SSL/TCP offload path (session injection and
+// resealing a marked record with cor plaintext; §3.2–§3.4). No message
+// carries cor plaintext, a policy document or a shard export: cors are
+// registered at node boot (tinman-node -cors), policy, revocation and
+// classes go through the token-gated admin plane (internal/ctl), and
+// shards move between fleet members in process (fleet.Handoff).
 //
 // Server's dispatch is the only code that turns a control request into
 // node.Service calls. Real TCP reaches it through Server.Serve, consumed by
@@ -29,25 +33,12 @@ import (
 // Op names a protocol operation.
 type Op string
 
-// Protocol operations.
+// Protocol operations: the complete set a device speaks.
 const (
-	OpRegister Op = "register" // admin: initialize a cor (safe environment)
-	OpGenerate Op = "generate" // admin: mint a fresh random cor
-	OpCatalog  Op = "catalog"  // device view: descriptions + placeholders
-	OpBind     Op = "bind"     // admin: bind an app hash to a cor
-	OpRevoke   Op = "revoke"   // revoke a device (stolen phone)
-	OpRestore  Op = "restore"  // restore a device
-	OpReseal   Op = "reseal"   // payload replacement: reseal a record with cor
-	OpDerive   Op = "derive"   // register a derived cor (hash of a password)
-	OpAudit    Op = "audit"    // query the audit log
-	OpPing     Op = "ping"     // liveness
-
-	// Fleet routing and handoff (served by a node running behind a fleet
-	// router; a standalone node answers who_owns with itself and serves
-	// handoffs directly).
-	OpWhoOwns       Op = "who_owns"       // which member owns a device's shard
-	OpHandoffExport Op = "handoff_export" // detach + export a device shard
-	OpHandoffImport Op = "handoff_import" // import a device shard export
+	OpPing    Op = "ping"     // liveness
+	OpCatalog Op = "catalog"  // device view: descriptions + placeholders
+	OpAudit   Op = "audit"    // query the audit log
+	OpWhoOwns Op = "who_owns" // which fleet member owns a device's shard
 
 	// OpDSMWarmup ships one background warm-up chunk of the speculative
 	// pre-migration pipeline (dsm/warmup.go). Low priority by construction:
@@ -56,19 +47,14 @@ const (
 	// retry budgets and never block foreground requests on them.
 	OpDSMWarmup Op = "dsm_warmup"
 
-	// The DSM offload path (§3.1) and SSL session injection (§3.2). Like
-	// reseal, they are keyed to a device shard: they dedup in the shard's
-	// replay window and a fleet member gates them on ownership.
+	// The device-keyed ops: payload replacement (§3.2–§3.4), the DSM
+	// offload path (§3.1) and SSL session injection (§3.2). Each acts on
+	// one device's shard: it requires a device ID, dedups in the shard's
+	// replay window and a fleet member gates it on ownership.
+	OpReseal  Op = "reseal"  // payload replacement: reseal a record with cor
 	OpInstall Op = "install" // ship an app's source (Body) for node-side hosting
 	OpOffload Op = "offload" // run an encoded dsm.Migration (Body) on the node
 	OpInject  Op = "inject"  // arm payload replacement for one TLS flow
-
-	// Control plane (internal/ctl): versioned policy administration. A node
-	// wired to a fleet control plane fans these out to every member, exactly
-	// like OpRevoke/OpRestore.
-	OpPolicyInstall Op = "policy_install" // admin: install a policy snapshot (hot swap)
-	OpPolicyVersion Op = "policy_version" // read-only: current policy version + hash
-	OpSetClass      Op = "set_class"      // admin: reclassify a cor's sensitivity
 )
 
 // Request is the envelope every client message uses. Unused fields stay
@@ -79,19 +65,14 @@ type Request struct {
 	// numbers its requests from 1 and the server echoes the value verbatim,
 	// possibly out of order.
 	Seq uint64 `json:"seq,omitempty"`
-	// ReqID, when set on a non-idempotent op, makes it at-most-once: the
-	// server records the first execution's result in a replay window keyed
-	// by this ID and answers duplicates from the record. Retry layers set
+	// ReqID, when set on a device-keyed op, makes it at-most-once: the
+	// server records the first execution's result in the device shard's
+	// replay window keyed by this ID and answers duplicates from the record. Retry layers set
 	// it so an ambiguous transport failure — request sent, no reply — can
 	// be replayed without double-executing. Empty disables dedup.
 	ReqID string `json:"req_id,omitempty"`
-	// Cor identity and content.
-	CorID       string   `json:"cor_id,omitempty"`
-	Plaintext   string   `json:"plaintext,omitempty"`
-	Description string   `json:"description,omitempty"`
-	Whitelist   []string `json:"whitelist,omitempty"`
-	Length      int      `json:"length,omitempty"`
-	ParentID    string   `json:"parent_id,omitempty"`
+	// CorID names the cor a reseal, injection or audit query concerns.
+	CorID string `json:"cor_id,omitempty"`
 	// Caller identity.
 	AppHash  string `json:"app_hash,omitempty"`
 	DeviceID string `json:"device_id,omitempty"`
@@ -104,10 +85,6 @@ type Request struct {
 	// node-side spans join the device's trace. Empty when tracing is off.
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
-	// Shard carries a marshaled node.ShardExport for OpHandoffImport. It
-	// travels only between trusted nodes (the export holds cor plaintext);
-	// device-facing clients never set it.
-	Shard json.RawMessage `json:"shard,omitempty"`
 	// App names the installed app an install, offload, inject or warm-up
 	// request concerns (the device half of the AppKey; DeviceID is the
 	// other half).
@@ -117,12 +94,6 @@ type Request struct {
 	ClientAddr string `json:"client_addr,omitempty"`
 	ClientPort int    `json:"client_port,omitempty"`
 	ServerPort int    `json:"server_port,omitempty"`
-	// Class is the cor sensitivity class ("public", "sensitive",
-	// "server-only") for OpRegister/OpGenerate/OpSetClass. Empty keeps the
-	// default (sensitive).
-	Class string `json:"class,omitempty"`
-	// Policy carries a marshaled policy.Snapshot for OpPolicyInstall.
-	Policy json.RawMessage `json:"policy,omitempty"`
 	// Body travels as the frame's raw binary body, not in the JSON head:
 	// the app source for OpInstall, the encoded dsm.Migration for
 	// OpOffload, the encoded dsm.WarmupChunk for OpDSMWarmup. Like a
@@ -175,24 +146,16 @@ type Response struct {
 	// keeps it off other responses. Clients decode the reason from it; the
 	// text stays for humans.
 	DenialCode int `json:"denial_code,omitempty"`
-	// PolicyVersion/PolicyHash answer OpPolicyVersion and acknowledge
-	// OpPolicyInstall with the stamp the engine now runs.
-	PolicyVersion uint64 `json:"policy_version,omitempty"`
-	PolicyHash    string `json:"policy_hash,omitempty"`
 	// Catalog for OpCatalog.
 	Catalog []CatalogEntry `json:"catalog,omitempty"`
 	// Record is the resealed wire record for OpReseal.
 	Record []byte `json:"record,omitempty"`
-	// CorID echoes the affected cor (register/generate/derive).
-	CorID string `json:"cor_id,omitempty"`
 	// Audit entries for OpAudit.
 	Audit []AuditEntry `json:"audit,omitempty"`
 	// Owner names the member that owns the device's shard: the answer to
 	// OpWhoOwns, and the redirect hint on a not-owner refusal — the client
 	// resends the identical request (same ReqID) to that member.
 	Owner string `json:"owner,omitempty"`
-	// Shard is the marshaled node.ShardExport answering OpHandoffExport.
-	Shard json.RawMessage `json:"shard,omitempty"`
 	// ErrorCode is the stable numeric form (node.Code) of a failure that is
 	// not a policy denial; 0 when there is none. Clients map it back onto
 	// the node sentinels, so errors.Is works across the wire.

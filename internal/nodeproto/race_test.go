@@ -11,11 +11,12 @@ import (
 )
 
 // TestConcurrentMixedOpsRace hammers one server with 8 concurrent clients
-// doing mixed register/bind/catalog/reseal/audit traffic while the main
-// goroutine revokes and restores a device mid-run. Run under -race this
-// exercises every server lock (policy RWMutex, sharded audit, cor store,
-// pipelined conn handling); afterwards it asserts the audit log lost
-// nothing: one entry per reseal attempt and a gap-free monotonic Seq.
+// doing mixed catalog/reseal/audit traffic while each worker registers and
+// binds a cor in process and the main goroutine revokes and restores a
+// device mid-run. Run under -race this exercises every server lock (policy
+// RWMutex, sharded audit, cor store and its catalog cache, pipelined conn
+// handling); afterwards it asserts the audit log lost nothing: one entry
+// per reseal attempt and a gap-free monotonic Seq.
 func TestConcurrentMixedOpsRace(t *testing.T) {
 	srv := NewServer()
 	state, err := PrepareThroughputServer(srv)
@@ -57,11 +58,11 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 			c := DialReconnect(addr, 5*time.Second, ReconnectConfig{Heartbeat: -1})
 			defer c.Close()
 			corID := fmt.Sprintf("race-cor-%d", w)
-			if err := c.Register(corID, "secret-race", "race cor", "bench.example"); err != nil {
+			if _, err := srv.Svc.RegisterCor(context.Background(), corID, "secret-race", "race cor", "bench.example"); err != nil {
 				report(err)
 				return
 			}
-			if err := c.Bind(corID, "race-app"); err != nil {
+			if err := srv.Svc.BindApp(corID, "race-app"); err != nil {
 				report(err)
 				return
 			}
@@ -97,13 +98,11 @@ func TestConcurrentMixedOpsRace(t *testing.T) {
 
 	// Mid-run: revoke one shared device, let denials accumulate, restore.
 	<-halfway
-	admin := DialReconnect(addr, 5*time.Second, ReconnectConfig{Heartbeat: -1})
-	defer admin.Close()
-	if err := admin.Revoke("race-dev-1"); err != nil {
+	if err := srv.Svc.Revoke("race-dev-1"); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
-	if err := admin.Restore("race-dev-1"); err != nil {
+	if err := srv.Svc.Restore("race-dev-1"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -278,7 +278,7 @@ func (rc *ReconnectClient) probe() {
 // ReqID makes the server deduplicate the replay. Caller cancellation and
 // node-level answers (denials, bad requests) are returned immediately.
 func (rc *ReconnectClient) do(ctx context.Context, req *Request) (*Response, error) {
-	if mutating(req.Op) && req.ReqID == "" {
+	if deviceKeyed(req.Op) && req.ReqID == "" {
 		req.ReqID = fmt.Sprintf("%s-%s-%d", rc.cfg.ClientID, rc.idNonce, rc.reqSeq.Add(1))
 	}
 	var lastErr error
@@ -350,10 +350,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // Do runs one raw request through the reconnect/retry/breaker machinery.
-// If the request is mutating and carries no ReqID, one is minted onto it —
-// and stays on the caller's Request, so resending the same Request to a
-// different member (a fleet redirect after a not-owner refusal or a crash)
-// dedups in the shard's replay window instead of double-executing.
+// If the request is device-keyed and carries no ReqID, one is minted onto
+// it — and stays on the caller's Request, so resending the same Request to
+// a different member (a fleet redirect after a not-owner refusal or a
+// crash) dedups in the shard's replay window instead of double-executing.
 func (rc *ReconnectClient) Do(ctx context.Context, req *Request) (*Response, error) {
 	return rc.do(ctx, req)
 }
@@ -364,23 +364,6 @@ func (rc *ReconnectClient) Ping() error { return rc.PingContext(context.Backgrou
 // PingContext checks liveness, honoring ctx cancellation/deadline.
 func (rc *ReconnectClient) PingContext(ctx context.Context) error {
 	_, err := rc.do(ctx, &Request{Op: OpPing})
-	return err
-}
-
-// Register initializes a cor (run from a safe environment, §2.3).
-func (rc *ReconnectClient) Register(id, plaintext, description string, whitelist ...string) error {
-	return rc.RegisterContext(context.Background(), id, plaintext, description, whitelist...)
-}
-
-// RegisterContext is Register with a caller-supplied context.
-func (rc *ReconnectClient) RegisterContext(ctx context.Context, id, plaintext, description string, whitelist ...string) error {
-	_, err := rc.do(ctx, &Request{Op: OpRegister, CorID: id, Plaintext: plaintext, Description: description, Whitelist: whitelist})
-	return err
-}
-
-// Generate mints a fresh random cor of length n on the node.
-func (rc *ReconnectClient) Generate(id, description string, n int, whitelist ...string) error {
-	_, err := rc.do(context.Background(), &Request{Op: OpGenerate, CorID: id, Description: description, Length: n, Whitelist: whitelist})
 	return err
 }
 
@@ -396,30 +379,6 @@ func (rc *ReconnectClient) CatalogContext(ctx context.Context) ([]CatalogEntry, 
 		return nil, err
 	}
 	return resp.Catalog, nil
-}
-
-// Bind restricts a cor to an app hash.
-func (rc *ReconnectClient) Bind(corID, appHash string) error {
-	_, err := rc.do(context.Background(), &Request{Op: OpBind, CorID: corID, AppHash: appHash})
-	return err
-}
-
-// Revoke cuts off a device.
-func (rc *ReconnectClient) Revoke(deviceID string) error {
-	_, err := rc.do(context.Background(), &Request{Op: OpRevoke, DeviceID: deviceID})
-	return err
-}
-
-// Restore re-enables a device.
-func (rc *ReconnectClient) Restore(deviceID string) error {
-	_, err := rc.do(context.Background(), &Request{Op: OpRestore, DeviceID: deviceID})
-	return err
-}
-
-// Derive registers a node-computed derivation of an existing cor.
-func (rc *ReconnectClient) Derive(parentID, newID, derivation string) error {
-	_, err := rc.do(context.Background(), &Request{Op: OpDerive, ParentID: parentID, CorID: newID, Description: derivation})
-	return err
 }
 
 // Reseal performs payload replacement under a fault-tolerant channel.

@@ -1,12 +1,14 @@
 package nodeproto
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tinman/internal/audit"
 	"tinman/internal/fault"
 	"tinman/internal/node"
 )
@@ -51,27 +53,36 @@ func waitFor(t *testing.T, msg string, cond func() bool) {
 // same ReqID replays the recorded response instead of re-executing, while
 // a fresh ReqID executes for real.
 func TestRequestIDDedup(t *testing.T) {
-	c, _ := testServer(t)
-	req := &Request{Op: OpRegister, ReqID: "dup-1", CorID: "cc", Plaintext: "4111", Description: "card"}
-	if _, err := c.Do(t.Context(), req); err != nil {
-		t.Fatal(err)
-	}
-	// The replay must return the original's success, not a duplicate-cor
-	// error: the server recognizes the ID and does not re-execute.
-	if _, err := c.Do(t.Context(), req); err != nil {
-		t.Fatalf("replayed request re-executed: %v", err)
-	}
-	cat, err := c.Catalog()
+	c, s := testServer(t)
+	state, err := PrepareThroughputServer(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cat) != 1 {
-		t.Fatalf("catalog has %d cors after replay, want 1", len(cat))
+	reseal := func(reqID string) *Request {
+		return &Request{Op: OpReseal, ReqID: reqID, CorID: benchCor, State: state,
+			AppHash: "bench-app", DeviceID: "dev1", Domain: "bench.example"}
 	}
-	// Same operation under a fresh ID is a genuine duplicate registration.
-	fresh := &Request{Op: OpRegister, ReqID: "dup-2", CorID: "cc", Plaintext: "4111", Description: "card"}
-	if _, err := c.Do(t.Context(), fresh); err == nil {
-		t.Fatal("fresh ReqID should have re-executed and failed as a duplicate cor")
+	audited := func() int { return len(s.Svc.Audit.Find(audit.Query{DeviceID: "dev1"})) }
+	first, err := c.Do(t.Context(), reseal("dup-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replay answers from the record: the original's sealed bytes, and
+	// no second audit entry.
+	again, err := c.Do(t.Context(), reseal("dup-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Record, first.Record) || audited() != 1 {
+		t.Fatalf("replayed request re-executed: %d audit entries, record equal %v",
+			audited(), bytes.Equal(again.Record, first.Record))
+	}
+	// Same operation under a fresh ID is a genuine second reseal.
+	if _, err := c.Do(t.Context(), reseal("dup-2")); err != nil {
+		t.Fatal(err)
+	}
+	if audited() != 2 {
+		t.Fatalf("fresh ReqID did not execute: %d audit entries, want 2", audited())
 	}
 }
 
@@ -87,8 +98,8 @@ func TestReqIDsUniqueAcrossClientInstances(t *testing.T) {
 			ClientID: "galaxy-nexus-1", Heartbeat: -1,
 		})
 		defer rc.Close()
-		req := &Request{Op: OpRegister, CorID: "pw-" + t.Name(), Plaintext: "secret12", Description: "d"}
-		rc.do(t.Context(), req) // second instance fails (duplicate cor); the minted ID is the point
+		req := &Request{Op: OpReseal, DeviceID: "galaxy-nexus-1", CorID: "pw-" + t.Name()}
+		rc.do(t.Context(), req) // fails (unknown cor); the minted ID is the point
 		return req.ReqID
 	}
 	first, second := mint(), mint()
@@ -105,6 +116,9 @@ func TestReqIDsUniqueAcrossClientInstances(t *testing.T) {
 // client must carry a request across the gap without manual intervention.
 func TestReconnectAcrossServerRestart(t *testing.T) {
 	svc := node.New(node.Options{})
+	if _, err := svc.RegisterCor(t.Context(), "bank-pw", "hunter2!", "bank password"); err != nil {
+		t.Fatal(err)
+	}
 	s1, addr1 := startServer(t, svc, 100*time.Millisecond)
 
 	var addr atomic.Value
@@ -117,7 +131,7 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	})
 	defer rc.Close()
 
-	if err := rc.Register("bank-pw", "hunter2!", "bank password"); err != nil {
+	if _, err := rc.Catalog(); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Reconnects() != 1 {
@@ -143,10 +157,6 @@ func TestReconnectAcrossServerRestart(t *testing.T) {
 	}
 	if rc.BreakerState() != fault.BreakerClosed {
 		t.Fatalf("breaker %s after successful recovery, want closed", rc.BreakerState())
-	}
-	// The vault survived (same service): a re-register is a duplicate.
-	if err := rc.Register("bank-pw", "x", ""); err == nil {
-		t.Fatal("duplicate register accepted after restart")
 	}
 }
 

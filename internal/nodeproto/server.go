@@ -60,12 +60,6 @@ type Server struct {
 	selfID    string
 	placement Placement
 
-	// ctl is installed by SetControlPlane when this server fronts a fleet:
-	// control-plane mutations (revoke/restore, policy installs, class
-	// changes) fan out to every member instead of mutating only the local
-	// service. Nil (standalone node) applies them locally.
-	ctl ControlPlane
-
 	mu       sync.Mutex
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -106,29 +100,24 @@ func (s *Server) SetObs(tr *obs.Tracer, m *obs.Metrics) {
 		requests: make(map[Op]*obs.Counter),
 		latency:  make(map[Op]*obs.Histogram),
 	}
-	for _, op := range []Op{OpRegister, OpGenerate, OpCatalog, OpBind, OpRevoke,
-		OpRestore, OpReseal, OpDerive, OpAudit, OpPing,
-		OpWhoOwns, OpHandoffExport, OpHandoffImport, OpDSMWarmup,
-		OpInstall, OpOffload, OpInject,
-		OpPolicyInstall, OpPolicyVersion, OpSetClass} {
+	for _, op := range []Op{OpPing, OpCatalog, OpAudit, OpWhoOwns, OpDSMWarmup,
+		OpReseal, OpInstall, OpOffload, OpInject} {
 		sm.requests[op] = m.Counter(fmt.Sprintf(`tinman_node_requests_total{op=%q}`, op))
 		sm.latency[op] = m.Histogram(fmt.Sprintf(`tinman_node_request_seconds{op=%q}`, op))
 	}
 	s.sm = sm
 }
 
-// Placement answers which fleet member owns a device's shard right now.
+// Placement resolves which fleet member owns a device's shard right now.
 // fleet.Fleet satisfies it; a wire deployment shares one Placement across
 // its member servers.
 type Placement interface {
+	// Owner answers who_owns without assigning anything.
 	Owner(deviceID string) (string, error)
-}
-
-// placementAccepter is the richer gate fleet.Fleet also implements: Accept
-// resolves ownership with assignment semantics (failover bookkeeping, audit
-// watermark floor on the new owner's shard), which a read-only Owner lookup
-// cannot do. The server prefers it when available.
-type placementAccepter interface {
+	// Accept gates a device-keyed request arriving at member selfID with
+	// assignment semantics (failover bookkeeping, audit watermark floor on
+	// the new owner's shard): accept reports that selfID owns the device,
+	// and owner names the member to redirect to otherwise.
 	Accept(deviceID, selfID string) (accept bool, owner string, err error)
 }
 
@@ -141,21 +130,11 @@ func (s *Server) SetPlacement(selfID string, p Placement) {
 	s.placement = p
 }
 
-// ControlPlane propagates control-plane mutations fleet-wide: a revocation
-// or policy install arriving at any member must take effect on all of them.
-// fleet.Fleet satisfies it.
-type ControlPlane interface {
-	InstallPolicy(ctx context.Context, snap *policy.Snapshot) (policy.Stamp, error)
-	Revoke(deviceID string) error
-	Restore(deviceID string) error
-	SetCorClass(ctx context.Context, corID string, class cor.Class) error
-}
-
-// SetControlPlane routes OpRevoke/OpRestore/OpPolicyInstall/OpSetClass
-// through cp instead of the local service. Call before Serve.
-func (s *Server) SetControlPlane(cp ControlPlane) {
-	s.ctl = cp
-}
+// SetControlPlane does nothing. The device protocol carries no policy,
+// revocation or class operations to route: fleet-wide pushes go through
+// fleet.Fleet in process or the token-gated admin plane (internal/ctl).
+// It is kept only so existing callers still compile.
+func (s *Server) SetControlPlane(any) {}
 
 // NewServer assembles a trusted-node server over a fresh service (with the
 // default seeded malware DB).
@@ -383,28 +362,19 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// mutating reports whether an op has side effects that must not run twice
-// when a client replays it: registrations and derived-ID minting, policy
-// changes, installs, offloads, injections and reseals (which append audit
-// entries and consume rate-limit budget). Ping and the catalog/audit reads
-// are naturally idempotent, so replaying them fresh is cheaper than
-// caching their (large) responses. Warm-up chunks skip the window too: the
-// dsm epoch protocol already makes duplicates and reorderings safe (a
-// stale chunk drops the warm state and the offload falls back cold), and
-// caching megabyte chunks would bloat the replay window for no correctness
-// gain.
-func mutating(op Op) bool {
-	switch op {
-	case OpPing, OpCatalog, OpAudit, OpWhoOwns, OpDSMWarmup, OpPolicyVersion:
-		return false
-	}
-	return true
-}
-
-// deviceKeyed reports whether an op acts on one device's shard. Such ops
-// pass the fleet ownership gate and dedup in the shard's own replay window,
-// which is exported with the shard, so at-most-once survives a drain: the
-// replayed ID answers from the record on the new owner.
+// deviceKeyed reports whether an op acts on one device's shard: reseals,
+// installs, offloads and injections, the ops with side effects that must
+// not run twice when a client replays them (audit entries, rate-limit
+// budget, derived-ID mints, armed flows). Such ops require a device ID,
+// pass the fleet ownership gate and, tagged with a ReqID, run at most once
+// in the shard's own replay window, which is exported with the shard, so
+// at-most-once survives a drain: the replayed ID answers from the record
+// on the new owner. Ping, who_owns and the catalog/audit reads are
+// naturally idempotent, so replaying them fresh is cheaper than caching
+// their (large) responses. Warm-up chunks skip the window too: the dsm
+// epoch protocol already makes duplicates and reorderings safe (a stale
+// chunk drops the warm state and the offload falls back cold), and caching
+// megabyte chunks would bloat the window for no correctness gain.
 func deviceKeyed(op Op) bool {
 	switch op {
 	case OpReseal, OpInstall, OpOffload, OpInject:
@@ -414,12 +384,12 @@ func deviceKeyed(op Op) bool {
 }
 
 // Dispatch serves one decoded request and stamps its Seq on the response.
-// A mutating op tagged with a ReqID runs at most once: device-keyed ops in
-// the device shard's replay window, the rest in the service-wide one.
-// replayed reports that the response is the recorded result of an earlier
-// execution rather than a fresh one. The stored response is copied before
-// Seq is stamped: two replays of one ID may race on different connections,
-// and each needs its own Seq.
+// A device-keyed op without a device ID is refused as a bad request; one
+// tagged with a ReqID runs at most once, in the device shard's replay
+// window. replayed reports that the response is the recorded result of an
+// earlier execution rather than a fresh one. The stored response is copied
+// before Seq is stamped: two replays of one ID may race on different
+// connections, and each needs its own Seq.
 //
 // Dispatch is also the server's single instrumentation point: every request
 // (including the read-loop fast path) becomes a node_op span — joined to
@@ -438,20 +408,20 @@ func (s *Server) Dispatch(ctx context.Context, req *Request) (resp *Response, re
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
 
-	if r := s.ownershipGate(req); r != nil {
+	keyed := deviceKeyed(req.Op)
+	if keyed && req.DeviceID == "" {
+		// No shard is keyed "": refused before the gate and the window.
+		resp = fail("%s requires device_id", req.Op)
+	} else if r := s.ownershipGate(req); r != nil {
 		// Refused before the replay window sees it: a not-owner answer must
 		// not be recorded under the ReqID, or the redirected retry's result
 		// could never land in a window that moves with the shard.
 		resp = r
-	} else if req.ReqID == "" || !mutating(req.Op) {
+	} else if req.ReqID == "" || !keyed {
 		resp = s.handle(ctx, req)
 	} else {
-		window := ""
-		if deviceKeyed(req.Op) {
-			window = req.DeviceID
-		}
 		var v any
-		v, replayed = s.Svc.ReplayDo(window, req.ReqID, func() any {
+		v, replayed = s.Svc.ReplayDo(req.DeviceID, req.ReqID, func() any {
 			// Detach from the connection's lifetime: if this conn dies
 			// mid-execution, the real outcome is still recorded, so the
 			// client's replay on a fresh conn gets it instead of a cached
@@ -494,40 +464,26 @@ func (s *Server) Dispatch(ctx context.Context, req *Request) (resp *Response, re
 	return resp, replayed
 }
 
-// ownershipGate refuses device-keyed data-path requests for devices whose
-// shard lives on another fleet member, naming that member in the refusal so
-// the client can follow the redirect with the identical request. Admin ops
-// (revoke, bind…) are replicated fleet-wide and pass; handoff ops target a
-// specific member by design and pass; a standalone server (no placement)
-// gates nothing.
+// ownershipGate refuses device-keyed requests for devices whose shard
+// lives on another fleet member, naming that member in the refusal so the
+// client can follow the redirect with the identical request. A standalone
+// server (no placement) gates nothing.
 func (s *Server) ownershipGate(req *Request) *Response {
-	if s.placement == nil || !deviceKeyed(req.Op) || req.DeviceID == "" {
+	if s.placement == nil || !deviceKeyed(req.Op) {
 		return nil
 	}
-	var (
-		owner string
-		err   error
-	)
-	if acc, ok := s.placement.(placementAccepter); ok {
-		var accept bool
-		accept, owner, err = acc.Accept(req.DeviceID, s.selfID)
-		if err == nil && accept {
-			return nil
-		}
-	} else {
-		owner, err = s.placement.Owner(req.DeviceID)
-	}
+	accept, owner, err := s.placement.Accept(req.DeviceID, s.selfID)
 	if err != nil {
 		return errResponse(err)
 	}
-	if owner != s.selfID {
-		return &Response{
-			OK:    false,
-			Error: fmt.Sprintf("%v: device %s is owned by %s", node.ErrNotOwner, req.DeviceID, owner),
-			Owner: owner,
-		}
+	if accept {
+		return nil
 	}
-	return nil
+	return &Response{
+		OK:    false,
+		Error: fmt.Sprintf("%v: device %s is owned by %s", node.ErrNotOwner, req.DeviceID, owner),
+		Owner: owner,
+	}
 }
 
 // handle dispatches one request into the service.
@@ -535,71 +491,8 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		return &Response{OK: true}
-	case OpRegister:
-		rec, err := s.Svc.RegisterCor(ctx, req.CorID, req.Plaintext, req.Description, req.Whitelist...)
-		if err != nil {
-			return errResponse(err)
-		}
-		if err := s.applyClass(ctx, rec.ID, req.Class); err != nil {
-			return errResponse(err)
-		}
-		s.logf("tinman-node: registered cor %s (%d bytes)", rec.ID, len(rec.Plaintext))
-		return &Response{OK: true, CorID: rec.ID}
-	case OpGenerate:
-		if req.Length <= 0 {
-			return fail("generate requires a positive length")
-		}
-		rec, err := s.Svc.GenerateCor(ctx, req.CorID, req.Description, req.Length, req.Whitelist...)
-		if err != nil {
-			return errResponse(err)
-		}
-		if err := s.applyClass(ctx, rec.ID, req.Class); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, CorID: rec.ID}
 	case OpCatalog:
 		return s.handleCatalog(ctx)
-	case OpBind:
-		if req.CorID == "" || req.AppHash == "" {
-			return fail("bind requires cor_id and app_hash")
-		}
-		if err := s.Svc.BindApp(req.CorID, req.AppHash); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, CorID: req.CorID}
-	case OpRevoke:
-		if req.DeviceID == "" {
-			return fail("revoke requires device_id")
-		}
-		revoke := s.Svc.Revoke
-		if s.ctl != nil {
-			revoke = s.ctl.Revoke
-		}
-		if err := revoke(req.DeviceID); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true}
-	case OpRestore:
-		if req.DeviceID == "" {
-			return fail("restore requires device_id")
-		}
-		restore := s.Svc.Restore
-		if s.ctl != nil {
-			restore = s.ctl.Restore
-		}
-		if err := restore(req.DeviceID); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true}
-	case OpDerive:
-		if req.ParentID == "" || req.CorID == "" {
-			return fail("derive requires parent_id and cor_id")
-		}
-		rec, err := s.Svc.DeriveNamed(ctx, req.ParentID, req.CorID, req.Description)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, CorID: rec.ID}
 	case OpReseal:
 		rec, err := s.Svc.Reseal(ctx, node.ResealRequest{
 			CorID: req.CorID, AppHash: req.AppHash, DeviceID: req.DeviceID,
@@ -640,31 +533,6 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{OK: true, Owner: owner}
-	case OpHandoffExport:
-		if req.DeviceID == "" {
-			return fail("handoff_export requires device_id")
-		}
-		exp, err := s.Svc.DetachShard(req.DeviceID)
-		if err != nil {
-			return errResponse(err)
-		}
-		raw, err := exp.Encode()
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, Shard: raw}
-	case OpHandoffImport:
-		if len(req.Shard) == 0 {
-			return fail("handoff_import requires shard")
-		}
-		exp, err := node.DecodeShardExport(req.Shard)
-		if err != nil {
-			return errResponse(err)
-		}
-		if err := s.Svc.ImportShard(ctx, exp); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true}
 	case OpDSMWarmup:
 		if req.DeviceID == "" || req.App == "" || len(req.Body) == 0 {
 			return fail("dsm_warmup requires device_id, app and a chunk body")
@@ -713,42 +581,6 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 			return errResponse(err)
 		}
 		return &Response{OK: true}
-	case OpPolicyInstall:
-		if len(req.Policy) == 0 {
-			return fail("policy_install requires policy")
-		}
-		snap := new(policy.Snapshot)
-		if err := json.Unmarshal(req.Policy, snap); err != nil {
-			return fail("policy_install: undecodable snapshot: %v", err)
-		}
-		install := s.Svc.InstallPolicy
-		if s.ctl != nil {
-			install = s.ctl.InstallPolicy
-		}
-		stamp, err := install(ctx, snap)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, PolicyVersion: stamp.Version, PolicyHash: stamp.Hash}
-	case OpPolicyVersion:
-		stamp := s.Svc.Policy.Stamp()
-		return &Response{OK: true, PolicyVersion: stamp.Version, PolicyHash: stamp.Hash}
-	case OpSetClass:
-		if req.CorID == "" {
-			return fail("set_class requires cor_id")
-		}
-		class, err := cor.ParseClass(req.Class)
-		if err != nil {
-			return errResponse(err)
-		}
-		setClass := s.Svc.SetCorClass
-		if s.ctl != nil {
-			setClass = s.ctl.SetCorClass
-		}
-		if err := setClass(ctx, req.CorID, class); err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, CorID: req.CorID}
 	default:
 		return fail("unknown op %q", string(req.Op))
 	}
@@ -757,21 +589,6 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 // fail answers a malformed request.
 func fail(format string, args ...any) *Response {
 	return &Response{OK: false, Error: fmt.Sprintf(format, args...), ErrorCode: node.Code(node.ErrBadRequest)}
-}
-
-// applyClass tags a freshly registered cor with the request's sensitivity
-// class. Registration through the wire server is local to this member, so
-// the class stays local too (fleet replication of registrations happens at
-// the fleet layer, which carries the class with it).
-func (s *Server) applyClass(ctx context.Context, corID, class string) error {
-	if class == "" {
-		return nil
-	}
-	c, err := cor.ParseClass(class)
-	if err != nil {
-		return err
-	}
-	return s.Svc.SetCorClass(ctx, corID, c)
 }
 
 // errResponse converts a service error into the wire envelope: policy

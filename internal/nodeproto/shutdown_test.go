@@ -169,10 +169,10 @@ func TestStrayResponsesDiscarded(t *testing.T) {
 		seqs = append(seqs, req.Seq)
 	}
 	for _, resp := range []*Response{
-		{OK: true, Seq: 0, CorID: "stray-seq-0"},
-		{OK: true, Seq: seqs[0] + seqs[1] + 100, CorID: "stray-unknown-seq"},
-		{OK: true, Seq: seqs[1], CorID: fmt.Sprint(seqs[1])},
-		{OK: true, Seq: seqs[0], CorID: fmt.Sprint(seqs[0])},
+		{OK: true, Seq: 0, Owner: "stray-seq-0"},
+		{OK: true, Seq: seqs[0] + seqs[1] + 100, Owner: "stray-unknown-seq"},
+		{OK: true, Seq: seqs[1], Owner: fmt.Sprint(seqs[1])},
+		{OK: true, Seq: seqs[0], Owner: fmt.Sprint(seqs[0])},
 	} {
 		if err := WriteMessage(srv, resp); err != nil {
 			t.Fatal(err)
@@ -184,8 +184,8 @@ func TestStrayResponsesDiscarded(t *testing.T) {
 			if a.err != nil {
 				t.Fatalf("request %d: %v", a.seq, a.err)
 			}
-			if want := fmt.Sprint(a.seq); a.resp.CorID != want {
-				t.Fatalf("request %d resolved by response %q, want its own (%q)", a.seq, a.resp.CorID, want)
+			if want := fmt.Sprint(a.seq); a.resp.Owner != want {
+				t.Fatalf("request %d resolved by response %q, want its own (%q)", a.seq, a.resp.Owner, want)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("pending request never resolved")
