@@ -98,16 +98,19 @@ check:
 # `go test -run X` passes when X matches nothing, so a renamed or deleted
 # test would drop out of its gate silently. Every -run filter in this
 # Makefile must select at least one test, fuzz target or example (per
-# `go test -list`) in each package its line names. A -run beside -bench
-# deselects tests on purpose and is skipped.
+# `go test -list`) in each package its line names, and every -bench filter
+# at least one benchmark. A -run beside -bench deselects tests on purpose;
+# such a line is checked by its -bench filter.
 run-filters:
-	@awk '/^\t\$$\(GO\) test .*-run / && !/-bench/ { \
-		for (i = 1; i <= NF; i++) if ($$i == "-run") { f = $$(i + 1); gsub("\047", "", f) } \
-		for (i = 1; i <= NF; i++) if ($$i ~ /^\.\//) print f, $$i \
-	}' Makefile | while read -r filter pkg; do \
+	@awk '/^\t\$$\(GO\) test .*-(run|bench) / { \
+		flag = "-run"; kind = "Test|Fuzz|Example"; \
+		if ($$0 ~ / -bench /) { flag = "-bench"; kind = "Benchmark" } \
+		for (i = 1; i <= NF; i++) if ($$i == flag) { f = $$(i + 1); gsub("\047", "", f) } \
+		for (i = 1; i <= NF; i++) if ($$i ~ /^\.\//) print kind, f, $$i \
+	}' Makefile | while read -r kind filter pkg; do \
 		list="$$($(GO) test -list "$$filter" "$$pkg")" || exit 1; \
-		if ! printf '%s\n' "$$list" | grep -qE '^(Test|Fuzz|Example)'; then \
-			echo "-run '$$filter' selects no test in $$pkg"; exit 1; \
+		if ! printf '%s\n' "$$list" | grep -qE "^($$kind)"; then \
+			echo "filter '$$filter' selects no $$kind in $$pkg"; exit 1; \
 		fi; \
 	done
 
@@ -128,7 +131,7 @@ race:
 # coverage tests.
 differential:
 	$(GO) test -count=1 -run 'TestDifferential' ./internal/bench/
-	$(GO) test -count=1 -run 'TestTaintflow|TestFastPath' ./internal/vm/
+	$(GO) test -count=1 -run 'TestTaintflow|TestFastPath|TestFastPush|TestLeaf' ./internal/vm/
 
 # Observability gate: one fully traced Wi-Fi login must attribute >= 90% of
 # its wall time with valid JSON-lines/Chrome exports and no cor plaintext;
@@ -179,9 +182,11 @@ guardrail:
 
 # One iteration of every benchmark in the tree: catches benchmarks that
 # stopped compiling or panic, without pretending to measure anything (see
-# EXPERIMENTS.md for real measurement recipes).
+# EXPERIMENTS.md for real measurement recipes). The interpreter's call-path
+# benchmarks are named again so run-filters catches a rename.
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
+	$(GO) test -run NONE -bench 'BenchmarkLeafInvoke|BenchmarkFramedInvoke' -benchtime 1x ./internal/vm/
 
 # Machine-readable Caffeinemark run appended to BENCH_vm.json: per-kernel
 # ns/op and allocs/op under every tainting policy plus the unlinked

@@ -37,7 +37,9 @@
 // The optional cors file registers records at boot, the one-time
 // safe-environment setup of §2.3 (cmd/tinman-device/cors.json is the
 // demo's). It is how cors reach a tinman-node; -store keeps them across
-// restarts, and records it already recovered are skipped:
+// restarts. For a record the store already recovered, the file's added
+// bind hashes and a changed class are applied, and a changed plaintext or
+// whitelist stops the boot:
 //
 //	[
 //	  {"id": "bank-pw", "plaintext": "hunter2!", "description": "bank",
@@ -55,6 +57,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"tinman/internal/cor"
@@ -228,10 +232,12 @@ func loadCors(srv *nodeproto.Server, path string) error {
 		return fmt.Errorf("parsing %s: %v", path, err)
 	}
 	for _, sp := range specs {
-		// Skip records a durable store already recovered, so a -cors file
-		// stays usable across restarts.
-		if srv.Svc.Cors.Get(sp.ID) != nil {
-			log.Printf("tinman-node: cor %s already recovered, skipping", sp.ID)
+		// A record the durable store already recovered is reconciled with
+		// its entry, so a -cors file stays usable across restarts.
+		if rec := srv.Svc.Cors.Get(sp.ID); rec != nil {
+			if err := reconcileCor(srv.Svc, rec, sp); err != nil {
+				return err
+			}
 			continue
 		}
 		// Registration goes through the Service so an attached store logs it.
@@ -256,4 +262,56 @@ func loadCors(srv *nodeproto.Server, path string) error {
 		log.Printf("tinman-node: pre-registered cor %s", rec.ID)
 	}
 	return nil
+}
+
+// reconcileCor applies a -cors entry to a cor the store recovered. Bind
+// hashes the recovered policy lacks are bound, and a class the entry names
+// that differs from the recovered one is set; both are durable Service
+// calls. A differing plaintext or whitelist stops the boot: changing either
+// means registering a new cor, not editing this one.
+func reconcileCor(svc *node.Service, rec *cor.Record, sp corSpec) error {
+	if sp.Plaintext != rec.Plaintext {
+		return fmt.Errorf("cor %s: plaintext differs from the recovered record", sp.ID)
+	}
+	if !sameDomains(sp.Whitelist, rec.Whitelist) {
+		return fmt.Errorf("cor %s: whitelist %v differs from the recovered %v", sp.ID, sp.Whitelist, rec.Whitelist)
+	}
+	var changes []string
+	if sp.Class != "" {
+		class, err := cor.ParseClass(sp.Class)
+		if err != nil {
+			return fmt.Errorf("cor %s: %v", sp.ID, err)
+		}
+		if class != rec.Class {
+			if err := svc.SetCorClass(context.Background(), rec.ID, class); err != nil {
+				return err
+			}
+			changes = append(changes, "class "+sp.Class)
+		}
+	}
+	bound := svc.Policy.Export().Bindings[rec.ID]
+	for _, h := range sp.Bind {
+		if slices.Contains(bound, h) {
+			continue
+		}
+		if err := svc.BindApp(rec.ID, h); err != nil {
+			return err
+		}
+		bound = append(bound, h)
+		changes = append(changes, "bind "+h)
+	}
+	if len(changes) == 0 {
+		log.Printf("tinman-node: cor %s already recovered, unchanged", rec.ID)
+	} else {
+		log.Printf("tinman-node: cor %s already recovered, applied %s", rec.ID, strings.Join(changes, ", "))
+	}
+	return nil
+}
+
+// sameDomains reports whether two whitelists name the same domains.
+func sameDomains(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(slices.Compact(a), slices.Compact(b))
 }

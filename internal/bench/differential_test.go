@@ -246,3 +246,182 @@ func TestDifferentialRepeatedRuns(t *testing.T) {
 		}
 	}
 }
+
+// leafSrc drives the fast loop's frame-free leaf call (vm quicken.go's
+// leafShape): tiny, divc, unread, mixed and pass (which returns a moved
+// argument) are leaves; divr (div by a register) and wide (17 registers,
+// above the cap) are not. Each case runs
+// through main, so the caller is a fast frame; recurse makes the leaf call
+// at the frame limit.
+const leafSrc = `
+class L
+  method tiny 1 5
+    const r1, 3
+    add r2, r0, r1
+    mul r3, r2, r2
+    xor r4, r3, r1
+    return r4
+  end
+  method divc 1 5
+    const r1, 7
+    div r2, r0, r1
+    rem r3, r0, r1
+    const r4, -3
+    div r4, r3, r4
+    add r2, r2, r4
+    return r2
+  end
+  method divr 2 3
+    div r2, r0, r1
+    return r2
+  end
+  method wide 1 17
+    const r16, 5
+    add r1, r0, r16
+    return r1
+  end
+  method unread 1 4
+    add r1, r2, r3
+    add r1, r1, r0
+    return r1
+  end
+  method mixed 2 9
+    move r2, r0
+    neg r3, r1
+    not r4, r2
+    cmp r5, r3, r4
+    and r6, r2, r1
+    or r6, r6, r5
+    shl r7, r6, r1
+    shr r8, r7, r5
+    sub r8, r8, r3
+    return r8
+  end
+  method pass 2 3
+    move r2, r1
+    add r1, r0, r2
+    return r2
+  end
+  method main 2 8
+    const r2, 0
+    const r3, 0
+  loop:
+    ifge r3, r0, done
+    invoke r4, L.tiny, r3
+    add r2, r2, r4
+    invoke r4, L.divc, r3
+    add r2, r2, r4
+    invoke r4, L.wide, r3
+    add r2, r2, r4
+    invoke r4, L.unread, r3
+    add r2, r2, r4
+    invoke r4, L.mixed, r3, r1
+    add r2, r2, r4
+    invoke r4, L.divr, r2, r1
+    add r2, r2, r4
+    invoke r4, L.pass, r3, r2
+    add r2, r2, r4
+    const r5, 1
+    add r3, r3, r5
+    goto loop
+  done:
+    return r2
+  end
+  method recurse 1 4
+    ifz r0, leaf
+    const r1, 1
+    sub r2, r0, r1
+    invoke r3, L.recurse, r2
+    return r3
+  leaf:
+    invoke r3, L.tiny, r0
+    return r3
+  end
+end`
+
+// leafRun runs setup's thread with CollectStats off — the configuration
+// in which the fast loop calls leaves without a frame — resuming after
+// every StopLimit of a quantum-instruction budget (0: no limit), and
+// renders everything the leaf path must preserve: the stop trace (method,
+// pc and depth at each stop), result, error, instruction and call counts
+// and, with hook set, every OnInvoke.
+func leafRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, analyze, hook bool,
+	quantum uint64, setup func(*vm.VM) (*vm.Thread, error)) string {
+	t.Helper()
+	machine := vm.New(vm.Config{
+		Program: prog, Heap: vm.NewHeap(1, 2), Policy: policy,
+		SlowPath: slowPath, NoFastPath: !analyze,
+	})
+	var b strings.Builder
+	if hook {
+		machine.Hooks.OnInvoke = func(m *vm.Method) { fmt.Fprintf(&b, "invoke %s; ", m.Name) }
+	}
+	th, err := setup(machine)
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	th.MaxInstrs = quantum
+	for {
+		stop, err := th.Run()
+		if stop != vm.StopLimit || err != nil {
+			fmt.Fprintf(&b, "stop=%v err=%v result={kind=%d int=%d tag=%v}", stop, err, th.Result.Kind, th.Result.Int, th.Result.Tag)
+			break
+		}
+		top := th.Top()
+		fmt.Fprintf(&b, "limit %s@%d/%d; ", top.Method.Name, top.PC, th.Depth())
+	}
+	fmt.Fprintf(&b, " instrs=%d calls=%d", machine.Instrs, machine.Calls)
+	return b.String()
+}
+
+// TestDifferentialLeafCalls pins the frame-free leaf call to the framed
+// path it replaces: with CollectStats off, the analyzed interpreter must
+// match the linked and the reference interpreters bit for bit under every
+// policy — when the budget ends inside a leaf (it must stop on the same
+// instruction), with OnInvoke set, for callees that are not leaves (div by
+// a register, including by zero; registers above the cap), for a leaf
+// reading registers it never wrote, and for a leaf call at the frame
+// limit (the same stack-overflow error). CollectStats on goes through the
+// three-way harness, counters included.
+func TestDifferentialLeafCalls(t *testing.T) {
+	prog, err := asm.Assemble("leaf", leafSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thread := func(method string, args ...int64) func(*vm.VM) (*vm.Thread, error) {
+		return func(machine *vm.VM) (*vm.Thread, error) {
+			vals := make([]vm.Value, len(args))
+			for i, a := range args {
+				vals[i] = vm.IntVal(a)
+			}
+			return machine.NewThread(machine.Program.Method("L", method), vals...)
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(*vm.VM) (*vm.Thread, error)
+	}{
+		{"main", thread("main", 9, 3)},
+		{"main/div-by-zero", thread("main", 4, 0)},
+		{"recurse/below-limit", thread("recurse", 1022)},
+		{"recurse/at-limit", thread("recurse", 1023)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			diffCompare(t, c.name, prog, false, c.setup)
+			for _, pol := range Fig13Policies {
+				for _, hook := range []bool{false, true} {
+					for _, quantum := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 11, 13} {
+						analyzed := leafRun(t, prog, pol, false, true, hook, quantum, c.setup)
+						linked := leafRun(t, prog, pol, false, false, hook, quantum, c.setup)
+						slow := leafRun(t, prog, pol, true, false, hook, quantum, c.setup)
+						if analyzed != linked || linked != slow {
+							t.Fatalf("%s hook=%v quantum=%d diverges:\n  analyzed: %s\n  linked:   %s\n  slow:     %s",
+								pol.Name(), hook, quantum, analyzed, linked, slow)
+						}
+					}
+				}
+			}
+		})
+	}
+}

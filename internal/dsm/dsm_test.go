@@ -77,7 +77,7 @@ func TestMigrationEncodeDecodeRoundTrip(t *testing.T) {
 			Class: "Bank", Method: "login", PC: 12, RetReg: 3,
 			Regs: []ValueState{
 				{Kind: uint8(vm.KindInt), Int: 99},
-				{Kind: uint8(vm.KindFloat), Float: 2.5},
+				{Kind: uint8(vm.KindFloat), Int: vm.FloatVal(2.5).Int},
 				{Kind: uint8(vm.KindRef), RefID: 41},
 				{Kind: uint8(vm.KindInt), Masked: true, Tag: 1},
 			},
@@ -99,6 +99,9 @@ func TestMigrationEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Frames) != 1 || got.Frames[0].PC != 12 || len(got.Frames[0].Regs) != 4 {
 		t.Fatalf("frames mismatch: %+v", got.Frames)
+	}
+	if f := got.Frames[0].Regs[1]; f.Int != vm.FloatVal(2.5).Int {
+		t.Fatalf("float reg lost: %+v", f)
 	}
 	if !got.Frames[0].Regs[3].Masked || got.Frames[0].Regs[3].Tag != 1 {
 		t.Fatalf("masked reg lost: %+v", got.Frames[0].Regs[3])
@@ -441,13 +444,14 @@ func TestUnknownMethodRejected(t *testing.T) {
 
 func TestUnknownReferenceRejected(t *testing.T) {
 	p := newPair(t, bankSrc)
+	// A well-formed frame of Bank.login (8 registers) whose r0 names an
+	// object the node never saw.
+	regs := make([]ValueState, p.nodeProg.Method("Bank", "login").NRegs)
+	regs[0] = ValueState{Kind: uint8(vm.KindRef), RefID: 9999}
 	m := &Migration{
 		Seq: 1, Reason: vm.StopMigrateTaint,
 		Result: ValueState{Kind: uint8(vm.KindRef)},
-		Frames: []FrameState{{
-			Class: "Bank", Method: "login", PC: 0,
-			Regs: []ValueState{{Kind: uint8(vm.KindRef), RefID: 9999}},
-		}},
+		Frames: []FrameState{{Class: "Bank", Method: "login", PC: 0, Regs: regs}},
 	}
 	if _, err := p.node.ApplyMigration(m); err == nil || !strings.Contains(err.Error(), "unknown object") {
 		t.Fatalf("err = %v", err)

@@ -250,9 +250,9 @@ func (e *Endpoint) CaptureMigration(t *vm.Thread, reason vm.StopReason) (*Migrat
 // stores). Tainted primitives are masked: the datum stays home, only the
 // tag travels.
 func (e *Endpoint) encodeValue(v vm.Value, tag taint.Tag) (ValueState, error) {
-	vs := ValueState{Kind: uint8(v.Kind), Int: v.Int, Float: v.Float, Tag: uint64(tag)}
+	vs := ValueState{Kind: uint8(v.Kind), Int: v.Int, Tag: uint64(tag)}
 	if v.Kind == vm.KindRef {
-		vs.Int, vs.Float = 0, 0
+		vs.Int = 0
 		if v.Ref != nil {
 			vs.RefID = v.Ref.ID
 		}
@@ -264,7 +264,7 @@ func (e *Endpoint) encodeValue(v vm.Value, tag taint.Tag) (ValueState, error) {
 	// clobber the node's authoritative datum.
 	if !tag.Empty() {
 		vs.Masked = true
-		vs.Int, vs.Float = 0, 0
+		vs.Int = 0
 	}
 	return vs, nil
 }
@@ -322,10 +322,31 @@ func (e *Endpoint) encodeObject(o *vm.Object) (ObjectState, error) {
 
 // ApplyMigration merges the peer's heap delta into the local heap and, if
 // the migration carries frames, rebuilds the thread against the local VM.
-// The returned thread is nil for pure state syncs.
+// The returned thread is nil for pure state syncs. A stack the local
+// interpreter could not run (vm.CheckStack) is refused before any heap
+// state is adopted.
 func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 	if err := e.screenMigration(m); err != nil {
 		return nil, err
+	}
+	var th *vm.Thread
+	if len(m.Frames) > 0 {
+		th = &vm.Thread{VM: e.VM, Frames: make([]*vm.Frame, len(m.Frames))}
+		for i := range m.Frames {
+			fs := &m.Frames[i]
+			method := e.VM.Program.Method(fs.Class, fs.Method)
+			if method == nil {
+				return nil, fmt.Errorf("dsm: %s: unknown method %s.%s in migration", e.Side, fs.Class, fs.Method)
+			}
+			f := &vm.Frame{Method: method, PC: fs.PC, RetReg: fs.RetReg, Regs: make([]vm.Value, len(fs.Regs))}
+			if e.VM.Tracking() {
+				f.Tags = make([]taint.Tag, len(fs.Regs))
+			}
+			th.Frames[i] = f
+		}
+		if err := vm.CheckStack(th.Frames); err != nil {
+			return nil, fmt.Errorf("dsm: %s: migrated stack refused: %w", e.Side, err)
+		}
 	}
 	// Pass 1: materialize or update objects so references resolve.
 	for i := range m.Objects {
@@ -343,23 +364,11 @@ func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 	e.VM.Heap.ClearDirty()
 	e.initialSent = true // receiving an initial sync also warms this side
 
-	if len(m.Frames) == 0 {
+	if th == nil {
 		return nil, nil
 	}
-	th := &vm.Thread{VM: e.VM, Frames: make([]*vm.Frame, len(m.Frames))}
 	for i := range m.Frames {
-		fs := &m.Frames[i]
-		method := e.VM.Program.Method(fs.Class, fs.Method)
-		if method == nil {
-			return nil, fmt.Errorf("dsm: %s: unknown method %s.%s in migration", e.Side, fs.Class, fs.Method)
-		}
-		if fs.PC < 0 || fs.PC > len(method.Code) {
-			return nil, fmt.Errorf("dsm: %s: frame pc %d out of range for %s.%s", e.Side, fs.PC, fs.Class, fs.Method)
-		}
-		f := &vm.Frame{Method: method, PC: fs.PC, RetReg: fs.RetReg, Regs: make([]vm.Value, len(fs.Regs))}
-		if e.VM.Tracking() {
-			f.Tags = make([]taint.Tag, len(fs.Regs))
-		}
+		fs, f := &m.Frames[i], th.Frames[i]
 		for j := range fs.Regs {
 			val, err := e.decodeValue(&fs.Regs[j], vm.Value{})
 			if err != nil {
@@ -371,7 +380,6 @@ func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 			}
 			f.Regs[j].Tag = 0 // tags live in the shadow store inside frames
 		}
-		th.Frames[i] = f
 	}
 	return th, nil
 }
@@ -445,7 +453,7 @@ func (e *Endpoint) decodeValue(vs *ValueState, prev vm.Value) (vm.Value, error) 
 		}
 		return prev, nil
 	}
-	v := vm.Value{Kind: vm.Kind(vs.Kind), Int: vs.Int, Float: vs.Float, Tag: taint.Tag(vs.Tag)}
+	v := vm.Value{Kind: vm.Kind(vs.Kind), Int: vs.Int, Tag: taint.Tag(vs.Tag)}
 	if v.Kind == vm.KindRef && vs.RefID != 0 {
 		o := e.VM.Heap.Get(vs.RefID)
 		if o == nil {
@@ -461,6 +469,17 @@ func (e *Endpoint) adoptObject(os *ObjectState) error {
 	class := e.VM.ClassByName(os.Class)
 	if class == nil {
 		return fmt.Errorf("dsm: %s: migration references unknown class %s", e.Side, os.Class)
+	}
+	// ID 0 is the wire's null reference; no object carries it.
+	if os.ID == 0 {
+		return fmt.Errorf("dsm: %s: object of class %s without an ID", e.Side, os.Class)
+	}
+	// Field reads index by the class's slot numbers, so an object must
+	// carry exactly its class's fields (the string and array classes have
+	// none).
+	if len(os.Fields) != len(class.Fields) {
+		return fmt.Errorf("dsm: %s: object #%d of class %s carries %d fields, want %d",
+			e.Side, os.ID, os.Class, len(os.Fields), len(class.Fields))
 	}
 	o := e.VM.Heap.Get(os.ID)
 	if o == nil {
@@ -500,7 +519,9 @@ func (e *Endpoint) fillObject(os *ObjectState) error {
 		}
 	case os.IsArr:
 		if len(o.Elems) != len(os.Elems) {
+			// A reshaped array drops its old shadow tags with its slots.
 			o.Elems = make([]vm.Value, len(os.Elems))
+			o.ElemTags = nil
 		}
 		for i := range os.Elems {
 			prev := o.Elems[i]
@@ -516,6 +537,7 @@ func (e *Endpoint) fillObject(os *ObjectState) error {
 	default:
 		if len(o.Fields) != len(os.Fields) {
 			o.Fields = make([]vm.Value, len(os.Fields))
+			o.FieldTags = nil
 		}
 		for i := range os.Fields {
 			prev := o.Fields[i]

@@ -12,7 +12,6 @@ package dsm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"tinman/internal/obs"
@@ -24,11 +23,12 @@ import (
 const wireVersion = 2
 
 // ValueState is the serialized form of a vm.Value. Masked values carry only
-// their taint: the receiver keeps (or zeroes) the datum locally.
+// their taint: the receiver keeps (or zeroes) the datum locally. Int is the
+// datum as vm.Value holds it, a float as its IEEE-754 bits; on the wire an
+// int is a varint and a float its 8 little-endian bits.
 type ValueState struct {
 	Kind   uint8
 	Int    int64
-	Float  float64
 	RefID  uint64 // 0 = null
 	Tag    uint64
 	Masked bool
@@ -106,15 +106,11 @@ func (m *Migration) ObsFields() []obs.Field {
 
 type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) b(v bool)     { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
-func (e *encoder) u64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) f64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	e.buf = append(e.buf, tmp[:]...)
-}
+func (e *encoder) u8(v uint8)      { e.buf = append(e.buf, v) }
+func (e *encoder) b(v bool)        { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *encoder) u64(v uint64)    { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) i64(v int64)     { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *encoder) bits64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
@@ -131,7 +127,7 @@ func (e *encoder) value(v *ValueState) {
 	case vm.KindInt:
 		e.i64(v.Int)
 	case vm.KindFloat:
-		e.f64(v.Float)
+		e.bits64(uint64(v.Int))
 	case vm.KindRef:
 		e.u64(v.RefID)
 	}
@@ -279,7 +275,7 @@ func (d *decoder) i64() int64 {
 	return v
 }
 
-func (d *decoder) f64() float64 {
+func (d *decoder) bits64() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -287,7 +283,7 @@ func (d *decoder) f64() float64 {
 		d.fail("truncated float at byte %d", d.off)
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
+	v := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
 }
@@ -317,7 +313,7 @@ func (d *decoder) value(v *ValueState) {
 	case vm.KindInt:
 		v.Int = d.i64()
 	case vm.KindFloat:
-		v.Float = d.f64()
+		v.Int = int64(d.bits64())
 	case vm.KindRef:
 		v.RefID = d.u64()
 	}

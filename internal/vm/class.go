@@ -72,6 +72,13 @@ type Method struct {
 	// authoritative.
 	verdict  Verdict
 	fastCode []Instr
+	// leaf marks a fast-eligible method the fast loop calls without a
+	// frame; leafZero lists the registers it reads before writing, and
+	// leafArg is the argument it returns unchanged, or -1 when it returns
+	// an integer it computed (see leafShape in quicken.go).
+	leaf     bool
+	leafZero uint16
+	leafArg  int
 }
 
 // FullName returns "Class.method".

@@ -154,7 +154,7 @@ func TestValueConstructorsAndString(t *testing.T) {
 	if v := IntVal(5); v.Kind != KindInt || v.Int != 5 {
 		t.Fatalf("IntVal = %v", v)
 	}
-	if v := FloatVal(2.5); v.Kind != KindFloat || v.Float != 2.5 {
+	if v := FloatVal(2.5); v.Kind != KindFloat || v.Float() != 2.5 {
 		t.Fatalf("FloatVal = %v", v)
 	}
 	if !NullVal().IsNull() {

@@ -249,7 +249,7 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 			}
 
 		case OpAddF, OpSubF, OpMulF, OpDivF, OpCmpF:
-			b, c := regs[in.B].Float, regs[in.C].Float
+			b, c := regs[in.B].Float(), regs[in.C].Float()
 			var res Value
 			switch in.Op {
 			case OpAddF:
@@ -279,7 +279,7 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 			}
 
 		case OpNegF:
-			regs[in.A] = FloatVal(-regs[in.B].Float)
+			regs[in.A] = FloatVal(-regs[in.B].Float())
 			if s2s {
 				tags[in.A] = tags[in.B]
 			}
@@ -290,7 +290,7 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 				tags[in.A] = tags[in.B]
 			}
 		case OpF2I:
-			regs[in.A] = IntVal(int64(regs[in.B].Float))
+			regs[in.A] = IntVal(int64(regs[in.B].Float()))
 			if s2s {
 				tags[in.A] = tags[in.B]
 			}
@@ -809,10 +809,7 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 				flushed = executed
 				v.Hooks.OnInvoke(m)
 			}
-			nf := t.getFrame(m, tracking)
-			for i, r := range in.Args {
-				nf.Regs[i] = regs[r]
-			}
+			nf := t.getFrame(m, in.Args, regs, tracking)
 			if tracking {
 				for i, r := range in.Args {
 					nf.Tags[i] = tags[r]

@@ -3,6 +3,7 @@ package vm
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,10 @@ import (
 //   - no cor-idle accounting (vm.fastEnabled excludes that configuration),
 //
 // and executes the method's quickened instruction stream (Method.fastCode,
-// see quicken.go) with fused superinstructions for the hottest pairs.
+// see quicken.go) with fused superinstructions for the hottest pairs. A
+// call of a leaf method (leafShape in quicken.go) runs without a frame
+// (runLeaf) when no hook, counter or budget boundary could observe the
+// difference.
 //
 // Taint can enter a running fast frame through exactly four channels, and
 // each carries a guard that deoptimizes the frame to the tracked loop
@@ -77,20 +81,21 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 	regs := f.Regs
 
 	for {
-		if pc < 0 || pc >= len(fcode) {
+		if uint(pc) >= uint(len(fcode)) {
 			return t.failAt(f, pc, executed-flushed, "pc out of range (len=%d)", len(fcode))
 		}
-		if executed >= max {
-			f.PC = pc
-			v.Instrs += executed - flushed
-			v.FastInstrs += executed - flushed
-			return StopLimit, false, executed, nil
-		}
 		in := &fcode[pc]
-		if in.Op >= fConstArith && executed+2 > max {
-			// Not enough budget left for a whole fused pair: single-step
-			// the original instruction at this pc so StopLimit lands on
-			// exactly the same instruction as the tracked loop would.
+		if executed+2 > max {
+			// Fewer than two instructions of budget left: stop, or
+			// single-step the original instruction at this pc so a fused
+			// pair cannot overrun the budget. StopLimit lands on exactly
+			// the same instruction as the tracked loop's.
+			if executed >= max {
+				f.PC = pc
+				v.Instrs += executed - flushed
+				v.FastInstrs += executed - flushed
+				return StopLimit, false, executed, nil
+			}
 			in = &ocode[pc]
 		}
 		executed++
@@ -125,7 +130,37 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				v.Counters.Add(taint.StackToStack)
 			}
 
-		case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpCmp:
+		case OpAdd:
+			regs[in.A] = IntVal(regs[in.B].Int + regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpSub:
+			regs[in.A] = IntVal(regs[in.B].Int - regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpMul:
+			regs[in.A] = IntVal(regs[in.B].Int * regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpAnd:
+			regs[in.A] = IntVal(regs[in.B].Int & regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpOr:
+			regs[in.A] = IntVal(regs[in.B].Int | regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpXor:
+			regs[in.A] = IntVal(regs[in.B].Int ^ regs[in.C].Int)
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+		case OpDiv, OpRem, OpShl, OpShr, OpCmp:
 			b, c := regs[in.B].Int, regs[in.C].Int
 			if (in.Op == OpDiv || in.Op == OpRem) && c == 0 {
 				return t.failAt(f, pc, executed-flushed, "division by zero")
@@ -146,17 +181,17 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 			}
 
 		case OpAddF, OpSubF, OpMulF, OpDivF, OpCmpF:
-			regs[in.A] = floatArith(in.Op, regs[in.B].Float, regs[in.C].Float)
+			regs[in.A] = floatArith(in.Op, regs[in.B].Float(), regs[in.C].Float())
 			if countS2S {
 				v.Counters.Add(taint.StackToStack)
 			}
 
 		case OpNegF:
-			regs[in.A] = FloatVal(-regs[in.B].Float)
+			regs[in.A] = FloatVal(-regs[in.B].Float())
 		case OpI2F:
 			regs[in.A] = FloatVal(float64(regs[in.B].Int))
 		case OpF2I:
-			regs[in.A] = IntVal(int64(regs[in.B].Float))
+			regs[in.A] = IntVal(int64(regs[in.B].Float()))
 
 		case OpIfEq:
 			if regs[in.B].Int == regs[in.C].Int {
@@ -593,6 +628,18 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				return t.failAt(f, pc, executed-flushed, "stack overflow (%d frames)", maxFrames)
 			}
 			v.Calls++
+			if m.leaf && !stats && v.Hooks.OnInvoke == nil && executed+uint64(len(m.Code)) <= max {
+				// Frame-free leaf call (leafShape in quicken.go): the whole
+				// body fits the budget and nothing in it can stop, fault or
+				// observe a frame, so it runs over the scratch window and
+				// its result lands as a framed return's would.
+				executed += uint64(len(m.Code))
+				regs[in.A] = t.runLeaf(m, in.Args, regs)
+				if f.Tags != nil {
+					f.Tags[in.A] = taint.None
+				}
+				break
+			}
 			if v.Hooks.OnInvoke != nil {
 				f.PC = pc
 				v.Instrs += executed - flushed
@@ -600,12 +647,9 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				flushed = executed
 				v.Hooks.OnInvoke(m)
 			}
-			nf := t.getFrame(m, tracking)
-			for i, r := range in.Args {
-				nf.Regs[i] = regs[r]
-			}
 			// Argument shadow tags are all None by the fast invariant, and
-			// getFrame hands out zeroed tag slices — nothing to copy.
+			// getFrame hands out None tags — nothing to copy.
+			nf := t.getFrame(m, in.Args, regs, tracking)
 			nf.RetReg = in.A
 			f.PC = npc
 			t.Frames = append(t.Frames, nf)
@@ -759,6 +803,31 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 
 		// ---- fused superinstructions (quicken.go); each counts as two ----
 
+		case fConstAdd:
+			regs[in.A] = IntVal(in.Imm)
+			regs[in.B] = IntVal(regs[in.C].Int + regs[int(in.Imm3)].Int)
+			executed++
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+			npc = pc + 2
+		case fConstSub:
+			regs[in.A] = IntVal(in.Imm)
+			regs[in.B] = IntVal(regs[in.C].Int - regs[int(in.Imm3)].Int)
+			executed++
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+			npc = pc + 2
+		case fConstMul:
+			regs[in.A] = IntVal(in.Imm)
+			regs[in.B] = IntVal(regs[in.C].Int * regs[int(in.Imm3)].Int)
+			executed++
+			if countS2S {
+				v.Counters.Add(taint.StackToStack)
+			}
+			npc = pc + 2
+
 		case fConstArith:
 			regs[in.A] = IntVal(in.Imm)
 			x, y := regs[in.C].Int, regs[int(in.Imm3)].Int
@@ -778,7 +847,7 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 
 		case fConstFArith:
 			regs[in.A] = FloatVal(in.F)
-			regs[in.B] = floatArith(Op(in.Imm2), regs[in.C].Float, regs[int(in.Imm3)].Float)
+			regs[in.B] = floatArith(Op(in.Imm2), regs[in.C].Float(), regs[int(in.Imm3)].Float())
 			executed++
 			if countS2S {
 				v.Counters.Add(taint.StackToStack)
@@ -854,6 +923,75 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 		}
 
 		pc = npc
+	}
+}
+
+// runLeaf runs a frame-free leaf call of m (leafShape in quicken.go) with
+// the caller registers args as its arguments and returns the value of its
+// return. Every instruction of a leaf reads and writes only the integer
+// datum, so the thread's scratch window holds just that: the arguments'
+// data, and 0 in every register the leaf reads before writing, which is
+// what a fresh frame's int(0) registers would give it. The result is the
+// int computed into the returned register, or, when the leaf returns an
+// argument unchanged (leafArg), that argument's whole Value.
+func (t *Thread) runLeaf(m *Method, args []int, caller []Value) Value {
+	w := &t.leafRegs
+	for i, r := range args {
+		w[i] = caller[r].Int
+	}
+	for z := m.leafZero; z != 0; z &= z - 1 {
+		w[bits.TrailingZeros16(z)] = 0
+	}
+	code := m.fastCode
+	for pc := 0; ; pc++ {
+		in := &code[pc]
+		switch in.Op {
+		case OpConst:
+			w[in.A] = in.Imm
+		case OpMove:
+			w[in.A] = w[in.B]
+		case OpAdd:
+			w[in.A] = w[in.B] + w[in.C]
+		case OpSub:
+			w[in.A] = w[in.B] - w[in.C]
+		case OpMul:
+			w[in.A] = w[in.B] * w[in.C]
+		case OpAnd:
+			w[in.A] = w[in.B] & w[in.C]
+		case OpOr:
+			w[in.A] = w[in.B] | w[in.C]
+		case OpXor:
+			w[in.A] = w[in.B] ^ w[in.C]
+		case OpNeg:
+			w[in.A] = -w[in.B]
+		case OpNot:
+			w[in.A] = ^w[in.B]
+		case fConstAdd:
+			w[in.A] = in.Imm
+			w[in.B] = w[in.C] + w[in.Imm3]
+			pc++
+		case fConstSub:
+			w[in.A] = in.Imm
+			w[in.B] = w[in.C] - w[in.Imm3]
+			pc++
+		case fConstMul:
+			w[in.A] = in.Imm
+			w[in.B] = w[in.C] * w[in.Imm3]
+			pc++
+		case fConstArith:
+			// leafShape admits a div/rem only by a non-zero const.
+			w[in.A] = in.Imm
+			w[in.B] = intArith(Op(in.Imm2), w[in.C], w[in.Imm3])
+			pc++
+		case OpReturn:
+			if k := m.leafArg; k >= 0 {
+				return caller[args[k]]
+			}
+			return IntVal(w[in.B])
+		default:
+			// Shifts, cmp, and div/rem by a non-zero const.
+			w[in.A] = intArith(in.Op, w[in.B], w[in.C])
+		}
 	}
 }
 

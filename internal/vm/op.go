@@ -124,12 +124,18 @@ const (
 	// fAGetBranch fuses `aget rA, rB, rC` + `ifnz/ifz rA, Imm`
 	// (Imm2 = 1 for ifnz, 0 for ifz).
 	fAGetBranch
+	// fConstAdd, fConstSub and fConstMul are fConstArith with the common
+	// second ops given their own opcodes, so the fast loop dispatches once.
+	fConstAdd
+	fConstSub
+	fConstMul
 )
 
 var fusedNames = map[Op]string{
 	fConstArith: "const+arith", fConstFArith: "constf+arithf",
 	fArithGoto: "arith+goto", fConstAPut: "const+aput",
 	fAGetBranch: "aget+branch",
+	fConstAdd:   "const+add", fConstSub: "const+sub", fConstMul: "const+mul",
 }
 
 var opNames = [...]string{

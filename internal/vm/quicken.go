@@ -29,13 +29,23 @@ func quicken(m *Method) []Instr {
 		}
 		a, b := &code[pc], &code[pc+1]
 		switch {
-		// const rK, Imm ; intop rD, rX, rY   →  fConstArith
+		// const rK, Imm ; intop rD, rX, rY   →  fConstAdd/Sub/Mul, or
+		// fConstArith for the other ops
 		case a.Op == OpConst && isIntArith(b.Op):
 			if (b.Op == OpDiv || b.Op == OpRem) && divisorMayBeZero(a, b) {
 				continue
 			}
+			op := fConstArith
+			switch b.Op {
+			case OpAdd:
+				op = fConstAdd
+			case OpSub:
+				op = fConstSub
+			case OpMul:
+				op = fConstMul
+			}
 			code[pc] = Instr{
-				Op: fConstArith, A: a.A, Imm: a.Imm,
+				Op: op, A: a.A, Imm: a.Imm,
 				B: b.A, C: b.B, Imm3: int64(b.C), Imm2: int64(b.Op),
 			}
 			used[pc], used[pc+1] = true, true
@@ -103,4 +113,90 @@ func divisorMayBeZero(cst, arith *Instr) bool {
 		return true // divisor is a runtime register
 	}
 	return cst.Imm == 0
+}
+
+// maxLeafRegs caps the register count of a leaf method: a frame-free leaf
+// call runs over the thread's fixed scratch window (Thread.leafRegs).
+const maxLeafRegs = 16
+
+// leafShape reports whether the fast-eligible method m is a leaf, which
+// the fast loop calls without a frame (runLeaf); which of its non-argument
+// registers it reads before writing; and which argument, if any, it
+// returns unchanged (-1 when it returns an integer it computed).
+//
+// A leaf is straight-line and register-only: const, move, integer
+// arithmetic and compares, neg/not, ending in its only return, with at
+// most maxLeafRegs registers. div/rem are allowed only when the divisor
+// register was last written by a non-zero const of the leaf itself. No
+// instruction of such a body can fault, stop, deoptimize, call or touch
+// the heap, so once its whole length fits the budget it runs to its
+// return exactly as a framed call would, and nothing can observe the
+// frame it never had. Its arithmetic reads and writes only the integer
+// datum of a register; a move carries a whole Value, which matters only
+// when the moved argument is what the leaf returns. The zero mask lists
+// the registers a fresh frame would hand it as int(0).
+func leafShape(m *Method) (zero uint16, arg int, ok bool) {
+	if m.NRegs > maxLeafRegs || m.NArgs > m.NRegs || len(m.Code) == 0 {
+		return 0, -1, false
+	}
+	var written, nonzero uint16
+	written = uint16(uint32(1)<<uint(m.NArgs) - 1) // the arguments
+	// src[r] is the argument whose Value register r holds unchanged, or -1.
+	var src [maxLeafRegs]int
+	for r := range src {
+		src[r] = -1
+		if r < m.NArgs {
+			src[r] = r
+		}
+	}
+	valid := func(r int) bool { return r >= 0 && r < m.NRegs }
+	read := func(r int) {
+		if written&(1<<uint(r)) == 0 {
+			zero |= 1 << uint(r)
+		}
+	}
+	last := len(m.Code) - 1
+	for pc := range m.Code {
+		in := &m.Code[pc]
+		switch {
+		case in.Op == OpReturn && pc == last:
+			if !valid(in.B) {
+				return 0, -1, false
+			}
+			read(in.B)
+			return zero, src[in.B], true
+		case in.Op == OpConst:
+		case in.Op == OpMove || in.Op == OpNeg || in.Op == OpNot:
+			if !valid(in.B) {
+				return 0, -1, false
+			}
+			read(in.B)
+		case isIntArith(in.Op):
+			if !valid(in.B) || !valid(in.C) {
+				return 0, -1, false
+			}
+			if (in.Op == OpDiv || in.Op == OpRem) && nonzero&(1<<uint(in.C)) == 0 {
+				return 0, -1, false
+			}
+			read(in.B)
+			read(in.C)
+		default:
+			return 0, -1, false
+		}
+		if !valid(in.A) {
+			return 0, -1, false
+		}
+		written |= 1 << uint(in.A)
+		if in.Op == OpConst && in.Imm != 0 {
+			nonzero |= 1 << uint(in.A)
+		} else {
+			nonzero &^= 1 << uint(in.A)
+		}
+		from := -1
+		if in.Op == OpMove {
+			from = src[in.B]
+		}
+		src[in.A] = from
+	}
+	return 0, -1, false
 }

@@ -234,6 +234,7 @@ func (p *Program) Analyze() *Analysis {
 		flow.Regions = buildRegions(m, flow)
 		if m.verdict.FastEligible() {
 			m.fastCode = quicken(m)
+			m.leafZero, m.leafArg, m.leaf = leafShape(m)
 		}
 	}
 

@@ -12,6 +12,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"tinman/internal/taint"
 )
@@ -46,19 +47,28 @@ func (k Kind) String() string {
 
 // Value is a register or field slot. Like Dalvik registers extended by
 // TaintDroid, every slot carries a taint tag adjacent to its datum.
+//
+// Int is the slot's one 64-bit datum: an integer as itself, a float as its
+// IEEE-754 bits (read them with Float). Sharing the word keeps a Value at
+// 32 bytes, four words per register store; a Dalvik register is untyped
+// the same way, so an instruction that reads a float register as an
+// integer sees the float's bits.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Ref   *Object
-	Tag   taint.Tag
+	Kind Kind
+	Int  int64
+	Ref  *Object
+	Tag  taint.Tag
 }
 
 // IntVal constructs an integer value.
 func IntVal(i int64) Value { return Value{Kind: KindInt, Int: i} }
 
-// FloatVal constructs a float value.
-func FloatVal(f float64) Value { return Value{Kind: KindFloat, Float: f} }
+// FloatVal constructs a float value. The bits are kept exactly: -0.0, the
+// infinities and NaN payloads survive every move, store and DSM sync.
+func FloatVal(f float64) Value { return Value{Kind: KindFloat, Int: int64(math.Float64bits(f))} }
+
+// Float reads the datum as a float.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
 
 // RefVal constructs a reference value. A nil object is the VM's null.
 func RefVal(o *Object) Value { return Value{Kind: KindRef, Ref: o} }
@@ -92,7 +102,7 @@ func (v Value) String() string {
 	case KindInt:
 		return fmt.Sprintf("int(%d)%s", v.Int, tagSuffix(v.Tag))
 	case KindFloat:
-		return fmt.Sprintf("float(%g)%s", v.Float, tagSuffix(v.Tag))
+		return fmt.Sprintf("float(%g)%s", v.Float(), tagSuffix(v.Tag))
 	case KindRef:
 		if v.Ref == nil {
 			return "null"

@@ -261,6 +261,10 @@ type Frame struct {
 	// endpoints leave both false — conservatively tracked.
 	fastOK  bool
 	deopted bool
+	// tagsDirty is set when a pooled frame last ran tracked: some slot of
+	// its Tags backing array may then be non-None. A frame that ran clean
+	// left them all None, so getFrame skips clearing them.
+	tagsDirty bool
 }
 
 // Tag returns register i's shadow tag (None when untracked).
@@ -284,13 +288,17 @@ type Thread struct {
 
 	// framePool recycles frames popped by returns so a call-heavy workload
 	// allocates each frame shape once per thread instead of once per call
-	// (regs and tag slices are re-sliced and zeroed on reuse). Popped
-	// frames are unreachable from the DSM — migration captures only the
-	// live stack — which is what makes the recycling safe.
+	// (regs and tag slices are re-sliced and zeroed on reuse, the tags only
+	// of a frame that ran tracked). Popped frames are
+	// unreachable from the DSM — migration captures only the live stack —
+	// which is what makes the recycling safe.
 	framePool []*Frame
 	// nativeArgs is the reusable argument buffer for native calls (see
 	// NativeFunc on its lifetime).
 	nativeArgs []Value
+	// leafRegs is the register window of frame-free leaf calls (runLeaf):
+	// integer data only, so its stores are single words.
+	leafRegs [maxLeafRegs]int64
 }
 
 // NewThread prepares a thread that will execute method with the given
@@ -339,40 +347,48 @@ func newFrame(m *Method, tracking bool) *Frame {
 	return f
 }
 
-// getFrame produces a zeroed frame for m, reusing a pooled frame when one
-// is available. Reuse reproduces newFrame exactly: registers read as int(0)
-// and shadow tags (under a tracking policy) as None.
-func (t *Thread) getFrame(m *Method, tracking bool) *Frame {
-	n := len(t.framePool)
-	if n == 0 {
-		return newFrame(m, tracking)
+// getFrame produces the callee frame of a call of m whose arguments are
+// the caller registers args: they are copied into its first registers,
+// and the others read int(0) and every shadow tag (under a tracking
+// policy) None, exactly as newFrame's would. It reuses a pooled frame when
+// one is available, writing only the registers past the arguments and
+// clearing the tags only of a frame that last ran tracked: a frame that
+// ran clean left them all None. The caller sets RetReg and pushes it.
+func (t *Thread) getFrame(m *Method, args []int, caller []Value, tracking bool) *Frame {
+	var f *Frame
+	if n := len(t.framePool); n > 0 {
+		f = t.framePool[n-1]
+		t.framePool[n-1] = nil
+		t.framePool = t.framePool[:n-1]
+		f.PC, f.fastOK, f.deopted = 0, false, false
+	} else {
+		f = &Frame{}
 	}
-	f := t.framePool[n-1]
-	t.framePool[n-1] = nil
-	t.framePool = t.framePool[:n-1]
 	f.Method = m
-	f.PC = 0
-	f.RetReg = 0
-	f.fastOK = false
-	f.deopted = false
 	if cap(f.Regs) >= m.NRegs {
 		f.Regs = f.Regs[:m.NRegs]
 	} else {
 		f.Regs = make([]Value, m.NRegs)
 	}
-	zero := IntVal(0)
-	for i := range f.Regs {
-		f.Regs[i] = zero
+	for i, r := range args {
+		f.Regs[i] = caller[r]
 	}
-	if !tracking {
+	rest := f.Regs[len(args):]
+	for i := range rest {
+		rest[i] = IntVal(0)
+	}
+	switch {
+	case !tracking:
 		f.Tags = nil
-	} else if cap(f.Tags) >= m.NRegs {
+	case cap(f.Tags) >= m.NRegs:
 		f.Tags = f.Tags[:m.NRegs]
-		for i := range f.Tags {
-			f.Tags[i] = taint.None
+		if f.tagsDirty {
+			clear(f.Tags[:cap(f.Tags)])
+			f.tagsDirty = false
 		}
-	} else {
+	default:
 		f.Tags = make([]taint.Tag, m.NRegs)
+		f.tagsDirty = false
 	}
 	return f
 }
@@ -381,6 +397,9 @@ func (t *Thread) getFrame(m *Method, tracking bool) *Frame {
 // it, and only for frames no longer on the stack.
 func (t *Thread) putFrame(f *Frame) {
 	f.Method = nil
+	if !f.fastOK || f.deopted {
+		f.tagsDirty = true
+	}
 	t.framePool = append(t.framePool, f)
 }
 
@@ -428,6 +447,36 @@ func (t *Thread) Rebind(v *VM) error {
 		f.deopted = false
 	}
 	t.VM = v
+	return nil
+}
+
+// CheckStack reports whether frames, outermost first, form a stack the
+// interpreter can run: at most its frame limit deep; every frame with its
+// method's register count (and as many shadow tags, when it has them) and
+// a PC on one of the method's instructions; every RetReg naming a register
+// of the caller below it. Stacks the interpreter builds always pass. The
+// DSM refuses a migrated stack that does not, since a peer's bytes could
+// otherwise send the interpreter past the end of a register file.
+func CheckStack(frames []*Frame) error {
+	if len(frames) > maxFrames {
+		return fmt.Errorf("vm: stack of %d frames exceeds the limit of %d", len(frames), maxFrames)
+	}
+	for i, f := range frames {
+		m := f.Method
+		if m == nil {
+			return fmt.Errorf("vm: frame %d has no method", i)
+		}
+		if len(f.Regs) != m.NRegs || (f.Tags != nil && len(f.Tags) != m.NRegs) {
+			return fmt.Errorf("vm: frame %d %s has %d registers, want %d", i, m.FullName(), len(f.Regs), m.NRegs)
+		}
+		if f.PC < 0 || f.PC >= len(m.Code) {
+			return fmt.Errorf("vm: frame %d %s pc %d out of range [0,%d)", i, m.FullName(), f.PC, len(m.Code))
+		}
+		if i > 0 && (f.RetReg < 0 || f.RetReg >= len(frames[i-1].Regs)) {
+			return fmt.Errorf("vm: frame %d %s returns into r%d of a %d-register caller",
+				i, m.FullName(), f.RetReg, len(frames[i-1].Regs))
+		}
+	}
 	return nil
 }
 
