@@ -22,11 +22,15 @@
 // only administration path: the device protocol carries no admin op. Reads
 // need no credentials: GET /metrics (Prometheus text format), GET /spans
 // (flight-recorder dump as JSON lines), GET /trace (Chrome trace_event JSON
-// for chrome://tracing or Perfetto), GET /policy/version and GET /policy.
-// Mutations — POST /policy (hot-reload a policy snapshot), POST /revoke,
-// POST /restore and POST /class — require the bearer token in
-// TINMAN_ADMIN_TOKEN; with no token in the environment every mutation is
-// refused (fail closed).
+// for chrome://tracing or Perfetto), GET /policy/version and GET /policy,
+// which returns the enforced policy document for editing. Mutations —
+// POST /policy, POST /revoke, POST /restore and POST /class — require the
+// bearer token in TINMAN_ADMIN_TOKEN; with no token in the environment
+// every mutation is refused (fail closed). Every policy change installs a
+// whole document: POST /policy replaces it (an explicit "version" must
+// exceed the enforced one; omit it to take the next), and /revoke and
+// /restore edit the enforced one. In a document's "whitelist", a cor with
+// no entry may be sent to any domain and an entry of [] is never sent.
 // Exports pass through the obs redaction gate, so they never carry cor
 // plaintext or vault key material — and the guardrail sweeper continuously
 // re-verifies that: every vault plaintext is fingerprinted (raw, hex,
@@ -37,9 +41,11 @@
 // The optional cors file registers records at boot, the one-time
 // safe-environment setup of §2.3 (cmd/tinman-device/cors.json is the
 // demo's). It is how cors reach a tinman-node; -store keeps them across
-// restarts. For a record the store already recovered, the file's added
-// bind hashes and a changed class are applied, and a changed plaintext or
-// whitelist stops the boot:
+// restarts. An entry's whitelist becomes the cor's entry in the policy
+// document (omitted: any domain; []: never sent). For a record the store
+// already recovered, the file's added bind hashes and a changed class are
+// applied, and a changed plaintext, or a whitelist other than the one the
+// enforced policy document holds for the cor, stops the boot:
 //
 //	[
 //	  {"id": "bank-pw", "plaintext": "hunter2!", "description": "bank",
@@ -265,16 +271,20 @@ func loadCors(srv *nodeproto.Server, path string) error {
 }
 
 // reconcileCor applies a -cors entry to a cor the store recovered. Bind
-// hashes the recovered policy lacks are bound, and a class the entry names
+// hashes the enforced policy lacks are bound, and a class the entry names
 // that differs from the recovered one is set; both are durable Service
-// calls. A differing plaintext or whitelist stops the boot: changing either
-// means registering a new cor, not editing this one.
+// calls. A plaintext differing from the recovered record, or a whitelist
+// differing from the cor's entry in the enforced policy document (an
+// omitted whitelist matches no entry), stops the boot: the file must not
+// silently disagree with what the node enforces.
 func reconcileCor(svc *node.Service, rec *cor.Record, sp corSpec) error {
 	if sp.Plaintext != rec.Plaintext {
 		return fmt.Errorf("cor %s: plaintext differs from the recovered record", sp.ID)
 	}
-	if !sameDomains(sp.Whitelist, rec.Whitelist) {
-		return fmt.Errorf("cor %s: whitelist %v differs from the recovered %v", sp.ID, sp.Whitelist, rec.Whitelist)
+	doc := svc.Policy.Export()
+	if wl, ok := doc.Whitelist[rec.ID]; ok != (sp.Whitelist != nil) || !sameDomains(sp.Whitelist, wl) {
+		return fmt.Errorf("cor %s: whitelist %s differs from the enforced policy's %s",
+			sp.ID, whitelistText(sp.Whitelist, sp.Whitelist != nil), whitelistText(wl, ok))
 	}
 	var changes []string
 	if sp.Class != "" {
@@ -289,7 +299,7 @@ func reconcileCor(svc *node.Service, rec *cor.Record, sp corSpec) error {
 			changes = append(changes, "class "+sp.Class)
 		}
 	}
-	bound := svc.Policy.Export().Bindings[rec.ID]
+	bound := doc.Bindings[rec.ID]
 	for _, h := range sp.Bind {
 		if slices.Contains(bound, h) {
 			continue
@@ -306,6 +316,15 @@ func reconcileCor(svc *node.Service, rec *cor.Record, sp corSpec) error {
 		log.Printf("tinman-node: cor %s already recovered, applied %s", rec.ID, strings.Join(changes, ", "))
 	}
 	return nil
+}
+
+// whitelistText renders a whitelist, or its absence, which lets the cor
+// go to any domain.
+func whitelistText(wl []string, set bool) string {
+	if !set {
+		return "none (any domain)"
+	}
+	return fmt.Sprint(wl)
 }
 
 // sameDomains reports whether two whitelists name the same domains.

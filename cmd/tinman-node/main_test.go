@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"tinman/internal/ctl"
 	"tinman/internal/nodeproto"
 	"tinman/internal/obs"
+	"tinman/internal/policy"
 	"tinman/internal/store"
 )
 
@@ -43,29 +45,42 @@ func boot(t *testing.T, dir, cors string) (*nodeproto.Server, error) {
 	return srv, nil
 }
 
-// policyBindings reads GET /policy from srv's control plane.
-func policyBindings(t *testing.T, srv *nodeproto.Server) map[string][]string {
+// adminToken gates the test control plane's mutations.
+const adminToken = "test-admin-token"
+
+// admin serves srv's control plane for the rest of the test.
+func admin(t *testing.T, srv *nodeproto.Server) string {
 	t.Helper()
-	plane, err := ctl.New(ctl.Config{Target: srv.Svc, Stamp: srv.Svc.Policy.Stamp, Export: srv.Svc.Policy.Export, Audit: srv.Svc.Audit})
+	plane, err := ctl.New(ctl.Config{Target: srv.Svc, Stamp: srv.Svc.Policy.Stamp, Export: srv.Svc.Policy.Export, Audit: srv.Svc.Audit, Token: adminToken})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
 	plane.Routes(mux, obs.New(obs.Options{}), obs.NewMetrics())
 	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/policy")
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// getPolicy reads GET /policy from srv's control plane.
+func getPolicy(t *testing.T, srv *nodeproto.Server) *policy.Snapshot {
+	t.Helper()
+	resp, err := http.Get(admin(t, srv) + "/policy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var doc struct {
-		Bindings map[string][]string `json:"bindings"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	doc := new(policy.Snapshot)
+	if err := json.NewDecoder(resp.Body).Decode(doc); err != nil {
 		t.Fatal(err)
 	}
-	return doc.Bindings
+	return doc
+}
+
+// policyBindings reads the bindings of GET /policy.
+func policyBindings(t *testing.T, srv *nodeproto.Server) map[string][]string {
+	t.Helper()
+	return getPolicy(t, srv).Bindings
 }
 
 const firstCors = `[{"id": "demo-pw", "plaintext": "correct horse battery", "description": "demo password",
@@ -113,5 +128,47 @@ func TestCorsEditsReachRecoveredNode(t *testing.T) {
 		if err != nil && strings.Contains(err.Error(), "correct horse") {
 			t.Errorf("changed %s: boot error leaks the plaintext: %v", field, err)
 		}
+	}
+}
+
+// TestCorsWhitelistFollowsEnforcedPolicy widens a cor's whitelist the way an
+// operator does — GET /policy, edit, drop the version, POST /policy — and
+// restarts on the same store: a -cors file naming the enforced whitelist
+// boots, and one naming the old whitelist stops the boot with an error
+// naming the cor and the field.
+func TestCorsWhitelistFollowsEnforcedPolicy(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	first, err := boot(t, dir, firstCors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := getPolicy(t, first)
+	doc.Version = 0
+	doc.AllowDomains("demo-pw", []string{"demo-bank.example", "m.demo-bank.example"})
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, admin(t, first)+"/policy", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+adminToken)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /policy: %s", resp.Status)
+	}
+
+	widened := strings.Replace(firstCors, `["demo-bank.example"]`, `["m.demo-bank.example", "demo-bank.example"]`, 1)
+	if _, err := boot(t, dir, widened); err != nil {
+		t.Fatalf("restart naming the enforced whitelist: %v", err)
+	}
+	_, err = boot(t, dir, firstCors)
+	if err == nil || !strings.Contains(err.Error(), "demo-pw") || !strings.Contains(err.Error(), "whitelist") {
+		t.Fatalf("restart naming the old whitelist: boot error %v, want one naming demo-pw and whitelist", err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -76,9 +77,16 @@ func main() {
 	if _, err := node.RegisterCor("visa-code", securityCode, "Visa security code", "conf.example"); err != nil {
 		log.Fatal(err)
 	}
+	doc := node.Policy.Export()
+	doc.Version = 0 // take the next version
+	doc.Windows = map[string]policy.Window{}
+	doc.Rates = map[string]policy.RateSpec{}
 	for _, id := range []string{"visa-number", "visa-code"} {
-		node.Policy.SetWindow(id, policy.Window{From: 10, To: 22}) // 10:00-22:00
-		node.Policy.SetRateLimit(id, 4, 24*time.Hour)              // 4/day
+		doc.Windows[id] = policy.Window{From: 10, To: 22}            // 10:00-22:00
+		doc.Rates[id] = policy.RateSpec{Max: 4, Per: 24 * time.Hour} // 4/day
+	}
+	if _, err := node.Svc.InstallPolicy(context.Background(), doc); err != nil {
+		log.Fatal(err)
 	}
 	if err := world.Device.RefreshCatalog(); err != nil {
 		log.Fatal(err)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"crypto/aes"
 	"fmt"
 	"log"
@@ -141,13 +142,17 @@ func main() {
 	}
 
 	// Attack 3: the phone is stolen; the user revokes it from any browser.
-	world.Node.Policy.Revoke(world.Device.ID)
+	if err := world.Node.Svc.Revoke(world.Device.ID); err != nil {
+		log.Fatal(err)
+	}
 	err = login(official, "FaceLook", "facelook.example")
 	fmt.Printf("4. revoked device: %v\n", err)
 	if err == nil || !strings.Contains(err.Error(), "revoked") {
 		log.Fatal("revoked device was not denied")
 	}
-	world.Node.Policy.Restore(world.Device.ID)
+	if err := world.Node.Svc.Restore(world.Device.ID); err != nil {
+		log.Fatal(err)
+	}
 
 	// Attack 4 (fig 7): demonstrate the implicit-IV leak TinMan's TLS
 	// floor exists to prevent. Build a TLS 1.0 CBC session out-of-band,
@@ -162,7 +167,14 @@ func main() {
 		log.Fatal(err)
 	}
 	legacy.MaxVersion = tlssim.TLS10
-	world.Node.Policy.SetWhitelist("fl-pw", []string{"facelook.example", "legacy.example"})
+	// Widen the cor's whitelist: export the enforced document, edit it and
+	// install it whole (dropping the version takes the next one).
+	doc := world.Node.Policy.Export()
+	doc.Version = 0
+	doc.AllowDomains("fl-pw", []string{"facelook.example", "legacy.example"})
+	if _, err := world.Node.Svc.InstallPolicy(context.Background(), doc); err != nil {
+		log.Fatal(err)
+	}
 	err = login(official, "FaceLook", "legacy.example")
 	fmt.Printf("5. TLS1.0-only origin: %v\n", err)
 	if err == nil || !strings.Contains(err.Error(), "below required minimum") {

@@ -231,7 +231,9 @@ func TestRevokedDeviceDenied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.World.Node.Policy.Revoke(env.World.Device.ID)
+	if err := env.World.Node.Svc.Revoke(env.World.Device.ID); err != nil {
+		t.Fatal(err)
+	}
 	_, err = env.Login("paypal")
 	if err == nil || !strings.Contains(err.Error(), "revoked") || !errors.Is(err, node.ErrRevoked) {
 		t.Fatalf("revoked device err = %v", err)

@@ -5,7 +5,6 @@
 package cor
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -16,9 +15,11 @@ import (
 	"tinman/internal/taint"
 )
 
-// Record is one cor with the five metadata fields of Table 1. The Plaintext
-// field is only ever populated inside the trusted node's Store; Registry
-// entries shared with devices never carry it.
+// Record is one cor with the metadata fields of Table 1 except its
+// whitelist, which lives in the trusted node's policy document (package
+// policy) beside the cor's other rules. The Plaintext field is only ever
+// populated inside the trusted node's Store; Registry entries shared with
+// devices never carry it.
 type Record struct {
 	// ID uniquely names the cor ("citibank-password").
 	ID string
@@ -31,10 +32,6 @@ type Record struct {
 	// Description is shown to the user in the selection widget ("My Citi
 	// password").
 	Description string
-	// Whitelist is the set of domains the cor may be sent to; empty means
-	// the cor may never leave the trusted node (e.g. a bitcoin private key,
-	// §3.4).
-	Whitelist []string
 	// Bit is the taint bit assigned at registration.
 	Bit int
 	// Class is the sensitivity tier (public / sensitive / server-only).
@@ -68,7 +65,7 @@ func NewStore() *Store {
 // effort). The placeholder is generated automatically with the same length
 // as the plaintext. Register fails on duplicate IDs, empty plaintext, or
 // taint-bit exhaustion.
-func (s *Store) Register(id, plaintext, description string, whitelist ...string) (*Record, error) {
+func (s *Store) Register(id, plaintext, description string) (*Record, error) {
 	if id == "" {
 		return nil, fmt.Errorf("cor: empty ID")
 	}
@@ -88,7 +85,6 @@ func (s *Store) Register(id, plaintext, description string, whitelist ...string)
 		Plaintext:   plaintext,
 		Placeholder: makePlaceholder(id, len(plaintext)),
 		Description: description,
-		Whitelist:   append([]string(nil), whitelist...),
 		Bit:         s.nextBit,
 		Class:       DefaultClass,
 	}
@@ -97,23 +93,6 @@ func (s *Store) Register(id, plaintext, description string, whitelist ...string)
 	s.byBit[r.Bit] = r
 	s.views.Store(nil)
 	return r, nil
-}
-
-// GenerateNew mints a fresh random password of length n and registers it —
-// the "Generate New Password" menu entry of §5.4.
-func (s *Store) GenerateNew(id, description string, n int, whitelist ...string) (*Record, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cor: generated password length must be positive")
-	}
-	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789!#%+:=?@"
-	buf := make([]byte, n)
-	if _, err := rand.Read(buf); err != nil {
-		return nil, fmt.Errorf("cor: generating password: %v", err)
-	}
-	for i, b := range buf {
-		buf[i] = alphabet[int(b)%len(alphabet)]
-	}
-	return s.Register(id, string(buf), description, whitelist...)
 }
 
 // Get returns the record by ID, or nil.
@@ -148,8 +127,9 @@ func (s *Store) ByTag(tag taint.Tag) []*Record {
 
 // Derive registers a derived cor: a new secret computed on the trusted node
 // from an existing one (e.g. the hash of account/password in §4.1). The
-// derived record inherits the parent's whitelist and taint bit — it is the
-// same secret lineage, observable under the same tag.
+// derived record inherits the parent's taint bit and class — it is the
+// same secret lineage, observable under the same tag, and the node checks
+// it against the parent's policy rules.
 func (s *Store) Derive(parentID, newID, plaintext string) (*Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,7 +145,6 @@ func (s *Store) Derive(parentID, newID, plaintext string) (*Record, error) {
 		Plaintext:   plaintext,
 		Placeholder: makePlaceholder(newID, len(plaintext)),
 		Description: "derived from " + parent.ID,
-		Whitelist:   append([]string(nil), parent.Whitelist...),
 		Bit:         parent.Bit,
 		Class:       parent.Class,
 	}

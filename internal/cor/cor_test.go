@@ -10,7 +10,7 @@ import (
 
 func TestRegisterBasics(t *testing.T) {
 	s := NewStore()
-	r, err := s.Register("citi-pw", "hunter2!", "My Citi password", "citibank.com")
+	r, err := s.Register("citi-pw", "hunter2!", "My Citi password")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +72,12 @@ func TestByTag(t *testing.T) {
 	}
 }
 
-func TestDeriveInheritsBitAndWhitelist(t *testing.T) {
+func TestDeriveInheritsBitAndClass(t *testing.T) {
 	s := NewStore()
-	parent, _ := s.Register("bank-pw", "secret99", "", "bank.example.com")
+	parent, _ := s.Register("bank-pw", "secret99", "")
+	if err := s.SetClass("bank-pw", ClassServerOnly); err != nil {
+		t.Fatal(err)
+	}
 	d, err := s.Derive("bank-pw", "bank-pw-hash", "deadbeef")
 	if err != nil {
 		t.Fatal(err)
@@ -82,33 +85,14 @@ func TestDeriveInheritsBitAndWhitelist(t *testing.T) {
 	if d.Bit != parent.Bit {
 		t.Fatal("derived cor must share the parent's taint bit")
 	}
-	if len(d.Whitelist) != 1 || d.Whitelist[0] != "bank.example.com" {
-		t.Fatalf("whitelist = %v", d.Whitelist)
+	if d.Class != ClassServerOnly {
+		t.Fatalf("derived class = %q, want the parent's %q", d.Class, ClassServerOnly)
 	}
 	if _, err := s.Derive("nope", "x", "y"); err == nil {
 		t.Fatal("derive from unknown parent accepted")
 	}
 	if _, err := s.Derive("bank-pw", "bank-pw-hash", "z"); err == nil {
 		t.Fatal("duplicate derived ID accepted")
-	}
-}
-
-func TestGenerateNew(t *testing.T) {
-	s := NewStore()
-	r, err := s.GenerateNew("gen", "generated", 16, "site.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Plaintext) != 16 || len(r.Placeholder) != 16 {
-		t.Fatalf("lengths: plaintext=%d placeholder=%d", len(r.Plaintext), len(r.Placeholder))
-	}
-	if _, err := s.GenerateNew("bad", "", 0); err == nil {
-		t.Fatal("zero-length generation accepted")
-	}
-	// Two generations differ (overwhelmingly likely).
-	r2, _ := s.GenerateNew("gen2", "", 16)
-	if r.Plaintext == r2.Plaintext {
-		t.Fatal("generated passwords identical")
 	}
 }
 

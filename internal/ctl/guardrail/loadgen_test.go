@@ -82,10 +82,9 @@ func listen(t *testing.T) net.Listener {
 // session state the reseals carried. The caller closes srv.
 func drive(t *testing.T, srv *nodeproto.Server, l net.Listener, workers, ops int, d time.Duration) (load, json.RawMessage) {
 	t.Helper()
-	if _, err := srv.Svc.Cors.Register("bench-pw", benchSecret, "guardrail cor", "bench.example"); err != nil {
+	if _, err := srv.Svc.RegisterCor(context.Background(), "bench-pw", benchSecret, "guardrail cor", "bench.example"); err != nil {
 		t.Fatal(err)
 	}
-	srv.Svc.Policy.SetWhitelist("bench-pw", []string{"bench.example"})
 	key, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
 		t.Fatal(err)

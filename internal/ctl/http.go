@@ -21,7 +21,8 @@ import (
 //	GET  /trace           Chrome trace_event JSON
 //	GET  /policy/version  current policy stamp
 //	GET  /policy          current policy document (when Export is wired)
-//	POST /policy          install a policy snapshot (body: policy.Snapshot JSON)
+//	POST /policy          replace the whole policy document (body: policy.Snapshot
+//	                      JSON; an explicit version must exceed the current one)
 //	POST /revoke          revoke a device (body: {"device_id": "..."})
 //	POST /restore         restore a device (body: {"device_id": "..."})
 //	POST /class           reclassify a cor (body: {"cor_id": "...", "class": "..."})

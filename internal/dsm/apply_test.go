@@ -165,6 +165,51 @@ end`)
 	}
 }
 
+// knownCor resolves only the cor "pw", as the node's vault resolves only
+// registered cors.
+type knownCor struct{}
+
+func (knownCor) Fill(id string, _ int) (string, taint.Tag, bool) {
+	return "hunter2!", taint.Bit(1), id == "pw"
+}
+
+func (knownCor) MaskID(*vm.Object) string { return "" }
+
+// TestRefusedPayloadAdoptsNothing sends a migration and a final warm-up
+// chunk that each carry a valid string object followed by one the node
+// refuses — an object of an unknown class, or a string naming an unknown
+// cor. Each payload must be refused whole: the heap keeps its object count.
+func TestRefusedPayloadAdoptsNothing(t *testing.T) {
+	prog := loginProgram(t)
+	valid := dsm.ObjectState{ID: 2, Class: "java/lang/String", IsStr: true, Str: "user=alice"}
+	for name, bad := range map[string]dsm.ObjectState{
+		"unknown class": {ID: 4, Class: "NoSuchClass"},
+		"unknown cor":   {ID: 4, Class: "java/lang/String", IsStr: true, CorID: "no-such-cor", StrLen: 8},
+	} {
+		objs := []dsm.ObjectState{valid, bad}
+		apply := map[string]func(*dsm.Endpoint) error{
+			"migration": func(ep *dsm.Endpoint) error {
+				_, err := ep.ApplyMigration(&dsm.Migration{Seq: 1, Objects: objs})
+				return err
+			},
+			"warm-up": func(ep *dsm.Endpoint) error {
+				return ep.ApplyWarmupChunk(&dsm.WarmupChunk{Epoch: 1, Final: true, Objects: objs})
+			},
+		}
+		for path, fn := range apply {
+			machine := vm.New(vm.Config{Program: prog, Heap: vm.NewHeap(2, 2), Policy: taint.Full})
+			ep := dsm.NewEndpoint(dsm.NodeSide, machine, knownCor{})
+			before := machine.Heap.Len()
+			if err := fn(ep); err == nil {
+				t.Fatalf("%s with %s admitted", path, name)
+			}
+			if got := machine.Heap.Len(); got != before {
+				t.Fatalf("refused %s with %s left %d objects adopted", path, name, got-before)
+			}
+		}
+	}
+}
+
 // FuzzApplyMigration hardens the whole path a peer's migration takes on
 // the trusted node: decode, apply to a node-side endpoint over a login
 // app's program, and run the rebuilt thread on a small budget. Any input

@@ -203,7 +203,7 @@ func newPair(t *testing.T, src string) *pair {
 		t.Fatal(err)
 	}
 	store := cor.NewStore()
-	if _, err := store.Register("pw", "hunter2!", "bank password", "bank.com"); err != nil {
+	if _, err := store.Register("pw", "hunter2!", "bank password"); err != nil {
 		t.Fatal(err)
 	}
 	devVM := vm.New(vm.Config{Program: devProg, Heap: vm.NewHeap(1, 2), Policy: taint.Asymmetric})

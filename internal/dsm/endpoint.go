@@ -348,20 +348,9 @@ func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 			return nil, fmt.Errorf("dsm: %s: migrated stack refused: %w", e.Side, err)
 		}
 	}
-	// Pass 1: materialize or update objects so references resolve.
-	for i := range m.Objects {
-		if err := e.adoptObject(&m.Objects[i]); err != nil {
-			return nil, err
-		}
+	if err := e.adoptObjects(m.Objects); err != nil {
+		return nil, err
 	}
-	// Pass 2: fill slots (needs all objects present).
-	for i := range m.Objects {
-		if err := e.fillObject(&m.Objects[i]); err != nil {
-			return nil, err
-		}
-	}
-	// The peer's state is not "dirty" locally: syncing it back would echo.
-	e.VM.Heap.ClearDirty()
 	e.initialSent = true // receiving an initial sync also warms this side
 
 	if th == nil {
@@ -464,8 +453,32 @@ func (e *Endpoint) decodeValue(vs *ValueState, prev vm.Value) (vm.Value, error) 
 	return v, nil
 }
 
-// adoptObject creates or refreshes the shell of an incoming object.
-func (e *Endpoint) adoptObject(os *ObjectState) error {
+// adoptObjects merges a payload's objects into the heap, the one adopt
+// step of migrations and warm-up: every object passes checkObject before
+// any is adopted, so a payload an object check refuses leaves the heap as
+// it was; then the shells are adopted so references resolve, and the slots
+// filled (a reference to an unknown object is found only there). The
+// peer's state is not "dirty" locally: syncing it back would echo.
+func (e *Endpoint) adoptObjects(objs []ObjectState) error {
+	for i := range objs {
+		if err := e.checkObject(&objs[i]); err != nil {
+			return err
+		}
+	}
+	for i := range objs {
+		e.adoptObject(&objs[i])
+	}
+	for i := range objs {
+		if err := e.fillObject(&objs[i]); err != nil {
+			return err
+		}
+	}
+	e.VM.Heap.ClearDirty()
+	return nil
+}
+
+// checkObject refuses an incoming object the heap cannot adopt.
+func (e *Endpoint) checkObject(os *ObjectState) error {
 	class := e.VM.ClassByName(os.Class)
 	if class == nil {
 		return fmt.Errorf("dsm: %s: migration references unknown class %s", e.Side, os.Class)
@@ -481,6 +494,25 @@ func (e *Endpoint) adoptObject(os *ObjectState) error {
 		return fmt.Errorf("dsm: %s: object #%d of class %s carries %d fields, want %d",
 			e.Side, os.ID, os.Class, len(os.Fields), len(class.Fields))
 	}
+	if os.IsStr && os.CorID != "" {
+		if e.Resolver == nil {
+			return fmt.Errorf("dsm: %s: cor %s arrived but no resolver is configured", e.Side, os.CorID)
+		}
+		content, _, ok := e.Resolver.Fill(os.CorID, os.StrLen)
+		if !ok {
+			return fmt.Errorf("dsm: %s: unknown cor %s", e.Side, os.CorID)
+		}
+		if len(content) != os.StrLen {
+			return fmt.Errorf("dsm: %s: cor %s length mismatch: local %d, wire %d",
+				e.Side, os.CorID, len(content), os.StrLen)
+		}
+	}
+	return nil
+}
+
+// adoptObject creates or refreshes the shell of a checked object.
+func (e *Endpoint) adoptObject(os *ObjectState) {
+	class := e.VM.ClassByName(os.Class)
 	o := e.VM.Heap.Get(os.ID)
 	if o == nil {
 		o = &vm.Object{ID: os.ID, Class: class}
@@ -492,28 +524,19 @@ func (e *Endpoint) adoptObject(os *ObjectState) error {
 	o.IsArr = os.IsArr
 	o.IsStr = os.IsStr
 	o.CorID = os.CorID
-	return nil
 }
 
-// fillObject populates payloads once all referenced objects exist.
+// fillObject populates a checked object's payload once all referenced
+// objects exist.
 func (e *Endpoint) fillObject(os *ObjectState) error {
 	o := e.VM.Heap.Get(os.ID)
 	switch {
 	case os.IsStr:
 		if os.CorID != "" {
-			if e.Resolver == nil {
-				return fmt.Errorf("dsm: %s: cor %s arrived but no resolver is configured", e.Side, os.CorID)
-			}
-			content, tag, ok := e.Resolver.Fill(os.CorID, os.StrLen)
-			if !ok {
-				return fmt.Errorf("dsm: %s: unknown cor %s", e.Side, os.CorID)
-			}
+			// checkObject resolved this cor at the wire length.
+			content, tag, _ := e.Resolver.Fill(os.CorID, os.StrLen)
 			o.Str = content
 			o.Tag = o.Tag.Union(tag)
-			if len(content) != os.StrLen {
-				return fmt.Errorf("dsm: %s: cor %s length mismatch: local %d, wire %d",
-					e.Side, os.CorID, len(content), os.StrLen)
-			}
 		} else {
 			o.Str = os.Str
 		}

@@ -252,21 +252,11 @@ func (e *Endpoint) ApplyWarmupChunk(c *WarmupChunk) error {
 	if !c.Final {
 		return nil
 	}
-	// Final chunk: adopt shells first so references resolve, then fill.
-	for i := range r.objs {
-		if err := e.adoptObject(&r.objs[i]); err != nil {
-			e.warmRecv = nil
-			return err
-		}
+	// Final chunk: the whole epoch is adopted, or none of it.
+	if err := e.adoptObjects(r.objs); err != nil {
+		e.warmRecv = nil
+		return err
 	}
-	for i := range r.objs {
-		if err := e.fillObject(&r.objs[i]); err != nil {
-			e.warmRecv = nil
-			return err
-		}
-	}
-	// Adopted peer state is not locally dirty (same rule as ApplyMigration).
-	e.VM.Heap.ClearDirty()
 	r.objs = nil
 	r.ready = true
 	return nil

@@ -107,13 +107,19 @@ func (m *Migration) ObsFields() []obs.Field {
 type encoder struct{ buf []byte }
 
 func (e *encoder) u8(v uint8)      { e.buf = append(e.buf, v) }
-func (e *encoder) b(v bool)        { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
 func (e *encoder) u64(v uint64)    { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) i64(v int64)     { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) bits64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+func (e *encoder) b(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
 }
 
 func (e *encoder) value(v *ValueState) {

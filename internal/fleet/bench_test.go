@@ -8,11 +8,10 @@ import (
 	"tinman/internal/policy"
 )
 
-// BenchmarkPolicyPush measures one fleet-wide policy install: first
-// healthy member assigns the version, the re-stamped snapshot fans out to
-// the rest, per-member applied versions update. In-process members, so
-// this is the propagation machinery's cost floor (the wire adds one
-// OpPolicyInstall round trip per remote member on top).
+// BenchmarkPolicyPush measures one fleet-wide policy install: the fleet
+// numbers the document, installs it on every member and updates the
+// per-member applied versions. In-process members, so this is the
+// propagation machinery's cost floor.
 func BenchmarkPolicyPush(b *testing.B) {
 	for _, n := range []int{3, 9} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
@@ -38,7 +37,7 @@ func BenchmarkPolicyPush(b *testing.B) {
 }
 
 // BenchmarkRevocationPush measures the fleet-wide revoke+restore pair —
-// the "my phone was stolen" path's admin-log propagation.
+// the "my phone was stolen" path, two document pushes.
 func BenchmarkRevocationPush(b *testing.B) {
 	f := newTestFleet(b, "node-a", "node-b", "node-c")
 	b.ReportAllocs()

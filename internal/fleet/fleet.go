@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"tinman/internal/audit"
-	"tinman/internal/cor"
 	"tinman/internal/node"
 	"tinman/internal/obs"
 	"tinman/internal/policy"
@@ -65,10 +64,11 @@ type member struct {
 	requests *obs.Counter
 }
 
-// adminOp is one replicated control-plane mutation. The fleet applies it to
-// every healthy member when issued and replays the full log onto a member
-// that joins or recovers, so registered cors, bindings and revocations are
+// adminOp is one replicated cor registration or reclassification. The fleet
+// applies it to every healthy member when issued and replays the full log
+// onto a member that recovers, so registered cors and their classes are
 // identical fleet-wide — this is what makes a crash lose no registered cor.
+// Policy is not in the log: it travels as whole documents (policy.go).
 type adminOp func(*node.Service) error
 
 // Fleet routes devices across trusted-node members by consistent hash.
@@ -97,13 +97,14 @@ type Fleet struct {
 	wmMu       sync.Mutex
 	watermarks map[string]uint64
 
-	// Policy push state (policy.go): the latest accepted snapshot, its
-	// fleet-assigned version, and the version each member has applied.
-	// Guarded by polMu, never f.mu — pushes run member installs without
-	// blocking routing.
-	polMu      sync.Mutex
-	lastSnap   *policy.Snapshot
-	policyVers map[string]uint64
+	// Policy state (policy.go), guarded by polMu, never f.mu — pushes run
+	// member installs without blocking routing. doc holds the fleet's
+	// current document in an engine of its own, for its validation,
+	// numbering and hash; it enforces nothing. applied is the version each
+	// member is known to hold.
+	polMu   sync.Mutex
+	doc     *policy.Engine
+	applied map[string]uint64
 
 	handoffs  *obs.Counter
 	failovers *obs.Counter
@@ -123,6 +124,8 @@ func New(cfg Config) (*Fleet, error) {
 		members:    make(map[string]*member),
 		owners:     make(map[string]string),
 		watermarks: make(map[string]uint64),
+		doc:        policy.NewEngine(nil),
+		applied:    make(map[string]uint64),
 	}
 	if f.newService == nil {
 		f.newService = func(string) (*node.Service, error) { return node.New(opts), nil }
@@ -149,6 +152,23 @@ func New(cfg Config) (*Fleet, error) {
 		f.order = append(f.order, id)
 	}
 	f.ring = buildRing(f.order, f.vnodes)
+
+	// Durable members may have recovered policy documents; the fleet's
+	// current document is the newest of them, so the next push is numbered
+	// above every version a member holds.
+	var newest *node.Service
+	for _, id := range f.order {
+		svc := f.members[id].svc
+		f.applied[id] = svc.Policy.Version()
+		if newest == nil || svc.Policy.Version() > newest.Policy.Version() {
+			newest = svc
+		}
+	}
+	if newest.Policy.Version() != 0 {
+		if _, err := f.doc.Install(newest.Policy.Export()); err != nil {
+			return nil, fmt.Errorf("fleet: adopting the members' policy: %w", err)
+		}
+	}
 	return f, nil
 }
 
@@ -325,9 +345,10 @@ func (f *Fleet) Crash(id string) error {
 }
 
 // Recover brings a crashed member back with a fresh Service — a restarted
-// process has none of its pre-crash memory — and replays the admin log so
-// it carries the fleet-wide registered cors, bindings and revocations. It
-// owns no devices until Rebalance (or new placements) route some to it.
+// process has none of its pre-crash memory — replays the admin log so it
+// carries the fleet-wide registered cors, and installs the fleet's current
+// policy document if the member is behind it. It owns no devices until
+// Rebalance (or new placements) route some to it.
 func (f *Fleet) Recover(id string) error {
 	f.mu.Lock()
 	m := f.members[id]
@@ -339,9 +360,9 @@ func (f *Fleet) Recover(id string) error {
 	f.mu.Unlock()
 
 	// A durable member restarts from its own store (cfg.NewService recovers
-	// and attaches it); the admin-log replay below then tops up whatever the
-	// member missed while down. Replay must therefore be idempotent against
-	// already-recovered state.
+	// and attaches it); the admin-log replay and the policy install below
+	// then top up whatever the member missed while down. Replay must
+	// therefore be idempotent against already-recovered state.
 	svc, err := f.newService(id)
 	if err != nil {
 		return fmt.Errorf("fleet: rebuilding member %q: %w", id, err)
@@ -354,16 +375,14 @@ func (f *Fleet) Recover(id string) error {
 	}
 	f.subscribeWatermarks(svc)
 
-	// The replay just installed the last accepted policy (or the member's
-	// durable store already held it and the replay was a stale no-op), so
-	// the member is up to date — record that.
 	f.polMu.Lock()
-	if f.lastSnap != nil {
-		if f.policyVers == nil {
-			f.policyVers = make(map[string]uint64)
+	if svc.Policy.Version() < f.doc.Version() {
+		if _, err := svc.InstallPolicy(context.Background(), f.doc.Export()); err != nil {
+			f.polMu.Unlock()
+			return fmt.Errorf("fleet: installing policy v%d onto %q: %w", f.doc.Version(), id, err)
 		}
-		f.policyVers[id] = f.lastSnap.Version
 	}
+	f.applied[id] = svc.Policy.Version()
 	f.polMu.Unlock()
 
 	f.mu.Lock()
@@ -542,68 +561,27 @@ func (f *Fleet) applyAdmin(op adminOp) error {
 
 // RegisterCor registers a cor on every member (§2.3's safe-environment
 // setup, replicated): a single member crash therefore loses no registered
-// cor.
+// cor. A non-nil whitelist is pushed first, as the cor's entry in the
+// fleet's policy document, so no member holds the cor without it; members
+// that miss the push are reported after the registration.
 func (f *Fleet) RegisterCor(ctx context.Context, id, plaintext, description string, whitelist ...string) error {
-	return f.applyAdmin(func(svc *node.Service) error {
+	var pushErr error
+	if whitelist != nil {
+		var stamp policy.Stamp
+		stamp, pushErr = f.push(ctx, func(d *policy.Snapshot) { d.AllowDomains(id, whitelist) })
+		if stamp.Version == 0 {
+			return pushErr // the fleet did not adopt the document
+		}
+	}
+	err := f.applyAdmin(func(svc *node.Service) error {
 		if svc.Cors.Get(id) != nil {
 			return nil // already present: durable recovery beat the replay
 		}
-		_, err := svc.RegisterCor(ctx, id, plaintext, description, whitelist...)
+		_, err := svc.RegisterCor(ctx, id, plaintext, description)
 		return err
 	})
-}
-
-// GenerateCor mints a fresh random cor on one member, then replicates the
-// resulting plaintext to the rest — generating independently per member
-// would mint N different secrets under one ID.
-func (f *Fleet) GenerateCor(ctx context.Context, id, description string, n int, whitelist ...string) (*cor.Record, error) {
-	f.mu.RLock()
-	var first *node.Service
-	for _, mid := range f.order {
-		if f.healthyLocked(mid) {
-			first = f.members[mid].svc
-			break
-		}
-	}
-	f.mu.RUnlock()
-	if first == nil {
-		return nil, ErrNoHealthyMembers
-	}
-	rec, err := first.GenerateCor(ctx, id, description, n, whitelist...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	err = f.applyAdmin(func(svc *node.Service) error {
-		if svc == first || svc.Cors.Get(id) != nil {
-			return nil
-		}
-		_, rerr := svc.RegisterCor(ctx, id, rec.Plaintext, description, whitelist...)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// BindApp replicates an app binding fleet-wide.
-func (f *Fleet) BindApp(corID, appHash string) error {
-	return f.applyAdmin(func(svc *node.Service) error {
-		return svc.BindApp(corID, appHash)
-	})
-}
-
-// Revoke replicates a device revocation fleet-wide — a stolen phone must be
-// cut off no matter which member its requests reach.
-func (f *Fleet) Revoke(deviceID string) error {
-	return f.applyAdmin(func(svc *node.Service) error {
-		return svc.Revoke(deviceID)
-	})
-}
-
-// Restore replicates re-enabling a device.
-func (f *Fleet) Restore(deviceID string) error {
-	return f.applyAdmin(func(svc *node.Service) error {
-		return svc.Restore(deviceID)
-	})
+	return pushErr
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,123 +11,80 @@ import (
 	"tinman/internal/policy"
 )
 
-// Fleet-wide policy propagation: a snapshot pushed at any member reaches
-// every member, and members that were unreachable during the push are
-// brought up to date later (RetryPolicy for transient unreachability,
-// Recover's admin-log replay for crashes). Unlike applyAdmin — which aborts
-// on the first error because cor registrations must not half-exist — a
-// policy push keeps going past failed members: the fleet converging on the
-// new policy everywhere it can reach beats blocking the whole push on one
-// straggler, and the stale-version guard makes the eventual top-up safe.
+// Fleet-wide policy: the fleet holds the current policy document and is
+// the only one that numbers documents. Every change — a whole document, a
+// binding, a whitelist, a revocation — edits that document, numbers it one
+// above the fleet's version (New adopts the newest document any member
+// holds, and members get documents only from the fleet, so no member is
+// ahead), and installs that exact document at that version on every
+// healthy member. A member that missed a push is therefore behind by
+// version alone: RetryPolicy and Recover install the current document and
+// nothing else. Unlike applyAdmin — which aborts on the first error
+// because cor registrations must not half-exist — a push keeps going past
+// failed members and reports them: the fleet converging everywhere it can
+// reach beats blocking the whole push on one straggler.
 
-// InstallPolicy pushes one validated snapshot fleet-wide and returns the
-// stamp every member converges on. The first healthy member installs the
-// snapshot and assigns the fleet version (its engine picks
-// max(local next, snapshot.Version)); the same snapshot re-stamped with that
-// exact version then goes to every other member, so all members agree on
-// (version, hash). Per-member applied versions are tracked for
-// PolicyVersions/RetryPolicy, and an idempotent install lands in the admin
-// log so a recovered member replays it.
+// InstallPolicy replaces the fleet's document with snap and pushes it
+// fleet-wide, returning the stamp every member converges on. An explicit
+// snap.Version must exceed the fleet's current one (policy.ErrStaleSnapshot
+// otherwise); zero takes the next number. When some members miss the push
+// the stamp is still returned, with an error naming them.
 func (f *Fleet) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (policy.Stamp, error) {
-	if err := snap.Validate(); err != nil {
-		return policy.Stamp{}, err
-	}
+	return f.push(ctx, func(d *policy.Snapshot) { *d = *snap })
+}
+
+// push is the fleet's one policy write: edit changes the fleet's current
+// document, which the fleet numbers, adopts and installs on every healthy
+// member, recording which members applied it.
+func (f *Fleet) push(ctx context.Context, edit func(*policy.Snapshot)) (policy.Stamp, error) {
 	f.polMu.Lock()
 	defer f.polMu.Unlock()
+	doc, stamp, err := f.doc.Update(edit)
+	if err != nil {
+		return policy.Stamp{}, err
+	}
 
+	f.mu.RLock()
 	type target struct {
 		id      string
 		svc     *node.Service
 		healthy bool
 	}
-	f.mu.RLock()
 	targets := make([]target, 0, len(f.order))
 	for _, id := range f.order {
 		targets = append(targets, target{id, f.members[id].svc, f.healthyLocked(id)})
 	}
 	f.mu.RUnlock()
 
-	// First healthy member assigns the fleet version.
-	var stamp policy.Stamp
-	first := ""
-	for _, t := range targets {
-		if !t.healthy {
-			continue
-		}
-		st, err := t.svc.InstallPolicy(ctx, snap)
-		if err != nil {
-			// The assigning member rejecting (stale version, validation) means
-			// the push as a whole is rejected — nothing has changed anywhere.
-			return policy.Stamp{}, err
-		}
-		stamp, first = st, t.id
-		break
-	}
-	if first == "" {
-		return policy.Stamp{}, ErrNoHealthyMembers
-	}
-
-	// Push the version-stamped snapshot to everyone else, collecting
-	// failures instead of aborting.
-	versioned := *snap
-	versioned.Version = stamp.Version
-	applied := map[string]bool{first: true}
 	var errs []string
 	for _, t := range targets {
-		if t.id == first {
-			continue
-		}
 		if !t.healthy {
 			errs = append(errs, fmt.Sprintf("%s: %v", t.id, ErrMemberDown))
 			continue
 		}
-		if _, err := t.svc.InstallPolicy(ctx, &versioned); err != nil && !errors.Is(err, policy.ErrStaleSnapshot) {
+		if _, err := t.svc.InstallPolicy(ctx, doc); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", t.id, err))
 			continue
 		}
-		applied[t.id] = true
+		f.applied[t.id] = doc.Version
 	}
-
-	if f.policyVers == nil {
-		f.policyVers = make(map[string]uint64)
-	}
-	for id := range applied {
-		if stamp.Version > f.policyVers[id] {
-			f.policyVers[id] = stamp.Version
-		}
-	}
-	f.lastSnap = &versioned
-
-	// Admin-log entry for future recoveries. A durable member restarting
-	// with this version (or newer) already in its store replays this as a
-	// stale no-op — that is exactly what ErrStaleSnapshot is for.
-	push := versioned
-	f.mu.Lock()
-	f.adminLog = append(f.adminLog, func(svc *node.Service) error {
-		if _, err := svc.InstallPolicy(context.Background(), &push); err != nil && !errors.Is(err, policy.ErrStaleSnapshot) {
-			return err
-		}
-		return nil
-	})
-	f.mu.Unlock()
-
 	if len(errs) > 0 {
 		return stamp, fmt.Errorf("fleet: policy v%d applied to %d/%d members: %s",
-			stamp.Version, len(applied), len(targets), strings.Join(errs, "; "))
+			stamp.Version, len(targets)-len(errs), len(targets), strings.Join(errs, "; "))
 	}
 	return stamp, nil
 }
 
-// RetryPolicy re-pushes the last accepted snapshot to every healthy member
-// whose applied version is behind it — the top-up pass after a partial
-// push. Returns the IDs of members brought up to date this call.
+// RetryPolicy installs the fleet's current document on every healthy
+// member whose applied version is behind it — the top-up pass after a
+// partial push. Returns the IDs of members brought up to date this call.
 func (f *Fleet) RetryPolicy(ctx context.Context) ([]string, error) {
 	f.polMu.Lock()
 	defer f.polMu.Unlock()
-	if f.lastSnap == nil {
+	want := f.doc.Version()
+	if want == 0 {
 		return nil, nil
 	}
-	want := f.lastSnap.Version
 
 	f.mu.RLock()
 	type target struct {
@@ -137,7 +93,7 @@ func (f *Fleet) RetryPolicy(ctx context.Context) ([]string, error) {
 	}
 	var behind []target
 	for _, id := range f.order {
-		if f.policyVers[id] >= want || !f.healthyLocked(id) {
+		if f.applied[id] >= want || !f.healthyLocked(id) {
 			continue
 		}
 		behind = append(behind, target{id, f.members[id].svc})
@@ -146,12 +102,13 @@ func (f *Fleet) RetryPolicy(ctx context.Context) ([]string, error) {
 
 	var caught []string
 	var errs []string
+	doc := f.doc.Export()
 	for _, t := range behind {
-		if _, err := t.svc.InstallPolicy(ctx, f.lastSnap); err != nil && !errors.Is(err, policy.ErrStaleSnapshot) {
+		if _, err := t.svc.InstallPolicy(ctx, doc); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", t.id, err))
 			continue
 		}
-		f.policyVers[t.id] = want
+		f.applied[t.id] = want
 		caught = append(caught, t.id)
 	}
 	sort.Strings(caught)
@@ -161,28 +118,47 @@ func (f *Fleet) RetryPolicy(ctx context.Context) ([]string, error) {
 	return caught, nil
 }
 
-// PolicyVersions reports the last policy snapshot version each member is
-// known to have applied (0 for a member that has never applied one).
+// PolicyVersions reports the policy version each member is known to have
+// applied (0 for a member that holds none).
 func (f *Fleet) PolicyVersions() map[string]uint64 {
 	f.polMu.Lock()
 	defer f.polMu.Unlock()
-	out := make(map[string]uint64, len(f.policyVers))
-	for id, v := range f.policyVers {
+	out := make(map[string]uint64, len(f.applied))
+	for id, v := range f.applied {
 		out[id] = v
 	}
 	return out
 }
 
-// PolicySnapshot returns a copy of the last accepted snapshot (nil if no
-// push has happened) — what an admin GET serves fleet-wide.
+// PolicySnapshot returns the fleet's current document (nil before the
+// first push) — what an admin GET serves fleet-wide.
 func (f *Fleet) PolicySnapshot() *policy.Snapshot {
 	f.polMu.Lock()
 	defer f.polMu.Unlock()
-	if f.lastSnap == nil {
+	if f.doc.Version() == 0 {
 		return nil
 	}
-	snap := *f.lastSnap
-	return &snap
+	return f.doc.Export()
+}
+
+// BindApp allows an app hash to use a cor, fleet-wide.
+func (f *Fleet) BindApp(corID, appHash string) error {
+	_, err := f.push(context.Background(), func(d *policy.Snapshot) { d.Bind(corID, appHash) })
+	return err
+}
+
+// Revoke cuts a device off fleet-wide — a stolen phone must be denied no
+// matter which member its requests reach. A member that misses the push is
+// named in the error, and RetryPolicy delivers the revocation later.
+func (f *Fleet) Revoke(deviceID string) error {
+	_, err := f.push(context.Background(), func(d *policy.Snapshot) { d.Revoke(deviceID) })
+	return err
+}
+
+// Restore re-enables a device fleet-wide.
+func (f *Fleet) Restore(deviceID string) error {
+	_, err := f.push(context.Background(), func(d *policy.Snapshot) { d.Restore(deviceID) })
+	return err
 }
 
 // SetCorClass replicates a sensitivity reclassification fleet-wide, so

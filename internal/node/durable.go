@@ -28,9 +28,9 @@ import (
 // AttachStore restores st's recovered state into the Service and enables
 // durable logging. The Service must be fresh (no cors, no audit entries):
 // restore replays the vault in original bit order so placeholder taint
-// bits in the field keep matching, replays policy ops, restores the audit
-// log (with anomaly rescan), and re-attaches device shards at their
-// per-device audit sequence floors.
+// bits in the field keep matching, installs the latest policy document,
+// restores the audit log (with anomaly rescan), and re-attaches device
+// shards at their per-device audit sequence floors.
 func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -60,11 +60,8 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 	}
 	sort.Slice(primaries, func(i, j int) bool { return primaries[i].Bit < primaries[j].Bit })
 	for _, r := range primaries {
-		if _, err := s.Cors.Register(r.ID, r.Plaintext, r.Description, r.Whitelist...); err != nil {
+		if _, err := s.Cors.Register(r.ID, r.Plaintext, r.Description); err != nil {
 			return errf(ErrBadRequest, "restoring cor %s: %v", r.ID, err)
-		}
-		if r.Whitelist != nil {
-			s.Policy.SetWhitelist(r.ID, r.Whitelist)
 		}
 		cls, err := cor.ParseClass(r.Class)
 		if err != nil {
@@ -89,27 +86,16 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 		}
 	}
 
-	// Policy ops, in original order. Snapshot installs replay exactly as
-	// they were accepted, so after the loop the engine holds the last
-	// accepted document plus any later per-op mutations.
-	for _, op := range state.Policy {
-		switch op.Op {
-		case store.PolicyBind:
-			s.Policy.BindApp(op.CorID, op.AppHash)
-		case store.PolicyRevoke:
-			s.Policy.Revoke(op.DeviceID)
-		case store.PolicyRestore:
-			s.Policy.Restore(op.DeviceID)
-		case store.PolicySnapshot:
-			var snap policy.Snapshot
-			if err := json.Unmarshal(op.Snapshot, &snap); err != nil {
-				return errf(ErrBadRequest, "decoding durable policy snapshot v%d: %v", op.Version, err)
-			}
-			if _, err := s.Policy.Install(&snap); err != nil {
-				return errf(ErrBadRequest, "replaying durable policy snapshot v%d: %v", op.Version, err)
-			}
-		default:
-			return errf(ErrBadRequest, "unknown durable policy op %q", op.Op)
+	// Policy: every write logged a whole document, so the latest one is
+	// the whole policy, installed at its own version.
+	if rec := state.Policy; rec.Version != 0 {
+		var doc policy.Snapshot
+		if err := json.Unmarshal(rec.Snapshot, &doc); err != nil {
+			return errf(ErrBadRequest, "decoding durable policy v%d: %v", rec.Version, err)
+		}
+		doc.Version = rec.Version
+		if _, err := s.Policy.Install(&doc); err != nil {
+			return errf(ErrBadRequest, "installing durable policy v%d: %v", rec.Version, err)
 		}
 	}
 
@@ -150,32 +136,73 @@ func (s *Service) durStore() *store.Store {
 // durVaultRec logs a vault mutation and waits for its fsync. Callers hold
 // no Service locks.
 func (s *Service) durVaultRec(id string) error {
-	st := s.durStore()
-	if st == nil {
-		return nil
-	}
 	rec := s.Cors.Get(id)
 	if rec == nil {
 		return errf(ErrUnknownCor, "cor %q vanished before durable log", id)
 	}
-	tk := st.AppendVault(store.VaultRecord{
+	return vaultDurable(id, s.queueVault(rec))
+}
+
+// queueVault queues the cor's current record for the store: the zero
+// Ticket, which waits for nothing, when no store is attached.
+func (s *Service) queueVault(rec *cor.Record) store.Ticket {
+	st := s.durStore()
+	if st == nil {
+		return store.Ticket{}
+	}
+	return st.AppendVault(store.VaultRecord{
 		ID: rec.ID, Plaintext: rec.Plaintext, Description: rec.Description,
-		Whitelist: rec.Whitelist, Bit: rec.Bit, Class: string(rec.Class),
+		Bit: rec.Bit, Class: string(rec.Class),
 	})
+}
+
+// vaultDurable waits for a vault record's fsync.
+func vaultDurable(id string, tk store.Ticket) error {
 	if err := tk.Wait(context.Background()); err != nil {
 		return errf(ErrNotDurable, "cor %s not durable: %v", id, err)
 	}
 	return nil
 }
 
-// durPolicy logs a policy mutation and waits for its fsync.
-func (s *Service) durPolicy(op store.PolicyOp) error {
+// writePolicy is the node's one policy write: edit changes a copy of the
+// enforced document, the result is installed, and with a store attached
+// it is queued for the WAL before polMu is released, so durable policy
+// records are in install order. The caller waits on the returned ticket
+// (the zero Ticket without a store).
+func (s *Service) writePolicy(edit func(*policy.Snapshot)) (policy.Stamp, store.Ticket, error) {
+	s.polMu.Lock()
+	defer s.polMu.Unlock()
+	doc, stamp, err := s.Policy.Update(edit)
+	if err != nil {
+		return policy.Stamp{}, store.Ticket{}, badRequest(err)
+	}
 	st := s.durStore()
 	if st == nil {
-		return nil
+		return stamp, store.Ticket{}, nil
 	}
-	if err := st.AppendPolicy(op).Wait(context.Background()); err != nil {
-		return errf(ErrNotDurable, "policy %s not durable: %v", op.Op, err)
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		return policy.Stamp{}, store.Ticket{}, errf(ErrNotDurable, "encoding policy v%d: %v", stamp.Version, err)
+	}
+	return stamp, st.AppendPolicy(store.PolicyRecord{Version: stamp.Version, Snapshot: raw}), nil
+}
+
+// updatePolicy is writePolicy followed by the wait for its fsync.
+func (s *Service) updatePolicy(edit func(*policy.Snapshot)) (policy.Stamp, error) {
+	stamp, tk, err := s.writePolicy(edit)
+	if err == nil {
+		err = policyDurable(stamp, tk)
+	}
+	if err != nil {
+		return policy.Stamp{}, err
+	}
+	return stamp, nil
+}
+
+// policyDurable waits for a policy document's fsync.
+func policyDurable(stamp policy.Stamp, tk store.Ticket) error {
+	if err := tk.Wait(context.Background()); err != nil {
+		return errf(ErrNotDurable, "policy v%d not durable: %v", stamp.Version, err)
 	}
 	return nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,7 +70,7 @@ func auditWire(t testing.TB, entries []audit.Entry) []string {
 }
 
 // TestDurableNodeRoundTrip drives every durable mutation class through the
-// Service — register/generate cors, an offload that mints a derived cor,
+// Service — registered cors, an offload that mints a derived cor,
 // reseals, bind/revoke/restore — then kills the node and recovers a
 // fresh Service from the store. The recovered node must present the same
 // catalog, plaintexts, policy decisions, and audit trail, resume per-device
@@ -80,7 +84,7 @@ func TestDurableNodeRoundTrip(t *testing.T) {
 	if _, err := svc.RegisterCor(ctx, "pw", "hunter2!", "bank password", "bank.com"); err != nil {
 		t.Fatal(err)
 	}
-	gen, err := svc.GenerateCor(ctx, "gen", "minted on node", 12, "shop.com")
+	gen, err := svc.RegisterCor(ctx, "gen", "shop-secret-12", "second cor", "shop.com")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +165,17 @@ func TestDurableNodeRoundTrip(t *testing.T) {
 			last.DeviceSeq, last.DeviceID, info.AuditSeq+1)
 	}
 
-	// The whitelist survives as policy state too.
-	if gen.Whitelist[0] != "shop.com" {
-		t.Fatalf("generated whitelist = %v", gen.Whitelist)
+	// The whole policy document survives at its version: whitelists,
+	// binding and revocation alike.
+	if got, want := svc2.Policy.Stamp(), svc.Policy.Stamp(); got != want {
+		t.Fatalf("recovered policy stamp %+v, want %+v", got, want)
+	}
+	if wl := svc2.Policy.Export().Whitelist["gen"]; !slices.Equal(wl, []string{"shop.com"}) {
+		t.Fatalf("recovered whitelist of gen = %v", wl)
 	}
 
-	// No cor plaintext on disk — not the registered, generated or
-	// offload-derived secrets.
+	// No cor plaintext on disk — not the registered or offload-derived
+	// secrets.
 	secrets := []string{"hunter2!", gen.Plaintext, derived.Plaintext}
 	if hits := fault.ScanForPlaintext(fs.DiskBytes(), secrets); len(hits) != 0 {
 		t.Fatalf("cor plaintext on disk: %v", hits)
@@ -333,6 +341,140 @@ func TestDurableNodeCrashSweep(t *testing.T) {
 		}
 		if hits := fault.ScanForPlaintext(fs.DiskBytes(), []string{"hunter2!"}); len(hits) != 0 {
 			t.Fatalf("crashAt=%d: cor plaintext on disk: %v", crashAt, hits)
+		}
+	}
+}
+
+// TestDurablePolicyCrashSweep kills the node at every filesystem operation
+// of a sequence that exercises each policy write — RegisterCor with a
+// whitelist, BindApp, Revoke, InstallPolicy, Restore. After each crash the
+// recovered document and stamp must be those of the last acknowledged
+// write or of the write in flight: never an earlier write's, never a mix.
+// A recovered cor always has its whitelist, and no plaintext is on disk.
+// The store snapshots every two records, so crashes also land inside
+// snapshot writes and log compaction.
+func TestDurablePolicyCrashSweep(t *testing.T) {
+	ctx := context.Background()
+	open := func(fs *fault.CrashFS) *Service {
+		st, err := store.Open(store.Options{Dir: "store", FS: fs, Sealer: nodeTestSealer, SnapshotEvery: 2})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		return durableService(t, st, testClock())
+	}
+	writes := []func(*Service) error{
+		func(svc *Service) error {
+			_, err := svc.RegisterCor(ctx, "pw", "hunter2!", "bank password", "bank.com")
+			return err
+		},
+		func(svc *Service) error { return svc.BindApp("pw", "app-1") },
+		func(svc *Service) error { return svc.Revoke("dev-1") },
+		func(svc *Service) error {
+			doc := svc.Policy.Export()
+			doc.Version = 0
+			doc.AllowDomains("pw", []string{"bank.com", "m.bank.com"})
+			doc.Windows = map[string]policy.Window{"pw": {From: 6, To: 22}}
+			_, err := svc.InstallPolicy(ctx, doc)
+			return err
+		},
+		func(svc *Service) error { return svc.Restore("dev-1") },
+	}
+	type state struct {
+		doc   *policy.Snapshot
+		stamp policy.Stamp
+	}
+	capture := func(svc *Service) state { return state{svc.Policy.Export(), svc.Policy.Stamp()} }
+
+	// Control run, fault-free: states[i] is the policy after i writes.
+	control := open(fault.NewCrashFS(29))
+	states := []state{capture(control)}
+	for i, w := range writes {
+		if err := w(control); err != nil {
+			t.Fatalf("control write %d: %v", i, err)
+		}
+		states = append(states, capture(control))
+	}
+	for i := 1; i < len(states); i++ {
+		if states[i].stamp.Hash == states[i-1].stamp.Hash {
+			t.Fatalf("write %d left the document unchanged; the sweep could not tell them apart", i)
+		}
+	}
+
+	// Each seed tears the unsynced tail at a different length.
+	for seed := int64(1); seed <= 8; seed++ {
+		for crashAt := 0; ; crashAt++ {
+			fs := fault.NewCrashFS(seed)
+			svc := open(fs)
+			fs.CrashAfter(crashAt)
+			acked := 0
+			for _, w := range writes {
+				if w(svc) != nil {
+					break
+				}
+				acked++
+			}
+			if !fs.Crashed() {
+				if acked != len(writes) {
+					t.Fatalf("seed %d crashAt=%d: write %d failed without a crash", seed, crashAt, acked)
+				}
+				break // swept past the whole sequence
+			}
+			fs.Restart()
+
+			rec := open(fs)
+			got := capture(rec)
+			ok := false
+			for _, want := range states[acked:min(acked+2, len(states))] {
+				if got.stamp == want.stamp && reflect.DeepEqual(got.doc, want.doc) {
+					ok = true
+				}
+			}
+			if !ok {
+				t.Fatalf("seed %d crashAt=%d: %d writes acknowledged, recovered v%d %+v; want the policy after write %d or %d",
+					seed, crashAt, acked, got.stamp.Version, got.doc, acked, acked+1)
+			}
+			if rec.Cors.Get("pw") != nil && got.doc.Whitelist["pw"] == nil {
+				t.Fatalf("seed %d crashAt=%d: cor pw recovered without its whitelist", seed, crashAt)
+			}
+			if hits := fault.ScanForPlaintext(fs.DiskBytes(), []string{"hunter2!"}); len(hits) != 0 {
+				t.Fatalf("seed %d crashAt=%d: cor plaintext on disk: %v", seed, crashAt, hits)
+			}
+		}
+	}
+}
+
+// TestConcurrentPolicyWritersDurable runs writers that each bind a distinct
+// app hash at once on a store-backed node. Every binding must be enforced
+// afterwards and, because the node logs documents in install order, every
+// binding must also be in the document a restart recovers.
+func TestConcurrentPolicyWritersDurable(t *testing.T) {
+	fs := fault.NewCrashFS(31)
+	svc := durableService(t, openNodeStore(t, fs), testClock())
+	if _, err := svc.RegisterCor(context.Background(), "pw", "hunter2!", "bank password", "bank.com"); err != nil {
+		t.Fatal(err)
+	}
+	const writers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := svc.BindApp("pw", fmt.Sprintf("app-%d", i)); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	fs.CrashNow()
+	fs.Restart()
+	rec := durableService(t, openNodeStore(t, fs), testClock())
+	for name, s := range map[string]*Service{"live": svc, "recovered": rec} {
+		if got := s.Policy.Export().Bindings["pw"]; len(got) != writers {
+			t.Fatalf("%s node binds %v, want all %d writers' hashes", name, got, writers)
+		}
+		if v := s.Policy.Version(); v != 1+writers {
+			t.Fatalf("%s node at v%d, want v%d", name, v, 1+writers)
 		}
 	}
 }

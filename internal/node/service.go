@@ -13,7 +13,6 @@ package node
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +84,9 @@ type Service struct {
 	// enqueue so Seq order equals LSN order (durable.go).
 	durMu sync.Mutex
 	dur   *store.Store
+	// polMu serializes policy writes from install through WAL enqueue, so
+	// the store logs documents in install order (writePolicy).
+	polMu sync.Mutex
 }
 
 // serviceMetrics caches the service-level collectors.
@@ -181,39 +183,31 @@ func New(opts Options) *Service {
 
 // --- cor administration (the safe-environment setup of §2.3) ---
 
-// RegisterCor initializes a cor with known plaintext, wiring its whitelist
-// into the policy engine.
+// RegisterCor initializes a cor with known plaintext. A non-nil whitelist
+// becomes the cor's entry in the policy document (empty: never sent); a nil
+// one leaves the document alone, so the cor may go to any domain. With a
+// store attached, the policy document is queued before the vault record
+// and both share one commit: a recovered cor never lacks its whitelist.
 func (s *Service) RegisterCor(ctx context.Context, id, plaintext, description string, whitelist ...string) (*cor.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rec, err := s.Cors.Register(id, plaintext, description, whitelist...)
+	rec, err := s.Cors.Register(id, plaintext, description)
 	if err != nil {
 		return nil, badRequest(err)
 	}
+	var stamp policy.Stamp
+	var pol store.Ticket
 	if whitelist != nil {
-		s.Policy.SetWhitelist(rec.ID, whitelist)
+		stamp, pol, err = s.writePolicy(func(d *policy.Snapshot) { d.AllowDomains(id, whitelist) })
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := s.durVaultRec(rec.ID); err != nil {
+	if err := vaultDurable(id, s.queueVault(rec)); err != nil {
 		return nil, err
 	}
-	return rec, nil
-}
-
-// GenerateCor mints a fresh random cor of length n on the node ("Generate
-// New Password", §5.4); the plaintext never leaves the Service.
-func (s *Service) GenerateCor(ctx context.Context, id, description string, n int, whitelist ...string) (*cor.Record, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec, err := s.Cors.GenerateNew(id, description, n, whitelist...)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	if whitelist != nil {
-		s.Policy.SetWhitelist(rec.ID, whitelist)
-	}
-	if err := s.durVaultRec(rec.ID); err != nil {
+	if err := policyDurable(stamp, pol); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -230,30 +224,32 @@ func (s *Service) Catalog(ctx context.Context) ([]cor.DeviceView, error) {
 }
 
 // --- policy administration ---
+//
+// Every policy change installs a whole document through writePolicy
+// (durable.go); with a store attached, the document is fsynced before the
+// change is acknowledged.
 
-// BindApp restricts a cor to an app hash (§3.4 first binding). With a
-// store attached, the binding is fsynced before it is acknowledged.
+// BindApp restricts a cor to an app hash (§3.4 first binding).
 func (s *Service) BindApp(corID, appHash string) error {
-	s.Policy.BindApp(corID, appHash)
-	return s.durPolicy(store.PolicyOp{Op: store.PolicyBind, CorID: corID, AppHash: appHash})
+	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Bind(corID, appHash) })
+	return err
 }
 
 // Revoke cuts off a device ("if a user realizes her phone is stolen", §3.4).
 func (s *Service) Revoke(deviceID string) error {
-	s.Policy.Revoke(deviceID)
-	return s.durPolicy(store.PolicyOp{Op: store.PolicyRevoke, DeviceID: deviceID})
+	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Revoke(deviceID) })
+	return err
 }
 
 // Restore re-enables a device.
 func (s *Service) Restore(deviceID string) error {
-	s.Policy.Restore(deviceID)
-	return s.durPolicy(store.PolicyOp{Op: store.PolicyRestore, DeviceID: deviceID})
+	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Restore(deviceID) })
+	return err
 }
 
 // InstallPolicy validates and atomically installs a whole-policy snapshot
-// (the control plane's hot-reload). With a store attached, the accepted
-// document is WAL-logged and fsynced before the new stamp is returned, so
-// a restart recovers the last accepted version.
+// in place of the enforced one (the control plane's hot-reload). An
+// explicit Version must exceed the enforced one.
 func (s *Service) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (policy.Stamp, error) {
 	if err := ctx.Err(); err != nil {
 		return policy.Stamp{}, err
@@ -261,18 +257,7 @@ func (s *Service) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (pol
 	if snap == nil {
 		return policy.Stamp{}, errf(ErrBadRequest, "nil policy snapshot")
 	}
-	stamp, err := s.Policy.Install(snap)
-	if err != nil {
-		return policy.Stamp{}, badRequest(err)
-	}
-	raw, merr := json.Marshal(snap)
-	if merr != nil {
-		return policy.Stamp{}, errf(ErrBadRequest, "encoding policy snapshot: %v", merr)
-	}
-	if derr := s.durPolicy(store.PolicyOp{Op: store.PolicySnapshot, Version: snap.Version, Snapshot: raw}); derr != nil {
-		return policy.Stamp{}, derr
-	}
-	return stamp, nil
+	return s.updatePolicy(func(d *policy.Snapshot) { *d = *snap })
 }
 
 // SetCorClass reassigns a cor's sensitivity tier. With a store attached the

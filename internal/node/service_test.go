@@ -234,6 +234,13 @@ func TestMultiDeviceIsolation(t *testing.T) {
 	if !strings.HasPrefix(reqB.CorID, "derived-pw-b") {
 		t.Fatalf("device B derived cor = %q", reqB.CorID)
 	}
+	// A derived cor is checked against its parent's rules: pw-b's
+	// whitelist refuses device A's bank.
+	raw, _ := sessionState(t)
+	_, err = svc.Reseal(ctx, ResealRequest{CorID: reqB.CorID, AppHash: hashB, DeviceID: "dev-b", Domain: "bank-a.com", State: raw})
+	if d, ok := policy.IsDenial(err); !ok || d.Reason != policy.ReasonDomainNotAllowed {
+		t.Fatalf("derived cor sent outside its parent's whitelist: err = %v", err)
+	}
 
 	// Cross-device access: device B's binary touching device A's cor is
 	// refused by the app binding, and the denial is attributed to B.

@@ -37,10 +37,9 @@ func benchState() (json.RawMessage, error) {
 // with.
 func PrepareThroughputServer(srv *Server) (json.RawMessage, error) {
 	if srv.Svc.Cors.Get(benchCor) == nil {
-		if _, err := srv.Svc.Cors.Register(benchCor, "hunter2-benchmark!", "throughput cor", "bench.example"); err != nil {
+		if _, err := srv.Svc.RegisterCor(context.Background(), benchCor, "hunter2-benchmark!", "throughput cor", "bench.example"); err != nil {
 			return nil, err
 		}
-		srv.Svc.Policy.SetWhitelist(benchCor, []string{"bench.example"})
 	}
 	return benchState()
 }

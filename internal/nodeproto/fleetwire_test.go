@@ -145,10 +145,9 @@ func TestWireHandoffExportImport(t *testing.T) {
 	newNode := func() (*Server, *ReconnectClient) {
 		t.Helper()
 		srv := NewServer()
-		if _, err := srv.Svc.Cors.Register(benchCor, "hunter2-benchmark!", "cor", "bench.example"); err != nil {
+		if _, err := srv.Svc.RegisterCor(ctx, benchCor, "hunter2-benchmark!", "cor", "bench.example"); err != nil {
 			t.Fatal(err)
 		}
-		srv.Svc.Policy.SetWhitelist(benchCor, []string{"bench.example"})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -81,24 +81,6 @@ func TestRegisterAndCatalog(t *testing.T) {
 	}
 }
 
-func TestGenerateKeepsPlaintextOnNode(t *testing.T) {
-	c, s := testServer(t)
-	if _, err := s.Svc.GenerateCor(context.Background(), "gen-pw", "generated", 20, "site.com"); err != nil {
-		t.Fatal(err)
-	}
-	cat, err := c.Catalog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cat) != 1 || len(cat[0].Placeholder) != 20 {
-		t.Fatalf("catalog = %+v", cat)
-	}
-	rec := s.Svc.Cors.Get("gen-pw")
-	if rec == nil || len(rec.Plaintext) != 20 || rec.Plaintext == cat[0].Placeholder {
-		t.Fatal("generated plaintext wrong on node")
-	}
-}
-
 // TestWireClassRoundTrip: the catalog carries each cor's sensitivity class
 // over the wire, and a reclassification reaches the next catalog fetch.
 func TestWireClassRoundTrip(t *testing.T) {

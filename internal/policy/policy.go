@@ -6,11 +6,11 @@
 // the network.
 //
 // The Engine is a versioned, hot-swappable ruleset: all rules live in one
-// immutable snapshot behind an atomic pointer, every mutation (a single
-// admin call or a whole-snapshot Install) publishes a fresh copy under a
-// new version, and each Check runs start-to-finish against the version it
-// loaded — an in-flight check never observes a half-applied change, and
-// the (version, hash) stamp it ran under is reported for audit.
+// immutable ruleset behind an atomic pointer; the only way they change is
+// installing a whole numbered document (a Snapshot); and each Check runs
+// start-to-finish against the version it loaded — an in-flight check never
+// observes a half-applied change, and the (version, hash) stamp it ran
+// under is reported for audit.
 package policy
 
 import (
@@ -198,22 +198,19 @@ func (r *rate) sameSpec(max int, per time.Duration) bool {
 	return r != nil && r.max == max && r.per == per
 }
 
-// ruleset is one immutable policy version. After publication nothing in it
-// is written again (the *rate cells self-synchronize), so readers navigate
-// it without any lock.
+// ruleset is one installed policy document. After publication nothing in
+// it is written again (the *rate cells self-synchronize), so readers
+// navigate it without any lock.
 type ruleset struct {
-	// version increases by at least one on every published mutation.
+	// version is the installed document's version; it rises with every
+	// Install.
 	version uint64
-	// snapVersion is the version of the last installed Snapshot (0 before
-	// any Install) — the number fleet members compare for staleness.
-	snapVersion uint64
-	// hash is a short content hash of the ruleset (version excluded), so
-	// two members holding identical rules agree on it regardless of how
-	// many local mutations produced them.
+	// hash is a short content hash of the rules (version excluded), so two
+	// members holding identical rules agree on it.
 	hash string
 
 	appBindings map[string]map[string]bool // cor -> allowed app hashes
-	whitelist   map[string][]string        // cor -> domains (nil = unrestricted send, empty non-nil = never send)
+	whitelist   map[string][]string        // cor -> domains (absent = unrestricted send, empty = never send)
 	authIPs     map[string][]string        // domain -> authentication endpoint IPs
 	authOnly    map[string]bool            // cor -> restrict to auth IPs
 	revoked     map[string]bool            // device -> revoked
@@ -221,50 +218,6 @@ type ruleset struct {
 	rates       map[string]*rate           // cor -> rate limit
 	classRates  map[cor.Class]*rate        // class -> shared rate budget
 	malware     func(appHash string) bool  // malware DB lookup (not part of the hash)
-}
-
-// clone shallow-copies every map: values (slices, inner maps, *rate cells)
-// are shared with the parent, and any mutator that edits an inner structure
-// must replace it rather than write through.
-func (rs *ruleset) clone() *ruleset {
-	next := &ruleset{
-		version:     rs.version,
-		snapVersion: rs.snapVersion,
-		appBindings: make(map[string]map[string]bool, len(rs.appBindings)),
-		whitelist:   make(map[string][]string, len(rs.whitelist)),
-		authIPs:     make(map[string][]string, len(rs.authIPs)),
-		authOnly:    make(map[string]bool, len(rs.authOnly)),
-		revoked:     make(map[string]bool, len(rs.revoked)),
-		windows:     make(map[string]Window, len(rs.windows)),
-		rates:       make(map[string]*rate, len(rs.rates)),
-		classRates:  make(map[cor.Class]*rate, len(rs.classRates)),
-		malware:     rs.malware,
-	}
-	for k, v := range rs.appBindings {
-		next.appBindings[k] = v
-	}
-	for k, v := range rs.whitelist {
-		next.whitelist[k] = v
-	}
-	for k, v := range rs.authIPs {
-		next.authIPs[k] = v
-	}
-	for k, v := range rs.authOnly {
-		next.authOnly[k] = v
-	}
-	for k, v := range rs.revoked {
-		next.revoked[k] = v
-	}
-	for k, v := range rs.windows {
-		next.windows[k] = v
-	}
-	for k, v := range rs.rates {
-		next.rates[k] = v
-	}
-	for k, v := range rs.classRates {
-		next.classRates[k] = v
-	}
-	return next
 }
 
 func emptyRuleset() *ruleset {
@@ -290,11 +243,12 @@ type Stamp struct {
 // Engine evaluates accesses. The clock is injectable so virtual-time
 // simulations enforce windows and rates on simulated time.
 //
-// Administration (BindApp, SetWhitelist, Revoke, Install, …) serializes on
-// writeMu, copies the current ruleset, applies the change and publishes the
-// copy with one atomic store. The hot Check path — every reseal on a loaded
-// trusted node — loads the pointer once and runs lock-free against that
-// version; concurrent checks never serialize on each other or on a swap.
+// Policy changes only by installing a whole Snapshot (Install, or Update's
+// read-modify-write): the writer serializes on writeMu, builds the new
+// ruleset and publishes it with one atomic store. The hot Check path —
+// every reseal on a loaded trusted node — loads the pointer once and runs
+// lock-free against that version; concurrent checks never serialize on
+// each other or on a swap.
 type Engine struct {
 	writeMu sync.Mutex
 	cur     atomic.Pointer[ruleset]
@@ -323,105 +277,16 @@ func NewEngine(now func() time.Time) *Engine {
 	return e
 }
 
-// mutate publishes one copy-on-write change: version bumps, hash is
-// recomputed, readers switch atomically.
-func (e *Engine) mutate(fn func(rs *ruleset)) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	next := e.cur.Load().clone()
-	fn(next)
-	next.version++
-	next.hash = rulesetHash(next)
-	e.cur.Store(next)
-}
-
-// BindApp allows the app with the given dex hash to access the cor.
-func (e *Engine) BindApp(corID, appHash string) {
-	e.mutate(func(rs *ruleset) {
-		m := make(map[string]bool, len(rs.appBindings[corID])+1)
-		for k, v := range rs.appBindings[corID] {
-			m[k] = v
-		}
-		m[appHash] = true
-		rs.appBindings[corID] = m
-	})
-}
-
-// SetWhitelist replaces the cor's domain whitelist. A nil slice removes the
-// restriction; an empty non-nil slice means the cor may never be sent.
-func (e *Engine) SetWhitelist(corID string, domains []string) {
-	e.mutate(func(rs *ruleset) {
-		if domains == nil {
-			delete(rs.whitelist, corID)
-			return
-		}
-		rs.whitelist[corID] = append([]string(nil), domains...)
-	})
-}
-
-// SetAuthIPs records a domain's dedicated authentication endpoints; the
-// trusted node updates this list periodically (§3.4).
-func (e *Engine) SetAuthIPs(domain string, ips []string) {
-	e.mutate(func(rs *ruleset) {
-		rs.authIPs[domain] = append([]string(nil), ips...)
-	})
-}
-
-// RequireAuthEndpoint narrows the cor's whitelist to authentication IPs
-// only — the defense against posting a password to an attacker's page
-// within the whitelisted domain (§3.4).
-func (e *Engine) RequireAuthEndpoint(corID string, on bool) {
-	e.mutate(func(rs *ruleset) {
-		rs.authOnly[corID] = on
-	})
-}
-
-// Revoke cuts off a device ("if a user realizes her phone is stolen", §3.4).
-func (e *Engine) Revoke(deviceID string) {
-	e.mutate(func(rs *ruleset) {
-		rs.revoked[deviceID] = true
-	})
-}
-
-// Restore re-enables a device.
-func (e *Engine) Restore(deviceID string) {
-	e.mutate(func(rs *ruleset) {
-		delete(rs.revoked, deviceID)
-	})
-}
-
-// SetWindow constrains the cor to a daily time window (§4.2).
-func (e *Engine) SetWindow(corID string, w Window) {
-	e.mutate(func(rs *ruleset) {
-		rs.windows[corID] = w
-	})
-}
-
-// SetRateLimit constrains the cor to max accesses per period (§4.2, "four
-// times per day"). The budget resets: a fresh counter replaces any prior
-// limit for the cor.
-func (e *Engine) SetRateLimit(corID string, max int, per time.Duration) {
-	e.mutate(func(rs *ruleset) {
-		rs.rates[corID] = &rate{max: max, per: per}
-	})
-}
-
-// SetClassRateLimit constrains every send of a cor in the class against one
-// shared budget — the class-tier defense: even if each record stays under
-// its own limit, the tier as a whole cannot be drained.
-func (e *Engine) SetClassRateLimit(c cor.Class, max int, per time.Duration) {
-	e.mutate(func(rs *ruleset) {
-		rs.classRates[c] = &rate{max: max, per: per}
-	})
-}
-
 // SetMalwareCheck installs the malware-database lookup. The function rides
 // the ruleset (so checks see one consistent pair of rules + lookup) but is
-// code, not data: Install carries it forward unchanged.
+// code, not data: it leaves the version and hash alone, and Install
+// carries it forward unchanged.
 func (e *Engine) SetMalwareCheck(fn func(appHash string) bool) {
-	e.mutate(func(rs *ruleset) {
-		rs.malware = fn
-	})
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	next := *e.cur.Load()
+	next.malware = fn
+	e.cur.Store(&next)
 }
 
 // SetMetrics registers the engine's decision counters — total checks,
@@ -450,14 +315,9 @@ func (e *Engine) Stamp() Stamp {
 	return Stamp{Version: rs.version, Hash: rs.hash}
 }
 
-// Version returns the current policy version (monotonic across every
-// mutation and install).
+// Version returns the version of the installed document (0 before the
+// first Install).
 func (e *Engine) Version() uint64 { return e.cur.Load().version }
-
-// SnapVersion returns the version of the last installed snapshot (0 before
-// any Install) — what fleet members compare when deciding whether a member
-// lags the control plane.
-func (e *Engine) SnapVersion() uint64 { return e.cur.Load().snapVersion }
 
 // Check evaluates an access, recording it against the rate limit when
 // allowed. It returns nil or a *Denial with the first violated rule's
@@ -469,7 +329,7 @@ func (e *Engine) Check(a Access) error {
 
 // CheckStamped evaluates an access and reports the exact policy version it
 // was decided under. The ruleset pointer is loaded once: a concurrent
-// Install or admin mutation never tears the rules mid-check, and the
+// Install never tears the rules mid-check, and the
 // returned Stamp is precisely the version the verdict belongs to.
 func (e *Engine) CheckStamped(a Access) (Stamp, error) {
 	rs := e.cur.Load()

@@ -16,10 +16,28 @@ func noonClock() (*time.Time, func() time.Time) {
 	return fixedClock(time.Date(2015, 4, 21, 12, 0, 0, 0, time.UTC)) // EuroSys'15 day 1
 }
 
+// install publishes doc on e or fails the test.
+func install(t *testing.T, e *Engine, doc *Snapshot) Stamp {
+	t.Helper()
+	st, err := e.Install(doc)
+	if err != nil {
+		t.Fatalf("install: %v", err)
+	}
+	return st
+}
+
+// update edits e's installed document or fails the test.
+func update(t *testing.T, e *Engine, edit func(*Snapshot)) {
+	t.Helper()
+	if _, _, err := e.Update(edit); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+}
+
 func TestAppBinding(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.BindApp("fb-pw", "hash-official")
+	install(t, e, &Snapshot{Bindings: map[string][]string{"fb-pw": {"hash-official"}}})
 
 	if err := e.Check(Access{CorID: "fb-pw", AppHash: "hash-official"}); err != nil {
 		t.Fatalf("bound app denied: %v", err)
@@ -38,7 +56,7 @@ func TestAppBinding(t *testing.T) {
 func TestDomainWhitelist(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.SetWhitelist("fb-pw", []string{"facebook.com"})
+	install(t, e, &Snapshot{Whitelist: map[string][]string{"fb-pw": {"facebook.com"}}})
 
 	cases := []struct {
 		domain string
@@ -71,7 +89,7 @@ func TestNeverSendCor(t *testing.T) {
 	// "the private key of bitcoin cannot be sent out" (§3.4).
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.SetWhitelist("btc-key", []string{})
+	install(t, e, &Snapshot{Whitelist: map[string][]string{"btc-key": {}}})
 	err := e.Check(Access{CorID: "btc-key", Send: true, Domain: "anywhere.com"})
 	if d, ok := IsDenial(err); !ok || d.Reason != ReasonNeverSend {
 		t.Fatalf("err = %v, want never-send denial", err)
@@ -86,9 +104,11 @@ func TestAuthEndpointNarrowing(t *testing.T) {
 	// dedicated authentication machines, not any IP in the domain.
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.SetWhitelist("fb-pw", []string{"facebook.com"})
-	e.SetAuthIPs("facebook.com", []string{"31.13.64.1"})
-	e.RequireAuthEndpoint("fb-pw", true)
+	install(t, e, &Snapshot{
+		Whitelist: map[string][]string{"fb-pw": {"facebook.com"}},
+		AuthIPs:   map[string][]string{"facebook.com": {"31.13.64.1"}},
+		AuthOnly:  []string{"fb-pw"},
+	})
 
 	if err := e.Check(Access{CorID: "fb-pw", Send: true, Domain: "facebook.com", IP: "31.13.64.1"}); err != nil {
 		t.Fatalf("auth endpoint denied: %v", err)
@@ -98,7 +118,7 @@ func TestAuthEndpointNarrowing(t *testing.T) {
 		t.Fatalf("comment-page IP: %v", err)
 	}
 
-	e.RequireAuthEndpoint("fb-pw", false)
+	update(t, e, func(d *Snapshot) { d.AuthOnly = nil })
 	if err := e.Check(Access{CorID: "fb-pw", Send: true, Domain: "facebook.com", IP: "31.13.99.99"}); err != nil {
 		t.Fatalf("narrowing off but still denied: %v", err)
 	}
@@ -107,7 +127,7 @@ func TestAuthEndpointNarrowing(t *testing.T) {
 func TestRevocation(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.Revoke("stolen-phone")
+	update(t, e, func(d *Snapshot) { d.Revoke("stolen-phone") })
 	err := e.Check(Access{CorID: "any", DeviceID: "stolen-phone"})
 	if d, ok := IsDenial(err); !ok || d.Reason != ReasonRevoked {
 		t.Fatalf("err = %v", err)
@@ -115,7 +135,7 @@ func TestRevocation(t *testing.T) {
 	if err := e.Check(Access{CorID: "any", DeviceID: "other-phone"}); err != nil {
 		t.Fatalf("unrevoked device denied: %v", err)
 	}
-	e.Restore("stolen-phone")
+	update(t, e, func(d *Snapshot) { d.Restore("stolen-phone") })
 	if err := e.Check(Access{CorID: "any", DeviceID: "stolen-phone"}); err != nil {
 		t.Fatalf("restored device denied: %v", err)
 	}
@@ -124,7 +144,7 @@ func TestRevocation(t *testing.T) {
 func TestTimeWindow(t *testing.T) {
 	clock, now := noonClock()
 	e := NewEngine(now)
-	e.SetWindow("cc", Window{From: 10, To: 22})
+	install(t, e, &Snapshot{Windows: map[string]Window{"cc": {From: 10, To: 22}}})
 
 	if err := e.Check(Access{CorID: "cc"}); err != nil {
 		t.Fatalf("noon access denied: %v", err)
@@ -139,7 +159,7 @@ func TestTimeWindow(t *testing.T) {
 func TestOvernightWindow(t *testing.T) {
 	clock, now := noonClock()
 	e := NewEngine(now)
-	e.SetWindow("night", Window{From: 22, To: 6})
+	install(t, e, &Snapshot{Windows: map[string]Window{"night": {From: 22, To: 6}}})
 	*clock = time.Date(2015, 4, 21, 23, 0, 0, 0, time.UTC)
 	if err := e.Check(Access{CorID: "night"}); err != nil {
 		t.Fatalf("23:00 denied for overnight window: %v", err)
@@ -149,7 +169,7 @@ func TestOvernightWindow(t *testing.T) {
 		t.Fatal("noon allowed for overnight window")
 	}
 	// Degenerate window allows everything.
-	e.SetWindow("always", Window{From: 5, To: 5})
+	update(t, e, func(d *Snapshot) { d.Windows["always"] = Window{From: 5, To: 5} })
 	if err := e.Check(Access{CorID: "always"}); err != nil {
 		t.Fatalf("degenerate window denied: %v", err)
 	}
@@ -159,7 +179,7 @@ func TestRateLimit(t *testing.T) {
 	// "four times per day" (§4.2).
 	clock, now := noonClock()
 	e := NewEngine(now)
-	e.SetRateLimit("cc", 4, 24*time.Hour)
+	install(t, e, &Snapshot{Rates: map[string]RateSpec{"cc": {Max: 4, Per: 24 * time.Hour}}})
 
 	for i := 0; i < 4; i++ {
 		if err := e.Check(Access{CorID: "cc", Send: true}); err != nil {
@@ -184,8 +204,10 @@ func TestRateLimit(t *testing.T) {
 func TestDeniedAccessDoesNotConsumeRateBudget(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.SetRateLimit("cc", 2, time.Hour)
-	e.BindApp("cc", "good")
+	install(t, e, &Snapshot{
+		Rates:    map[string]RateSpec{"cc": {Max: 2, Per: time.Hour}},
+		Bindings: map[string][]string{"cc": {"good"}},
+	})
 	// Denied attempts (wrong app) must not burn the budget.
 	for i := 0; i < 5; i++ {
 		if err := e.Check(Access{CorID: "cc", AppHash: "evil", Send: true}); err == nil {
@@ -202,7 +224,12 @@ func TestDeniedAccessDoesNotConsumeRateBudget(t *testing.T) {
 func TestMalwareCheck(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
+	before := e.Stamp()
 	e.SetMalwareCheck(func(h string) bool { return h == "bad" })
+	// The lookup is code, not data: it publishes no new version.
+	if e.Stamp() != before {
+		t.Fatalf("malware lookup moved the stamp: %+v -> %+v", before, e.Stamp())
+	}
 	err := e.Check(Access{CorID: "x", AppHash: "bad"})
 	if d, ok := IsDenial(err); !ok || d.Reason != ReasonMalware {
 		t.Fatalf("err = %v", err)

@@ -1,9 +1,9 @@
-// Snapshot: the serializable whole-policy document behind atomic
-// hot-reload. An operator (or the fleet control plane) builds a Snapshot,
-// Validate rejects it before anything changes, and Install publishes it as
-// one atomic pointer swap — in-flight checks finish against the ruleset
-// they loaded, new checks see the complete new policy, and there is no
-// intermediate state in between.
+// Snapshot: the serializable whole-policy document, the only unit in which
+// policy changes. An operator (or the fleet control plane) builds a
+// Snapshot, Validate rejects it before anything changes, and Install
+// publishes it as one atomic pointer swap — in-flight checks finish against
+// the ruleset they loaded, new checks see the complete new policy, and
+// there is no intermediate state in between.
 package policy
 
 import (
@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,9 +20,7 @@ import (
 )
 
 // ErrStaleSnapshot marks an Install whose explicit Version is at or below
-// the engine's last installed snapshot. Replication layers match it with
-// errors.Is and treat it as "already applied" — that is what makes fleet
-// pushes and recovery replays idempotent.
+// the installed document's: versions never go backwards.
 var ErrStaleSnapshot = errors.New("policy: stale snapshot version")
 
 // RateSpec is the serializable form of a rate limit: Max sends per Per
@@ -35,14 +34,13 @@ type RateSpec struct {
 // deterministically (keys sorted, slices pre-sorted by Export), so its
 // canonical JSON doubles as the content-hash input.
 type Snapshot struct {
-	// Version is the control plane's number for this document. Zero lets
-	// the engine self-assign; non-zero versions must increase — Install
-	// rejects a Version at or below the last installed one, which is what
-	// makes fleet pushes idempotent and reordering-safe.
+	// Version is the document's number. Zero lets the engine take the next
+	// one; an explicit Version must exceed the installed document's, or
+	// Install rejects it, so versions never go backwards.
 	Version uint64 `json:"version,omitempty"`
 
 	Bindings   map[string][]string `json:"bindings,omitempty"`    // cor -> allowed app hashes
-	Whitelist  map[string][]string `json:"whitelist,omitempty"`   // cor -> domains; empty list = never send
+	Whitelist  map[string][]string `json:"whitelist,omitempty"`   // cor -> domains; no entry = any domain, empty list = never send
 	AuthIPs    map[string][]string `json:"auth_ips,omitempty"`    // domain -> auth endpoint IPs
 	AuthOnly   []string            `json:"auth_only,omitempty"`   // cors restricted to auth IPs
 	Revoked    []string            `json:"revoked,omitempty"`     // revoked devices
@@ -109,22 +107,53 @@ func (r RateSpec) validate(what string) error {
 // unchanged carry over, so a hot-reload does not refill consumed budgets.
 // The malware lookup (code, not data) carries over unconditionally.
 //
-// Version assignment: the published ruleset's version is
-// max(current+1, snapshot.Version) — always monotonic locally, and aligned
-// with the control plane's number when it supplies one. A snapshot whose
-// Version is at or below the last installed snapshot is stale and rejected.
+// The published version is the snapshot's Version, which must exceed the
+// installed one (ErrStaleSnapshot otherwise); a zero Version takes the
+// installed version plus one.
 func (e *Engine) Install(s *Snapshot) (Stamp, error) {
 	if err := s.Validate(); err != nil {
 		return Stamp{}, err
 	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
+	return e.installLocked(s)
+}
+
+// Update is the read-modify-write form of Install: under the write lock it
+// exports the installed document with its Version cleared, lets edit
+// change it, and installs the result, so concurrent writers cannot lose
+// each other's changes. edit may set an explicit Version; it must not call
+// back into the engine. Update returns the installed document, Version
+// filled in, for the caller to log or push.
+func (e *Engine) Update(edit func(*Snapshot)) (*Snapshot, Stamp, error) {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	doc := exportRules(e.cur.Load())
+	edit(doc)
+	if err := doc.Validate(); err != nil {
+		return nil, Stamp{}, err
+	}
+	st, err := e.installLocked(doc)
+	if err != nil {
+		return nil, Stamp{}, err
+	}
+	doc.Version = st.Version
+	return doc, st, nil
+}
+
+// installLocked publishes a validated snapshot; writeMu held.
+func (e *Engine) installLocked(s *Snapshot) (Stamp, error) {
 	prev := e.cur.Load()
-	if s.Version != 0 && s.Version <= prev.snapVersion {
-		return Stamp{}, fmt.Errorf("%w: %d (already at %d)", ErrStaleSnapshot, s.Version, prev.snapVersion)
+	version := prev.version + 1
+	if s.Version != 0 {
+		if s.Version <= prev.version {
+			return Stamp{}, fmt.Errorf("%w: %d (already at %d)", ErrStaleSnapshot, s.Version, prev.version)
+		}
+		version = s.Version
 	}
 
 	next := emptyRuleset()
+	next.version = version
 	next.malware = prev.malware
 	for id, hashes := range s.Bindings {
 		m := make(map[string]bool, len(hashes))
@@ -163,25 +192,46 @@ func (e *Engine) Install(s *Snapshot) (Stamp, error) {
 			next.classRates[c] = &rate{max: spec.Max, per: spec.Per}
 		}
 	}
-
-	next.version = prev.version + 1
-	if s.Version > next.version {
-		next.version = s.Version
-	}
-	if s.Version != 0 {
-		next.snapVersion = s.Version
-	} else {
-		next.snapVersion = next.version
-	}
 	next.hash = rulesetHash(next)
 	e.cur.Store(next)
 	return Stamp{Version: next.version, Hash: next.hash}, nil
 }
 
-// Export captures the current ruleset as a Snapshot — what an admin GET
-// returns and what the fleet re-pushes to a member that was unreachable.
-// The exported Version is the engine's current version. Slices are sorted
-// so the export is canonical.
+// Bind adds appHash to the apps allowed to use the cor.
+func (s *Snapshot) Bind(corID, appHash string) {
+	if slices.Contains(s.Bindings[corID], appHash) {
+		return
+	}
+	if s.Bindings == nil {
+		s.Bindings = make(map[string][]string)
+	}
+	s.Bindings[corID] = append(slices.Clip(s.Bindings[corID]), appHash)
+}
+
+// AllowDomains replaces the cor's whitelist; an empty list means the cor is
+// never sent.
+func (s *Snapshot) AllowDomains(corID string, domains []string) {
+	if s.Whitelist == nil {
+		s.Whitelist = make(map[string][]string)
+	}
+	s.Whitelist[corID] = append([]string{}, domains...)
+}
+
+// Revoke adds the device to the revocation list.
+func (s *Snapshot) Revoke(deviceID string) {
+	if !slices.Contains(s.Revoked, deviceID) {
+		s.Revoked = append(slices.Clip(s.Revoked), deviceID)
+	}
+}
+
+// Restore removes the device from the revocation list.
+func (s *Snapshot) Restore(deviceID string) {
+	s.Revoked = slices.DeleteFunc(slices.Clone(s.Revoked), func(d string) bool { return d == deviceID })
+}
+
+// Export captures the installed document — what an admin GET returns for
+// editing. Its Version is the installed one, so a document posted back
+// must drop or raise it. Slices are sorted so the export is canonical.
 func (e *Engine) Export() *Snapshot {
 	rs := e.cur.Load()
 	s := exportRules(rs)

@@ -2,7 +2,9 @@ package policy
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,8 +45,10 @@ func TestSnapshotValidate(t *testing.T) {
 func TestInstallSwapsWholePolicy(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.BindApp("fb-pw", "old-hash")
-	e.Revoke("old-phone")
+	install(t, e, &Snapshot{
+		Bindings: map[string][]string{"fb-pw": {"old-hash"}},
+		Revoked:  []string{"old-phone"},
+	})
 
 	st, err := e.Install(&Snapshot{
 		Bindings:  map[string][]string{"fb-pw": {"new-hash"}},
@@ -57,7 +61,7 @@ func TestInstallSwapsWholePolicy(t *testing.T) {
 	if st.Version == 0 || st.Hash == "" {
 		t.Fatalf("empty install stamp %+v", st)
 	}
-	// Old per-op state is fully replaced, not merged.
+	// The old document is fully replaced, not merged.
 	if err := e.Check(Access{CorID: "fb-pw", AppHash: "old-hash"}); err == nil {
 		t.Fatal("pre-install binding survived the swap")
 	}
@@ -81,27 +85,32 @@ func TestInstallStaleVersionRejected(t *testing.T) {
 	if _, err := e.Install(&Snapshot{Version: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Version() != 7 || e.SnapVersion() != 7 {
-		t.Fatalf("version = %d/%d, want 7/7", e.Version(), e.SnapVersion())
+	if e.Version() != 7 {
+		t.Fatalf("version = %d, want 7", e.Version())
 	}
-	if _, err := e.Install(&Snapshot{Version: 7}); err == nil {
-		t.Fatal("replayed snapshot version accepted")
+	for _, v := range []uint64{7, 3} {
+		if _, err := e.Install(&Snapshot{Version: v}); !errors.Is(err, ErrStaleSnapshot) {
+			t.Fatalf("install of v%d at v7 = %v, want ErrStaleSnapshot", v, err)
+		}
+		if _, _, err := e.Update(func(d *Snapshot) { d.Version = v }); !errors.Is(err, ErrStaleSnapshot) {
+			t.Fatalf("update to v%d at v7 = %v, want ErrStaleSnapshot", v, err)
+		}
 	}
-	if _, err := e.Install(&Snapshot{Version: 3}); err == nil {
-		t.Fatal("older snapshot version accepted")
+	// A zero Version takes the next number, for Install and Update alike,
+	// and Update hands back the document at the version it installed.
+	if st := install(t, e, &Snapshot{}); st.Version != 8 {
+		t.Fatalf("self-assigned install = v%d, want 8", st.Version)
 	}
-	// Local mutations keep bumping past the snapshot version…
-	e.Revoke("d1")
-	if e.Version() != 8 {
-		t.Fatalf("version after mutation = %d, want 8", e.Version())
-	}
-	// …and the next self-assigned install lands above them.
-	st, err := e.Install(&Snapshot{})
+	doc, st, err := e.Update(func(d *Snapshot) { d.Revoke("d1") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 9 || e.SnapVersion() != 9 {
-		t.Fatalf("self-assigned install = v%d snap %d, want 9/9", st.Version, e.SnapVersion())
+	if st.Version != 9 || doc.Version != 9 || !slices.Equal(doc.Revoked, []string{"d1"}) {
+		t.Fatalf("update = v%d, document %+v; want v9 revoking d1", st.Version, doc)
+	}
+	// A rejected document changes nothing.
+	if e.Stamp() != st {
+		t.Fatalf("stamp %+v after rejected installs, want %+v", e.Stamp(), st)
 	}
 }
 
@@ -138,7 +147,7 @@ func TestInstallCarriesRateBudget(t *testing.T) {
 func TestClassRateLimit(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.SetClassRateLimit(cor.ClassSensitive, 2, time.Hour)
+	install(t, e, &Snapshot{ClassRates: map[string]RateSpec{string(cor.ClassSensitive): {Max: 2, Per: time.Hour}}})
 	// Two different cors share the class budget.
 	for i, id := range []string{"pw-a", "pw-b"} {
 		if err := e.Check(Access{CorID: id, Class: cor.ClassSensitive, Send: true}); err != nil {
@@ -161,16 +170,18 @@ func TestClassRateLimit(t *testing.T) {
 func TestExportInstallRoundTrip(t *testing.T) {
 	_, now := noonClock()
 	e := NewEngine(now)
-	e.BindApp("fb-pw", "h1")
-	e.BindApp("fb-pw", "h2")
-	e.SetWhitelist("fb-pw", []string{"facebook.com"})
-	e.SetWhitelist("btc", []string{})
-	e.SetAuthIPs("facebook.com", []string{"31.13.64.1"})
-	e.RequireAuthEndpoint("fb-pw", true)
-	e.Revoke("stolen")
-	e.SetWindow("cc", Window{From: 10, To: 22})
-	e.SetRateLimit("cc", 4, 24*time.Hour)
-	e.SetClassRateLimit(cor.ClassServerOnly, 1, time.Hour)
+	update(t, e, func(d *Snapshot) {
+		d.Bind("fb-pw", "h1")
+		d.Bind("fb-pw", "h2")
+		d.AllowDomains("fb-pw", []string{"facebook.com"})
+		d.AllowDomains("btc", []string{})
+		d.AuthIPs = map[string][]string{"facebook.com": {"31.13.64.1"}}
+		d.AuthOnly = []string{"fb-pw"}
+		d.Revoke("stolen")
+		d.Windows = map[string]Window{"cc": {From: 10, To: 22}}
+		d.Rates = map[string]RateSpec{"cc": {Max: 4, Per: 24 * time.Hour}}
+		d.ClassRates = map[string]RateSpec{string(cor.ClassServerOnly): {Max: 1, Per: time.Hour}}
+	})
 
 	snap := e.Export()
 	data, err := json.Marshal(snap)
@@ -209,10 +220,10 @@ func TestStampTracksMutations(t *testing.T) {
 	if s0.Version != 0 || s0.Hash == "" {
 		t.Fatalf("fresh engine stamp %+v", s0)
 	}
-	e.Revoke("d")
+	update(t, e, func(d *Snapshot) { d.Revoke("d") })
 	s1 := e.Stamp()
 	if s1.Version != s0.Version+1 || s1.Hash == s0.Hash {
-		t.Fatalf("mutation did not move the stamp: %+v -> %+v", s0, s1)
+		t.Fatalf("update did not move the stamp: %+v -> %+v", s0, s1)
 	}
 	st, err := e.CheckStamped(Access{CorID: "x"})
 	if err != nil {
@@ -223,7 +234,7 @@ func TestStampTracksMutations(t *testing.T) {
 	}
 	// Undoing the change restores the content hash (hash covers rules, not
 	// history) while the version keeps climbing.
-	e.Restore("d")
+	update(t, e, func(d *Snapshot) { d.Restore("d") })
 	s2 := e.Stamp()
 	if s2.Hash != s0.Hash || s2.Version != s1.Version+1 {
 		t.Fatalf("restore stamp %+v, want hash %s version %d", s2, s0.Hash, s1.Version+1)

@@ -19,7 +19,8 @@ import (
 // points. Invariants checked at every crash point:
 //
 //   - recovery succeeds and yields a gap-free prefix of the workload per
-//     record stream (audit Seq 1..k, vault upserts 1..v, policy ops 1..p);
+//     record stream (audit Seq 1..k, vault upserts 1..v) and the policy
+//     document of the last policy record it kept (version p);
 //   - every acknowledged record (Ticket.Wait returned nil before the
 //     crash) is present — zero cor loss, zero audit loss;
 //   - no cor plaintext appears anywhere on the post-crash disk;
@@ -28,7 +29,7 @@ import (
 
 const (
 	chaosAudit  = 36 // audit entries in the workload
-	chaosEveryV = 6  // a vault upsert + policy op every n audit entries
+	chaosEveryV = 6  // a vault upsert + policy document every n audit entries
 )
 
 func chaosOpts(fs fault.FS) Options {
@@ -43,19 +44,12 @@ func chaosVault(j int) VaultRecord {
 		ID:        fmt.Sprintf("cor-%d", j),
 		Plaintext: fmt.Sprintf("chaos-secret-%d-hunter2", j),
 		Bit:       j,
-		Whitelist: []string{"example.com"},
 	}
 }
 
-func chaosPolicy(j int) PolicyOp {
-	switch j % 3 {
-	case 0:
-		return PolicyOp{Op: PolicyRestore, DeviceID: "dev-1"}
-	case 1:
-		return PolicyOp{Op: PolicyBind, CorID: fmt.Sprintf("cor-%d", j), AppHash: "h"}
-	default:
-		return PolicyOp{Op: PolicyRevoke, DeviceID: "dev-1"}
-	}
+// chaosPolicy is the workload's j-th policy document, at version j.
+func chaosPolicy(j int) PolicyRecord {
+	return PolicyRecord{Version: uint64(j), Snapshot: []byte(fmt.Sprintf(`{"revoked":["dev-%d"]}`, j))}
 }
 
 func chaosSecrets() []string {
@@ -141,15 +135,16 @@ func verifyPrefix(t *testing.T, tag string, st State, ack acked) acked {
 	if len(st.Vault) < ack.vault {
 		t.Fatalf("%s: lost acknowledged cors: have %d, acked %d", tag, len(st.Vault), ack.vault)
 	}
-	for i, op := range st.Policy {
-		if want := chaosPolicy(i + 1); !reflect.DeepEqual(op, want) {
-			t.Fatalf("%s: policy[%d] = %+v, want %+v", tag, i, op, want)
+	p := int(st.Policy.Version)
+	if p != 0 {
+		if want := chaosPolicy(p); !reflect.DeepEqual(st.Policy, want) {
+			t.Fatalf("%s: policy = %+v, want %+v", tag, st.Policy, want)
 		}
 	}
-	if len(st.Policy) < ack.policy {
-		t.Fatalf("%s: lost acknowledged policy ops: have %d, acked %d", tag, len(st.Policy), ack.policy)
+	if p < ack.policy {
+		t.Fatalf("%s: lost acknowledged policy documents: have v%d, acked v%d", tag, p, ack.policy)
 	}
-	return acked{audit: len(st.Audit), vault: len(st.Vault), policy: len(st.Policy)}
+	return acked{audit: len(st.Audit), vault: len(st.Vault), policy: p}
 }
 
 // controlRun produces the fault-free final state and the total number of

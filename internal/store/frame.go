@@ -25,7 +25,7 @@ import (
 const (
 	recAudit   byte = 1 // payload: binary audit entry (record.go)
 	recVault   byte = 2 // payload: sealed vault record (encrypted at rest)
-	recPolicy  byte = 3 // payload: JSON policy op
+	recPolicy  byte = 3 // payload: JSON policy document
 	recSnapHdr byte = 4 // payload: JSON snapshot header; lsn = covered LSN
 	recSnapEnd byte = 5 // payload: empty; lsn = covered LSN (validity mark)
 )

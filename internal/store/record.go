@@ -11,49 +11,33 @@ import (
 
 // This file holds the payload codecs. Audit entries use a hand-rolled
 // binary encoding because appends are the hot path (the allocs/op and
-// fsyncs/op guards in bench_guard_test.go pin it); vault records and
-// policy ops are JSON — rare, administrative, and in the vault case sealed
+// fsyncs/op guards in bench_guard_test.go pin it); vault and policy
+// records are JSON — rare, administrative, and in the vault case sealed
 // before framing so no cor plaintext ever reaches the disk.
 
 // VaultRecord is the durable form of one cor.Record. It is an upsert keyed
 // by ID: replaying a record with a known ID replaces the earlier state.
 type VaultRecord struct {
-	ID          string   `json:"id"`
-	Plaintext   string   `json:"plaintext"`
-	Description string   `json:"description,omitempty"`
-	Whitelist   []string `json:"whitelist,omitempty"`
-	Bit         int      `json:"bit"`
+	ID          string `json:"id"`
+	Plaintext   string `json:"plaintext"`
+	Description string `json:"description,omitempty"`
+	Bit         int    `json:"bit"`
 	// Class is the sensitivity tier (empty on pre-class records: the
 	// default class applies on replay).
 	Class string `json:"class,omitempty"`
 }
 
-// PolicyOp is one durable policy mutation, replayed in order on recovery.
-type PolicyOp struct {
-	// Op is one of "bind", "revoke", "restore", "snapshot".
-	Op       string `json:"op"`
-	CorID    string `json:"cor_id,omitempty"`
-	AppHash  string `json:"app_hash,omitempty"`
-	DeviceID string `json:"device_id,omitempty"`
-	// Version and Snapshot carry a whole-policy install (Op ==
-	// PolicySnapshot): Snapshot is the canonical policy.Snapshot JSON and
-	// Version its control-plane number, so a restart recovers the last
-	// accepted document by replaying installs in order.
-	Version  uint64          `json:"version,omitempty"`
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
+// PolicyRecord is one installed policy document: Snapshot is its
+// policy.Snapshot JSON and Version its number. Every policy change logs a
+// whole document, so the latest record is the whole durable policy.
+type PolicyRecord struct {
+	Version  uint64          `json:"version"`
+	Snapshot json.RawMessage `json:"snapshot"`
 }
 
-// vaultAD/policy op names bind sealed blobs to their role so a vault blob
-// cannot be replayed as something else.
+// vaultAD binds sealed blobs to their role so a vault blob cannot be
+// replayed as something else.
 var vaultAD = []byte("tinman-store-vault")
-
-// Policy op names.
-const (
-	PolicyBind     = "bind"
-	PolicyRevoke   = "revoke"
-	PolicyRestore  = "restore"
-	PolicySnapshot = "snapshot"
-)
 
 // appendUvarint / appendString are the primitive encoders.
 func appendUvarint(dst []byte, v uint64) []byte {
@@ -164,9 +148,9 @@ func decodeVault(p []byte) (VaultRecord, error) {
 	err := json.Unmarshal(p, &r)
 	return r, err
 }
-func encodePolicy(op PolicyOp) ([]byte, error) { return json.Marshal(op) }
-func decodePolicy(p []byte) (PolicyOp, error) {
-	var op PolicyOp
-	err := json.Unmarshal(p, &op)
-	return op, err
+func encodePolicy(r PolicyRecord) ([]byte, error) { return json.Marshal(r) }
+func decodePolicy(p []byte) (PolicyRecord, error) {
+	var r PolicyRecord
+	err := json.Unmarshal(p, &r)
+	return r, err
 }

@@ -15,7 +15,6 @@ type snapHeader struct {
 	Covered uint64 `json:"covered_lsn"`
 	Audit   int    `json:"audit"`
 	Vault   int    `json:"vault"`
-	Policy  int    `json:"policy"`
 }
 
 func snapName(covered uint64) string { return fmt.Sprintf("snap-%016x.db", covered) }
@@ -64,7 +63,7 @@ func (s *Store) snapshotLocked() error {
 	st := State{
 		Audit:  append([]audit.Entry(nil), s.state.Audit...),
 		Vault:  append([]VaultRecord(nil), s.state.Vault...),
-		Policy: append([]PolicyOp(nil), s.state.Policy...),
+		Policy: s.state.Policy,
 	}
 	s.stateMu.Unlock()
 	if covered == already {
@@ -72,7 +71,7 @@ func (s *Store) snapshotLocked() error {
 	}
 
 	hdr, err := json.Marshal(snapHeader{
-		Covered: covered, Audit: len(st.Audit), Vault: len(st.Vault), Policy: len(st.Policy),
+		Covered: covered, Audit: len(st.Audit), Vault: len(st.Vault),
 	})
 	if err != nil {
 		return err
@@ -94,8 +93,8 @@ func (s *Store) snapshotLocked() error {
 		}
 		buf = appendFrame(buf, recVault, 0, sealed)
 	}
-	for _, op := range st.Policy {
-		p, err := encodePolicy(op)
+	if st.Policy.Version != 0 {
+		p, err := encodePolicy(st.Policy)
 		if err != nil {
 			return err
 		}

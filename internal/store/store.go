@@ -61,12 +61,12 @@ type Options struct {
 
 // State is the recovered contents of a store: everything a trusted node
 // needs to resume — audit entries in Seq order, vault records in first-
-// registration order (later upserts folded in), and policy ops in original
-// order.
+// registration order (later upserts folded in), and the latest policy
+// document (Version 0 when none was logged).
 type State struct {
 	Audit  []audit.Entry
 	Vault  []VaultRecord
-	Policy []PolicyOp
+	Policy PolicyRecord
 	// SealedVault counts vault records left undecrypted because the store
 	// was opened read-only without a passphrase.
 	SealedVault int
@@ -92,7 +92,7 @@ type pending struct {
 	payload []byte
 	aud     audit.Entry
 	vlt     VaultRecord
-	pol     PolicyOp
+	pol     PolicyRecord
 	lsn     uint64
 }
 
@@ -209,7 +209,7 @@ func (s *Store) State() State {
 	out := State{
 		Audit:       append([]audit.Entry(nil), s.state.Audit...),
 		Vault:       append([]VaultRecord(nil), s.state.Vault...),
-		Policy:      append([]PolicyOp(nil), s.state.Policy...),
+		Policy:      s.state.Policy,
 		SealedVault: s.state.SealedVault,
 	}
 	return out
@@ -250,13 +250,14 @@ func (s *Store) AppendVault(r VaultRecord) Ticket {
 	return s.enqueue(pending{typ: recVault, payload: sealed, vlt: r})
 }
 
-// AppendPolicy queues a policy op.
-func (s *Store) AppendPolicy(op PolicyOp) Ticket {
-	p, err := encodePolicy(op)
+// AppendPolicy queues a policy document; once committed it replaces the
+// state's earlier one.
+func (s *Store) AppendPolicy(r PolicyRecord) Ticket {
+	p, err := encodePolicy(r)
 	if err != nil {
 		return failedTicket(err)
 	}
-	return s.enqueue(pending{typ: recPolicy, payload: p, pol: op})
+	return s.enqueue(pending{typ: recPolicy, payload: p, pol: r})
 }
 
 func failedTicket(err error) Ticket {
@@ -389,7 +390,7 @@ func (s *Store) commit(batch []pending) error {
 		case recVault:
 			s.applyVaultLocked(p.vlt)
 		case recPolicy:
-			s.state.Policy = append(s.state.Policy, p.pol)
+			s.state.Policy = p.pol
 		}
 	}
 	s.durableLSN = batch[len(batch)-1].lsn
@@ -463,8 +464,8 @@ func (s *Store) applyLocked(val any) {
 		s.state.Audit = append(s.state.Audit, v)
 	case VaultRecord:
 		s.applyVaultLocked(v)
-	case PolicyOp:
-		s.state.Policy = append(s.state.Policy, v)
+	case PolicyRecord:
+		s.state.Policy = v
 	}
 }
 

@@ -117,11 +117,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		wait(t, s.AppendAudit(entry(i)))
 	}
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "secret-a", Bit: 1, Whitelist: []string{"example.com"}}))
+	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "secret-a", Bit: 1, Description: "first"}))
 	wait(t, s.AppendVault(VaultRecord{ID: "cor-b", Plaintext: "secret-b", Bit: 2}))
 	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "secret-a2", Bit: 1})) // upsert
-	wait(t, s.AppendPolicy(PolicyOp{Op: PolicyBind, CorID: "cor-a", AppHash: "h1"}))
-	wait(t, s.AppendPolicy(PolicyOp{Op: PolicyRevoke, DeviceID: "dev-1"}))
+	wait(t, s.AppendPolicy(PolicyRecord{Version: 1, Snapshot: []byte(`{"bindings":{"cor-a":["h1"]}}`)}))
+	latest := PolicyRecord{Version: 2, Snapshot: []byte(`{"bindings":{"cor-a":["h1"]},"revoked":["dev-1"]}`)}
+	wait(t, s.AppendPolicy(latest)) // replaces the first document
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -140,8 +141,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if len(st.Vault) != 2 || st.Vault[0].Plaintext != "secret-a2" || st.Vault[1].ID != "cor-b" {
 		t.Fatalf("vault state %+v", st.Vault)
 	}
-	if len(st.Policy) != 2 || st.Policy[0].Op != PolicyBind || st.Policy[1].Op != PolicyRevoke {
-		t.Fatalf("policy state %+v", st.Policy)
+	if !reflect.DeepEqual(st.Policy, latest) {
+		t.Fatalf("policy state %+v, want %+v", st.Policy, latest)
 	}
 }
 
