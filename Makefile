@@ -5,9 +5,12 @@
 #   make test         full test suite
 #   make check        formatting + vet + build + orphan-package check +
 #                     test (this module and the tinbench/ benchmark module)
-#                     + run-filters + differential + chaos + crash-chaos +
-#                     fleet-smoke + obs-smoke + guardrail + bench-smoke, the
-#                     pre-commit gate
+#                     + the simulated-transport golden test (segments,
+#                     packets, bytes and virtual time of a seeded stream,
+#                     named so run-filters catches a rename) + run-filters
+#                     + differential + chaos + crash-chaos + fleet-smoke +
+#                     obs-smoke + guardrail + bench-smoke, the pre-commit
+#                     gate
 #   make run-filters  every -run filter below selects at least one test in
 #                     each package it names
 #   make differential interpreter equivalence gate: analyzed (taint
@@ -85,6 +88,7 @@ check:
 		echo "internal packages that no command, example or tinbench imports:"; echo "$$orphans"; exit 1; \
 	fi
 	$(GO) test ./...
+	$(GO) test -count=1 -run 'TestTransportGolden' ./internal/tcpsim/
 	cd tinbench && $(GO) vet . && $(GO) test -count=1 .
 	$(MAKE) run-filters
 	$(MAKE) differential

@@ -97,7 +97,6 @@ func NewOriginServer(w *core.World, domain, addr string, users map[string]string
 type serverConn struct {
 	srv  *OriginServer
 	tcp  *tcpsim.Conn
-	buf  []byte
 	hs   *tlssim.ServerState
 	sess *tlssim.Session
 }
@@ -108,7 +107,6 @@ func (s *OriginServer) onConn(c *tcpsim.Conn) {
 }
 
 func (sc *serverConn) onReadable() {
-	sc.buf = append(sc.buf, sc.tcp.Read(0)...)
 	for {
 		if sc.sess == nil {
 			if !sc.stepHandshake() {
@@ -125,18 +123,16 @@ func (sc *serverConn) onReadable() {
 // stepHandshake consumes handshake frames; it reports whether progress was
 // made.
 func (sc *serverConn) stepHandshake() bool {
-	var r core.FrameReader
-	r = core.FrameReader{}
-	r.Feed(sc.buf)
-	f, ok, err := r.Next()
+	f, n, err := core.NextFrame(sc.tcp.Buffered())
 	if err != nil {
 		sc.tcp.Abort()
 		return false
 	}
-	if !ok {
+	if n == 0 {
 		return false
 	}
-	sc.buf = r.Rest()
+	// The payload aliases the receive buffer until the frame is handled.
+	defer sc.tcp.Discard(n)
 
 	switch f.Type {
 	case core.HSClientHello:
@@ -179,15 +175,16 @@ func (sc *serverConn) stepHandshake() bool {
 // stepRecord consumes one complete TLS record; it reports whether progress
 // was made.
 func (sc *serverConn) stepRecord() bool {
-	if len(sc.buf) < 5 {
+	buf := sc.tcp.Buffered()
+	if len(buf) < 5 {
 		return false
 	}
-	need := 5 + int(uint16(sc.buf[3])<<8|uint16(sc.buf[4]))
-	if len(sc.buf) < need {
+	need := 5 + int(uint16(buf[3])<<8|uint16(buf[4]))
+	if len(buf) < need {
 		return false
 	}
-	_, plaintext, _, err := sc.sess.Open(sc.buf[:need])
-	sc.buf = append([]byte(nil), sc.buf[need:]...)
+	_, plaintext, _, err := sc.sess.Open(buf[:need])
+	sc.tcp.Discard(need)
 	if err != nil {
 		sc.tcp.Abort()
 		return false

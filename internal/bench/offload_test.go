@@ -106,6 +106,7 @@ func TestOffloadJSONRoundTrip(t *testing.T) {
 // gate (one iteration via `make bench-smoke`); real runs go through `make
 // bench-offload`.
 func BenchmarkOffload(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Offload(netsim.WiFi, 42); err != nil {
 			b.Fatal(err)

@@ -324,23 +324,20 @@ func (a *App) sendWarmupChunk(epoch uint64) {
 	if trace, parent, ok := w.Obs.Current(); ok {
 		req.TraceID, req.SpanID = trace.Hex(), parent.Hex()
 	}
-	enc, err := encodeMsg(req)
-	if err == nil {
-		err = d.ctrl.Write(enc)
-	}
-	if err != nil {
+	out := connWriter{c: d.ctrl}
+	if err := nodeproto.WriteMessage(&out, req); err != nil {
 		a.ep.AbortWarmup()
 		return
 	}
 	d.warmAcks[req.Seq] = warmAck{app: a, epoch: epoch, index: c.Index}
-	w.noteDeviceTransfer(len(enc))
+	w.noteDeviceTransfer(out.n)
 	// Chunk serialization is device CPU work, but paid concurrently: it
 	// lands as power draw and as pacing between chunks, not as a stall of
 	// the foreground burst this event interleaves with.
-	cost := time.Duration(int64(len(enc)) * w.Cost.SerializeNsPerByte)
+	cost := time.Duration(int64(out.n) * w.Cost.SerializeNsPerByte)
 	w.CPU.NoteActive(w.Net.Now(), cost)
 	if tr := w.Obs; tr.Enabled() {
-		tr.Event(obs.PhaseDSMWarmup, obs.Bytes(len(enc)), obs.Count(int64(len(c.Objects))))
+		tr.Event(obs.PhaseDSMWarmup, obs.Bytes(out.n), obs.Count(int64(len(c.Objects))))
 	}
 	if c.Final {
 		a.warmFinalIndex = c.Index

@@ -10,6 +10,7 @@ import (
 	"tinman/internal/node"
 	"tinman/internal/nodeproto"
 	"tinman/internal/taint"
+	"tinman/internal/tcpsim"
 	"tinman/internal/vm"
 )
 
@@ -43,68 +44,120 @@ func newTestWorld(t *testing.T, enabled bool) *World {
 
 func TestFrameEncoding(t *testing.T) {
 	f := EncodeFrame(HSClientHello, []byte("payload"))
-	var r FrameReader
-	r.Feed(f[:3]) // partial
-	if _, ok, _ := r.Next(); ok {
+	if _, n, _ := NextFrame(f[:3]); n != 0 { // partial
 		t.Fatal("partial frame parsed")
 	}
-	r.Feed(f[3:])
-	got, ok, err := r.Next()
-	if err != nil || !ok || got.Type != HSClientHello || string(got.Payload) != "payload" {
-		t.Fatalf("frame = %+v ok=%v err=%v", got, ok, err)
+	got, n, err := NextFrame(f)
+	if err != nil || n != len(f) || got.Type != HSClientHello || string(got.Payload) != "payload" {
+		t.Fatalf("frame = %+v n=%d err=%v", got, n, err)
 	}
 	// Garbage length rejected.
-	var r2 FrameReader
-	r2.Feed([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
-	if _, _, err := r2.Next(); err == nil {
+	if _, _, err := NextFrame([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}); err == nil {
 		t.Fatal("implausible frame length accepted")
 	}
 }
 
-// TestMsgStreamSplitsFrames feeds two control messages — one with a binary
-// body, one without — through the simulated stream in small pieces: each
-// decodes whole, in order, only once all of its bytes have arrived.
-func TestMsgStreamSplitsFrames(t *testing.T) {
+// connPair joins two fresh hosts by a Wi-Fi link and returns the
+// simulation with both ends of an established connection between them.
+func connPair(t *testing.T) (*netsim.Net, *tcpsim.Conn, *tcpsim.Conn) {
+	t.Helper()
+	n := netsim.New(1)
+	a, b := n.AddHost("10.0.0.2"), n.AddHost("10.8.0.1")
+	n.Connect(a, b, netsim.WiFi)
+	l, err := tcpsim.NewStack(n, b).Listen(ControlPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var server *tcpsim.Conn
+	l.OnAccept = func(c *tcpsim.Conn) { server = c }
+	client, err := tcpsim.NewStack(n, a).Dial("10.8.0.1", ControlPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !n.RunUntil(func() bool { return client.Established() && server != nil }) {
+		t.Fatal("handshake did not complete")
+	}
+	return n, client, server
+}
+
+// TestControlStreamSplitsFrames writes two control messages — one with a
+// binary body, one without — onto a simulated connection in 7-byte
+// writes: the receiver decodes each whole, in order, only once all of its
+// bytes have arrived, and leaves nothing buffered.
+func TestControlStreamSplitsFrames(t *testing.T) {
 	a := &nodeproto.Request{Op: nodeproto.OpOffload, Seq: 1, DeviceID: "d", App: "tiny", Body: []byte{0, 1, 2, 0xff}}
 	b := &nodeproto.Request{Op: nodeproto.OpCatalog, Seq: 2}
 	var wire []byte
+	var ends []int
 	for _, m := range []*nodeproto.Request{a, b} {
 		enc, err := encodeMsg(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wire = append(wire, enc...)
+		ends = append(ends, len(wire))
 	}
-	var s msgStream
+	n, client, server := connPair(t)
 	var got []*nodeproto.Request
+	consumed := 0
 	for i := 0; i < len(wire); i += 7 {
-		s.feed(wire[i:min(i+7, len(wire))])
+		end := min(i+7, len(wire))
+		if err := client.Write(wire[i:end]); err != nil {
+			t.Fatal(err)
+		}
+		if !n.RunUntil(func() bool { return consumed+server.Readable() == end }) {
+			t.Fatalf("bytes up to %d never arrived", end)
+		}
 		for {
 			req := new(nodeproto.Request)
-			n, err := s.next(req)
+			size, err := readMsg(server, req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n == 0 {
+			if size == 0 {
 				break
 			}
+			consumed += size
 			got = append(got, req)
+		}
+		whole := 0
+		for _, e := range ends {
+			if e <= end {
+				whole++
+			}
+		}
+		if len(got) != whole {
+			t.Fatalf("after %d bytes: decoded %d messages, want %d", end, len(got), whole)
 		}
 	}
 	if len(got) != 2 || got[0].Op != a.Op || !bytes.Equal(got[0].Body, a.Body) || got[1].Seq != 2 || got[1].Body != nil {
 		t.Fatalf("decoded %+v", got)
 	}
+	if server.Readable() != 0 {
+		t.Fatalf("%d bytes left buffered", server.Readable())
+	}
 }
 
-func TestFrameReaderRest(t *testing.T) {
-	var r FrameReader
+// TestHandshakeFramesThenRecords: a stream switches from framed handshake
+// messages to self-delimiting TLS records without losing a byte — parsing
+// the frame on a simulated connection discards exactly the frame, and the
+// record bytes that arrived with it stay buffered.
+func TestHandshakeFramesThenRecords(t *testing.T) {
+	n, client, server := connPair(t)
 	f := EncodeFrame(1, []byte("a"))
-	r.Feed(append(append([]byte(nil), f...), 'X', 'Y'))
-	if _, ok, _ := r.Next(); !ok {
-		t.Fatal("frame not parsed")
+	if err := client.Write(append(append([]byte(nil), f...), 'X', 'Y')); err != nil {
+		t.Fatal(err)
 	}
-	if string(r.Rest()) != "XY" {
-		t.Fatalf("rest = %q", r.Rest())
+	if !n.RunUntil(func() bool { return server.Readable() == len(f)+2 }) {
+		t.Fatal("bytes never arrived")
+	}
+	got, size, err := NextFrame(server.Buffered())
+	if err != nil || size != len(f) || string(got.Payload) != "a" {
+		t.Fatalf("frame = %+v, %d, %v", got, size, err)
+	}
+	server.Discard(size)
+	if string(server.Buffered()) != "XY" {
+		t.Fatalf("rest = %q", server.Buffered())
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,8 +59,7 @@ type Device struct {
 	Stack  *tcpsim.Stack
 	policy taint.Policy
 
-	ctrl   *tcpsim.Conn
-	ctrlIn msgStream
+	ctrl *tcpsim.Conn
 
 	// Fault-tolerance machinery for the control channel (§5.4): requests
 	// carry deterministic device-minted IDs (<device>#n) so retries after
@@ -147,16 +147,15 @@ func (d *Device) dialControl() error {
 // reconnectControl replaces a dead control connection with a fresh one.
 // The old connection is aborted first: an abandoned simulated TCP
 // connection would otherwise re-arm its retransmission timer forever.
-// Buffered bytes from the old connection are discarded — any reply they
+// Bytes still buffered on the old connection go with it — any reply they
 // carried belongs to a request the caller already gave up on, and the
-// node's replay window answers its retry instead — and so are the
-// warm-up acks still owed on it.
+// node's replay window answers its retry instead — and so do the warm-up
+// acks still owed on it.
 func (d *Device) reconnectControl() error {
 	if d.ctrl != nil && !d.ctrl.Closed() {
 		d.ctrl.Abort()
 	}
 	d.ctrl = nil
-	d.ctrlIn = msgStream{}
 	clear(d.warmAcks)
 	return d.dialControl()
 }
@@ -235,13 +234,12 @@ type warmAck struct {
 // app's driver. Anything else answers a request the device gave up on and
 // is dropped.
 func (d *Device) pump() error {
-	if d.ctrl == nil || d.ctrl.Readable() == 0 {
+	if d.ctrl == nil {
 		return nil
 	}
-	d.ctrlIn.feed(d.ctrl.Read(0))
 	for {
 		resp := new(nodeproto.Response)
-		n, err := d.ctrlIn.next(resp)
+		n, err := readMsg(d.ctrl, resp)
 		if err != nil || n == 0 {
 			return err
 		}
@@ -398,7 +396,6 @@ type httpsConn struct {
 	port   uint16
 	tcp    *tcpsim.Conn
 	sess   *tlssim.Session
-	buf    []byte
 }
 
 // httpsDial returns a cached TLS connection to the domain, establishing TCP
@@ -461,27 +458,24 @@ func (d *Device) httpsDial(domain string) (*httpsConn, error) {
 	return hc, nil
 }
 
-// awaitFrame steps the simulation until one handshake frame arrives.
+// awaitFrame steps the simulation until one handshake frame arrives, and
+// returns it with a payload of its own.
 func (hc *httpsConn) awaitFrame(n *netsim.Net) (Frame, error) {
-	r := FrameReader{buf: hc.buf}
 	var got Frame
 	var ferr error
 	ok := n.RunUntil(func() bool {
-		if hc.tcp.Readable() > 0 {
-			r.Feed(hc.tcp.Read(0))
-		}
-		f, ok, err := r.Next()
+		f, size, err := NextFrame(hc.tcp.Buffered())
 		if err != nil {
 			ferr = err
 			return true
 		}
-		if ok {
-			got = f
+		if size > 0 {
+			got = Frame{Type: f.Type, Payload: bytes.Clone(f.Payload)}
+			hc.tcp.Discard(size)
 			return true
 		}
 		return hc.tcp.Closed()
 	})
-	hc.buf = r.buf
 	if ferr != nil {
 		return Frame{}, ferr
 	}
@@ -494,30 +488,32 @@ func (hc *httpsConn) awaitFrame(n *netsim.Net) (Frame, error) {
 // awaitRecord steps the simulation until a complete TLS record arrives, and
 // opens it.
 func (hc *httpsConn) awaitRecord(n *netsim.Net) ([]byte, error) {
-	complete := func() bool {
-		if len(hc.buf) < 5 {
-			return false
+	// complete returns the length of the whole record buffered at the
+	// front, or 0.
+	complete := func() int {
+		b := hc.tcp.Buffered()
+		if len(b) < 5 {
+			return 0
 		}
-		need := 5 + int(uint16(hc.buf[3])<<8|uint16(hc.buf[4]))
-		return len(hc.buf) >= need
+		need := 5 + int(uint16(b[3])<<8|uint16(b[4]))
+		if len(b) < need {
+			return 0
+		}
+		return need
 	}
-	ok := n.RunUntil(func() bool {
-		if hc.tcp.Readable() > 0 {
-			hc.buf = append(hc.buf, hc.tcp.Read(0)...)
-		}
-		return complete() || hc.tcp.Closed()
-	})
-	if !ok && !complete() {
+	ok := n.RunUntil(func() bool { return complete() > 0 || hc.tcp.Closed() })
+	need := complete()
+	if !ok && need == 0 {
 		return nil, fmt.Errorf("core: device: response from %s never arrived", hc.domain)
 	}
-	if !complete() {
+	if need == 0 {
 		return nil, fmt.Errorf("core: device: connection to %s closed mid-record", hc.domain)
 	}
-	_, plaintext, rest, err := hc.sess.Open(hc.buf)
+	_, plaintext, _, err := hc.sess.Open(hc.tcp.Buffered()[:need])
 	if err != nil {
 		return nil, fmt.Errorf("core: device: opening record from %s: %v", hc.domain, err)
 	}
-	hc.buf = append([]byte(nil), rest...)
+	hc.tcp.Discard(need)
 	return plaintext, nil
 }
 

@@ -11,6 +11,10 @@
 // stream, scheduling the node's modeled work, and the virtual clock. The
 // Frame type here is the TLS handshake's framing between clients and origin
 // servers.
+//
+// Every reader of a simulated connection parses frames in place, straight
+// from tcpsim's Conn.Buffered, and releases them with Conn.Discard once
+// nothing it returns still points into them.
 package core
 
 import (
@@ -19,6 +23,7 @@ import (
 	"fmt"
 
 	"tinman/internal/nodeproto"
+	"tinman/internal/tcpsim"
 )
 
 // Frame is one length-prefixed TLS handshake message: u32 length | u8 type |
@@ -38,55 +43,57 @@ func EncodeFrame(t uint8, payload []byte) []byte {
 	return buf
 }
 
-// FrameReader incrementally splits frames out of a TCP byte stream.
-type FrameReader struct {
-	buf []byte
-}
-
-// Feed appends newly received bytes.
-func (r *FrameReader) Feed(b []byte) { r.buf = append(r.buf, b...) }
-
-// Rest returns the unconsumed buffered bytes (used when a stream switches
-// from framed handshake messages to self-delimiting TLS records).
-func (r *FrameReader) Rest() []byte { return append([]byte(nil), r.buf...) }
-
-// Next extracts one complete frame, or returns false.
-func (r *FrameReader) Next() (Frame, bool, error) {
-	if len(r.buf) < 4 {
-		return Frame{}, false, nil
+// NextFrame parses the complete frame at the start of b and returns it with
+// its wire length, or a zero length when b holds only a prefix of one. The
+// frame's Payload aliases b.
+func NextFrame(b []byte) (Frame, int, error) {
+	if len(b) < 4 {
+		return Frame{}, 0, nil
 	}
-	n := binary.BigEndian.Uint32(r.buf)
+	n := binary.BigEndian.Uint32(b)
 	if n == 0 || n > 64<<20 {
-		return Frame{}, false, fmt.Errorf("core: implausible frame length %d", n)
+		return Frame{}, 0, fmt.Errorf("core: implausible frame length %d", n)
 	}
-	if len(r.buf) < 4+int(n) {
-		return Frame{}, false, nil
+	if len(b) < 4+int(n) {
+		return Frame{}, 0, nil
 	}
-	f := Frame{Type: r.buf[4], Payload: append([]byte(nil), r.buf[5:4+n]...)}
-	r.buf = append([]byte(nil), r.buf[4+n:]...)
-	return f, true, nil
+	return Frame{Type: b[4], Payload: b[5 : 4+n]}, 4 + int(n), nil
 }
 
-// msgStream splits nodeproto messages out of a simulated TCP byte stream.
-type msgStream struct {
-	buf []byte
-}
-
-func (s *msgStream) feed(b []byte) { s.buf = append(s.buf, b...) }
-
-// next decodes the next complete message into v and returns its wire
-// length, or 0 when no complete message is buffered.
-func (s *msgStream) next(v any) (int, error) {
-	n, err := nodeproto.FrameLen(s.buf)
+// readMsg decodes the next complete nodeproto message buffered on c into v
+// and discards its bytes. It returns the message's wire length, or 0 when
+// no whole message is buffered yet. The decoded message owns everything it
+// holds (ReadMessage copies a frame's body out), so the discard is safe.
+func readMsg(c *tcpsim.Conn, v any) (int, error) {
+	buf := c.Buffered()
+	n, err := nodeproto.FrameLen(buf)
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	err = nodeproto.ReadMessage(bytes.NewReader(s.buf[:n]), v)
-	s.buf = s.buf[n:]
+	err = nodeproto.ReadMessage(bytes.NewReader(buf[:n]), v)
+	c.Discard(n)
 	return n, err
 }
 
-// encodeMsg frames one nodeproto message for the simulated TCP stream.
+// connWriter lets nodeproto.WriteMessage frame a message straight onto a
+// simulated connection: the frame leaves in one Conn.Write, which copies
+// its bytes once, into the segments' wire buffers. n counts the bytes
+// written.
+type connWriter struct {
+	c *tcpsim.Conn
+	n int
+}
+
+func (w *connWriter) Write(p []byte) (int, error) {
+	if err := w.c.Write(p); err != nil {
+		return 0, err
+	}
+	w.n += len(p)
+	return len(p), nil
+}
+
+// encodeMsg frames one nodeproto message into a buffer of its own — for a
+// control request, whose wire is resent unchanged on retry.
 func encodeMsg(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	err := nodeproto.WriteMessage(&buf, v)

@@ -114,12 +114,10 @@ func (n *TrustedNode) HandoffTo(dst *TrustedNode, deviceID string) error {
 // --- control plane ---
 
 func (n *TrustedNode) onControlConn(c *tcpsim.Conn) {
-	var in msgStream
 	c.OnReadable = func() {
-		in.feed(c.Read(0))
 		for {
 			req := new(nodeproto.Request)
-			size, err := in.next(req)
+			size, err := readMsg(c, req)
 			if err != nil {
 				c.Abort()
 				return
@@ -192,10 +190,7 @@ func (n *TrustedNode) serve(c *tcpsim.Conn, req *nodeproto.Request) {
 		span.EndAt(at)
 	}
 	w.Net.ScheduleAt(at, func() {
-		wire, err := encodeMsg(resp)
-		if err == nil {
-			err = c.Write(wire)
-		}
+		err := nodeproto.WriteMessage(&connWriter{c: c}, resp)
 		if err != nil && c.Established() {
 			// Connection races are surfaced by aborting; callers time out.
 			c.Abort()

@@ -27,6 +27,7 @@ import (
 
 	"tinman/internal/audit"
 	"tinman/internal/cor"
+	"tinman/internal/fleet"
 	"tinman/internal/policy"
 )
 
@@ -106,22 +107,33 @@ func (p *Plane) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (polic
 	return stamp, err
 }
 
-// Revoke cuts off a device everywhere the target reaches.
+// Revoke cuts off a device everywhere the target reaches. A partial fleet
+// push (*fleet.PartialPushError) is audited like a whole one — the
+// revocation holds on every reachable member — and still returned, so the
+// caller can report the stragglers.
 func (p *Plane) Revoke(deviceID string) error {
-	if err := p.cfg.Target.Revoke(deviceID); err != nil {
+	err := p.cfg.Target.Revoke(deviceID)
+	if err != nil && !isPartial(err) {
 		return err
 	}
 	p.auditf(audit.OutcomeAllowed, "admin: device %s revoked", deviceID)
-	return nil
+	return err
 }
 
-// Restore re-enables a device.
+// Restore re-enables a device, reporting a partial push as Revoke does.
 func (p *Plane) Restore(deviceID string) error {
-	if err := p.cfg.Target.Restore(deviceID); err != nil {
+	err := p.cfg.Target.Restore(deviceID)
+	if err != nil && !isPartial(err) {
 		return err
 	}
 	p.auditf(audit.OutcomeAllowed, "admin: device %s restored", deviceID)
-	return nil
+	return err
+}
+
+// isPartial reports whether err is a fleet push that some members missed.
+func isPartial(err error) bool {
+	var partial *fleet.PartialPushError
+	return errors.As(err, &partial)
 }
 
 // SetCorClass reclassifies a cor's sensitivity.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"tinman/internal/audit"
 	"tinman/internal/cor"
 	"tinman/internal/ctl"
+	"tinman/internal/fleet"
 	"tinman/internal/node"
 	"tinman/internal/policy"
 	"tinman/internal/store"
@@ -314,5 +316,62 @@ func TestPolicyRecoveredFromStore(t *testing.T) {
 	}
 	if err := svc2.Policy.Check(policy.Access{CorID: "pw", DeviceID: "gone-1"}); err == nil {
 		t.Fatal("recovered policy does not enforce the revocation")
+	}
+}
+
+// TestPartialRevokeAnswers207 puts a two-member fleet behind the plane
+// with one member down. A revocation then holds on the reachable member
+// only, so /revoke and /restore answer 207 with the straggler named — as
+// POST /policy does — and each is audited; a push nobody could apply would
+// have been a 400.
+func TestPartialRevokeAnswers207(t *testing.T) {
+	f, err := fleet.New(fleet.Config{MemberIDs: []string{"node-a", "node-b"},
+		NodeOptions: node.Options{MalwareSeed: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := f.MemberService("node-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Crash("node-b"); err != nil {
+		t.Fatal(err)
+	}
+	log := audit.NewLog(nil)
+	p, err := ctl.New(ctl.Config{Target: f, Stamp: up.Policy.Stamp, Audit: log, Token: adminToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	p.Routes(mux, nil, nil)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	for _, action := range []string{"revoke", "restore"} {
+		resp := post(t, ts.URL+"/"+action, adminToken, `{"device_id":"phone-1"}`)
+		if resp.StatusCode != http.StatusMultiStatus {
+			t.Fatalf("%s with a member down: status %d, want 207", action, resp.StatusCode)
+		}
+		var body struct {
+			Action  string `json:"action"`
+			Partial string `json:"partial"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Action != action || !strings.Contains(body.Partial, "node-b") {
+			t.Fatalf("%s with a member down: body %+v, want the straggler named", action, body)
+		}
+		revoked := up.Policy.Check(policy.Access{DeviceID: "phone-1"}) != nil
+		if revoked != (action == "revoke") {
+			t.Fatalf("after %s the reachable member has phone-1 revoked = %v", action, revoked)
+		}
+	}
+	var audited []string
+	for _, e := range log.Entries() {
+		audited = append(audited, e.Detail)
+	}
+	if want := []string{"admin: device phone-1 revoked", "admin: device phone-1 restored"}; !slices.Equal(audited, want) {
+		t.Fatalf("audit entries %q, want %q", audited, want)
 	}
 }

@@ -149,7 +149,9 @@ func (p *Plane) handlePolicyInstall(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// deviceHandler builds the POST handler shared by /revoke and /restore.
+// deviceHandler builds the POST handler shared by /revoke and /restore. A
+// partial fleet push answers 207 with the straggler detail, as POST
+// /policy does.
 func (p *Plane) deviceHandler(what string, apply func(string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -166,11 +168,16 @@ func (p *Plane) deviceHandler(what string, apply func(string) error) http.Handle
 			http.Error(w, "body must be {\"device_id\": ...}", http.StatusBadRequest)
 			return
 		}
+		out := map[string]string{"device_id": body.DeviceID, "action": what}
 		if err := apply(body.DeviceID); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			if !isPartial(err) {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			out["partial"] = err.Error()
+			w.WriteHeader(http.StatusMultiStatus)
 		}
-		writeJSON(w, map[string]string{"device_id": body.DeviceID, "action": what})
+		writeJSON(w, out)
 	}
 }
 

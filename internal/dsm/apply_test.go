@@ -1,6 +1,7 @@
 package dsm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -177,14 +178,18 @@ func (knownCor) MaskID(*vm.Object) string { return "" }
 
 // TestRefusedPayloadAdoptsNothing sends a migration and a final warm-up
 // chunk that each carry a valid string object followed by one the node
-// refuses — an object of an unknown class, or a string naming an unknown
-// cor. Each payload must be refused whole: the heap keeps its object count.
+// refuses — an object of an unknown class, a string naming an unknown cor,
+// or an array whose element points at an object neither the payload nor
+// the heap holds. Each payload must be refused whole: the heap keeps its
+// object count.
 func TestRefusedPayloadAdoptsNothing(t *testing.T) {
 	prog := loginProgram(t)
 	valid := dsm.ObjectState{ID: 2, Class: "java/lang/String", IsStr: true, Str: "user=alice"}
 	for name, bad := range map[string]dsm.ObjectState{
 		"unknown class": {ID: 4, Class: "NoSuchClass"},
 		"unknown cor":   {ID: 4, Class: "java/lang/String", IsStr: true, CorID: "no-such-cor", StrLen: 8},
+		"dangling reference": {ID: 4, Class: "java/lang/Array", IsArr: true,
+			Elems: []dsm.ValueState{{Kind: uint8(vm.KindRef), RefID: 2}, {Kind: uint8(vm.KindRef), RefID: 99}}},
 	} {
 		objs := []dsm.ObjectState{valid, bad}
 		apply := map[string]func(*dsm.Endpoint) error{
@@ -210,6 +215,41 @@ func TestRefusedPayloadAdoptsNothing(t *testing.T) {
 	}
 }
 
+// residentState is what a node heap holds from an earlier sync before a
+// peer's migration arrives: a device-allocated (odd ID) string and an
+// array whose element points at it.
+func residentState() *dsm.Migration {
+	return &dsm.Migration{Seq: 1, Objects: []dsm.ObjectState{
+		{ID: 1, Class: "java/lang/String", IsStr: true, Str: "user=alice", StrLen: 10, Tag: 2},
+		{ID: 3, Class: "java/lang/Array", IsArr: true, Elems: []dsm.ValueState{
+			{Kind: uint8(vm.KindRef), RefID: 1, Tag: 2}, {Kind: uint8(vm.KindInt), Int: 7}}},
+	}}
+}
+
+// heapState renders every object of h, references by ID, so two
+// renderings are equal exactly when the heaps hold the same state.
+func heapState(h *vm.Heap) string {
+	val := func(v vm.Value) string {
+		id := uint64(0)
+		if v.Ref != nil {
+			id = v.Ref.ID
+		}
+		return fmt.Sprintf("%d:%d:#%d:%d", v.Kind, v.Int, id, v.Tag)
+	}
+	var b strings.Builder
+	for _, o := range h.Objects() {
+		fmt.Fprintf(&b, "#%d %s tag=%d v=%d arr=%t str=%t %q cor=%q", o.ID, o.Class.Name, o.Tag, o.Version, o.IsArr, o.IsStr, o.Str, o.CorID)
+		for i, v := range o.Elems {
+			fmt.Fprintf(&b, " e%s/%d", val(v), o.ElemTag(i))
+		}
+		for i, v := range o.Fields {
+			fmt.Fprintf(&b, " f%s/%d", val(v), o.FieldTag(i))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // FuzzApplyMigration hardens the whole path a peer's migration takes on
 // the trusted node: decode, apply to a node-side endpoint over a login
 // app's program, and run the rebuilt thread on a small budget. Any input
@@ -225,11 +265,57 @@ func FuzzApplyMigration(f *testing.F) {
 		if err != nil {
 			return
 		}
-		th, err := nodeEndpoint(prog).ApplyMigration(m)
-		if err != nil || th == nil {
+		ep := nodeEndpoint(prog)
+		if _, err := ep.ApplyMigration(residentState()); err != nil {
+			t.Fatal(err)
+		}
+		before := heapState(ep.VM.Heap)
+		th, err := ep.ApplyMigration(m)
+		if err != nil {
+			// A refused payload leaves the heap as it was.
+			if after := heapState(ep.VM.Heap); after != before {
+				t.Fatalf("refused migration (%v) changed the heap:\n%s\nwas:\n%s", err, after, before)
+			}
+			return
+		}
+		if th == nil {
 			return
 		}
 		th.MaxInstrs = 2000
 		th.Run()
 	})
+}
+
+// TestDanglingReferenceAcrossChunksRefused: the references of a warm-up
+// epoch resolve against every chunk of the epoch — an element pointing
+// into a later chunk is adopted — and a migration whose frame register
+// points at an object nobody holds is refused before its objects are
+// adopted.
+func TestDanglingReferenceAcrossChunksRefused(t *testing.T) {
+	prog := loginProgram(t)
+	ep := nodeEndpoint(prog)
+	arr := dsm.ObjectState{ID: 4, Class: "java/lang/Array", IsArr: true,
+		Elems: []dsm.ValueState{{Kind: uint8(vm.KindRef), RefID: 6}}}
+	str := dsm.ObjectState{ID: 6, Class: "java/lang/String", IsStr: true, Str: "later", StrLen: 5}
+	if err := ep.ApplyWarmupChunk(&dsm.WarmupChunk{Epoch: 1, Index: 0, Objects: []dsm.ObjectState{arr}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.ApplyWarmupChunk(&dsm.WarmupChunk{Epoch: 1, Index: 1, Final: true, Objects: []dsm.ObjectState{str}}); err != nil {
+		t.Fatal(err)
+	}
+	if o := ep.VM.Heap.Get(4); o == nil || o.Elems[0].Ref != ep.VM.Heap.Get(6) {
+		t.Fatal("reference into a later chunk not resolved")
+	}
+
+	ep = nodeEndpoint(prog)
+	fr := frame("tiny", 0, 0, 5)
+	fr.Regs[0] = dsm.ValueState{Kind: uint8(vm.KindRef), RefID: 99}
+	m := &dsm.Migration{Seq: 1, Reason: vm.StopMigrateTaint, Result: dsm.ValueState{Kind: uint8(vm.KindRef)},
+		Frames: []dsm.FrameState{fr}, Objects: []dsm.ObjectState{str}}
+	if _, err := ep.ApplyMigration(m); err == nil {
+		t.Fatal("frame register pointing at #99 admitted")
+	}
+	if n := ep.VM.Heap.Len(); n != 0 {
+		t.Fatalf("refused migration adopted %d objects", n)
+	}
 }

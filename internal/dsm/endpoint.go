@@ -348,7 +348,7 @@ func (e *Endpoint) ApplyMigration(m *Migration) (*vm.Thread, error) {
 			return nil, fmt.Errorf("dsm: %s: migrated stack refused: %w", e.Side, err)
 		}
 	}
-	if err := e.adoptObjects(m.Objects); err != nil {
+	if err := e.adoptObjects(m.Frames, m.Objects); err != nil {
 		return nil, err
 	}
 	e.initialSent = true // receiving an initial sync also warms this side
@@ -453,24 +453,70 @@ func (e *Endpoint) decodeValue(vs *ValueState, prev vm.Value) (vm.Value, error) 
 	return v, nil
 }
 
-// adoptObjects merges a payload's objects into the heap, the one adopt
-// step of migrations and warm-up: every object passes checkObject before
-// any is adopted, so a payload an object check refuses leaves the heap as
-// it was; then the shells are adopted so references resolve, and the slots
-// filled (a reference to an unknown object is found only there). The
-// peer's state is not "dirty" locally: syncing it back would echo.
-func (e *Endpoint) adoptObjects(objs []ObjectState) error {
-	for i := range objs {
-		if err := e.checkObject(&objs[i]); err != nil {
+// adoptObjects merges a payload's objects, delivered as one or more
+// batches, into the heap: the one adopt step of migrations and warm-up.
+// Every object passes checkObject, and every reference in the objects and
+// in the frames' registers resolves against the payload or the heap,
+// before any object is adopted — so a refused payload leaves the heap as
+// it was. Then the shells are adopted so references resolve, and the
+// slots filled. The peer's state is not "dirty" locally: syncing it back
+// would echo.
+func (e *Endpoint) adoptObjects(frames []FrameState, batches ...[]ObjectState) error {
+	// ids is the set of the payload's object IDs, built on the first
+	// reference the heap does not resolve.
+	var ids map[uint64]struct{}
+	resolve := func(vals []ValueState) error {
+		for i := range vals {
+			vs := &vals[i]
+			if vs.Masked || vm.Kind(vs.Kind) != vm.KindRef || vs.RefID == 0 || e.VM.Heap.Get(vs.RefID) != nil {
+				continue
+			}
+			if ids == nil {
+				n := 0
+				for _, objs := range batches {
+					n += len(objs)
+				}
+				ids = make(map[uint64]struct{}, n)
+				for _, objs := range batches {
+					for j := range objs {
+						ids[objs[j].ID] = struct{}{}
+					}
+				}
+			}
+			if _, ok := ids[vs.RefID]; !ok {
+				return fmt.Errorf("dsm: %s: reference to unknown object #%d", e.Side, vs.RefID)
+			}
+		}
+		return nil
+	}
+	for _, objs := range batches {
+		for i := range objs {
+			if err := e.checkObject(&objs[i]); err != nil {
+				return err
+			}
+			if err := resolve(objs[i].Elems); err != nil {
+				return err
+			}
+			if err := resolve(objs[i].Fields); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range frames {
+		if err := resolve(frames[i].Regs); err != nil {
 			return err
 		}
 	}
-	for i := range objs {
-		e.adoptObject(&objs[i])
+	for _, objs := range batches {
+		for i := range objs {
+			e.adoptObject(&objs[i])
+		}
 	}
-	for i := range objs {
-		if err := e.fillObject(&objs[i]); err != nil {
-			return err
+	for _, objs := range batches {
+		for i := range objs {
+			if err := e.fillObject(&objs[i]); err != nil {
+				return err
+			}
 		}
 	}
 	e.VM.Heap.ClearDirty()

@@ -122,15 +122,15 @@ type warmupSend struct {
 	acked   bool // final chunk acknowledged by the node
 }
 
-// warmupRecv is the receiver-side (node) state of one warm-up epoch. Chunks
-// are buffered and only applied when Final arrives, so objects may freely
-// reference objects in later chunks and a torn warm-up leaves the heap
-// untouched.
+// warmupRecv is the receiver-side (node) state of one warm-up epoch. The
+// decoded chunks are kept as they arrived and only adopted, as batches,
+// when Final arrives, so objects may freely reference objects in later
+// chunks and a torn warm-up leaves the heap untouched.
 type warmupRecv struct {
-	epoch uint64
-	next  int // expected next chunk index
-	objs  []ObjectState
-	ready bool
+	epoch   uint64
+	next    int // expected next chunk index
+	batches [][]ObjectState
+	ready   bool
 }
 
 // BeginWarmup starts a speculative warm-up attempt on the sending side,
@@ -247,17 +247,17 @@ func (e *Endpoint) ApplyWarmupChunk(c *WarmupChunk) error {
 			}
 		}
 	}
-	r.objs = append(r.objs, c.Objects...)
+	r.batches = append(r.batches, c.Objects)
 	r.next++
 	if !c.Final {
 		return nil
 	}
 	// Final chunk: the whole epoch is adopted, or none of it.
-	if err := e.adoptObjects(r.objs); err != nil {
+	if err := e.adoptObjects(nil, r.batches...); err != nil {
 		e.warmRecv = nil
 		return err
 	}
-	r.objs = nil
+	r.batches = nil
 	r.ready = true
 	return nil
 }

@@ -69,10 +69,29 @@ func (f *Fleet) push(ctx context.Context, edit func(*policy.Snapshot)) (policy.S
 		f.applied[t.id] = doc.Version
 	}
 	if len(errs) > 0 {
-		return stamp, fmt.Errorf("fleet: policy v%d applied to %d/%d members: %s",
-			stamp.Version, len(targets)-len(errs), len(targets), strings.Join(errs, "; "))
+		return stamp, &PartialPushError{Stamp: stamp, Applied: len(targets) - len(errs),
+			Members: len(targets), Stragglers: errs}
 	}
 	return stamp, nil
+}
+
+// PartialPushError reports a policy push that every reachable member
+// applied but some member missed. The document is the fleet's from then
+// on, RetryPolicy or Recover delivers it to the stragglers, and callers
+// that return only an error (Revoke, Restore, BindApp) still let the
+// caller tell this apart from a push nobody applied, with errors.As.
+type PartialPushError struct {
+	// Stamp is the document every member converges on.
+	Stamp policy.Stamp
+	// Applied of Members applied it this push.
+	Applied, Members int
+	// Stragglers names each member that missed it, with the reason.
+	Stragglers []string
+}
+
+func (e *PartialPushError) Error() string {
+	return fmt.Sprintf("fleet: policy v%d applied to %d/%d members: %s",
+		e.Stamp.Version, e.Applied, e.Members, strings.Join(e.Stragglers, "; "))
 }
 
 // RetryPolicy installs the fleet's current document on every healthy
@@ -149,13 +168,15 @@ func (f *Fleet) BindApp(corID, appHash string) error {
 
 // Revoke cuts a device off fleet-wide — a stolen phone must be denied no
 // matter which member its requests reach. A member that misses the push is
-// named in the error, and RetryPolicy delivers the revocation later.
+// named in a *PartialPushError, and RetryPolicy delivers the revocation
+// later.
 func (f *Fleet) Revoke(deviceID string) error {
 	_, err := f.push(context.Background(), func(d *policy.Snapshot) { d.Revoke(deviceID) })
 	return err
 }
 
-// Restore re-enables a device fleet-wide.
+// Restore re-enables a device fleet-wide; a partial push is reported as
+// Revoke's is.
 func (f *Fleet) Restore(deviceID string) error {
 	_, err := f.push(context.Background(), func(d *policy.Snapshot) { d.Restore(deviceID) })
 	return err

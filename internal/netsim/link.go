@@ -58,6 +58,12 @@ var (
 
 // Packet is the unit of transfer between hosts. Payload semantics belong to
 // the layer above (tcpsim frames segments into packets).
+//
+// A packet's payload is never written after Send, by the sender or by
+// anyone the packet reaches. That rule is what lets the layers above share
+// one buffer without copying: a sender may keep a slice of the payload it
+// sent (tcpsim's retransmission queue does), and a receiver may parse it
+// in place and hold slices of it for as long as it likes.
 type Packet struct {
 	Src, Dst string // host addresses ("IP"s)
 	Payload  []byte

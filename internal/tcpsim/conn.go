@@ -5,8 +5,9 @@ import (
 )
 
 // Conn is one endpoint of a TCP connection. The API is non-blocking: Write
-// queues data for transmission, Read drains whatever has arrived, and the
-// caller advances the netsim event loop to make progress (e.g. with
+// queues data for transmission, Buffered shows whatever has arrived and
+// Discard releases what the reader consumed, and the caller advances the
+// netsim event loop to make progress (e.g. with
 // net.RunUntil(func() bool { return conn.Readable() > 0 })).
 type Conn struct {
 	stack      *Stack
@@ -25,9 +26,10 @@ type Conn struct {
 	// rtoLastUna detects progress between timer firings.
 	rtoLastUna uint32
 
-	// receive side
+	// receive side: recvBuf[recvOff:] is received and not yet discarded.
 	rcvNxt  uint32
 	recvBuf []byte
+	recvOff int
 	peerFin bool
 
 	// OnReadable, when set, fires whenever new data is appended to the
@@ -51,23 +53,42 @@ func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 func (c *Conn) RemoteAddr() (string, uint16) { return c.remoteAddr, c.key.remotePort }
 
 // Readable returns the number of buffered received bytes.
-func (c *Conn) Readable() int { return len(c.recvBuf) }
+func (c *Conn) Readable() int { return len(c.recvBuf) - c.recvOff }
 
 // PeerClosed reports whether the peer sent FIN (EOF after draining).
 func (c *Conn) PeerClosed() bool { return c.peerFin }
 
-// Read drains up to max buffered bytes (all of them if max <= 0).
-func (c *Conn) Read(max int) []byte {
-	n := len(c.recvBuf)
-	if max > 0 && max < n {
-		n = max
+// Buffered returns the received bytes not yet discarded, in stream order.
+// The slice aliases the connection's receive buffer: it stays valid until
+// the next Discard or the next delivery, so a reader copies out whatever
+// it keeps before discarding it.
+func (c *Conn) Buffered() []byte { return c.recvBuf[c.recvOff:] }
+
+// Discard releases the first n buffered bytes. Once every byte is consumed
+// the storage is reused from its start.
+func (c *Conn) Discard(n int) {
+	if n < 0 || n > c.Readable() {
+		panic(fmt.Sprintf("tcpsim: discard %d of %d buffered bytes", n, c.Readable()))
 	}
-	out := c.recvBuf[:n]
-	c.recvBuf = append([]byte(nil), c.recvBuf[n:]...)
-	return out
+	c.recvOff += n
+	if c.recvOff == len(c.recvBuf) {
+		c.recvBuf, c.recvOff = c.recvBuf[:0], 0
+	}
 }
 
-// Write queues data on the connection, segmenting at MSS.
+// buffer appends an in-order payload to the receive buffer, first moving
+// the unconsumed bytes to the front when the storage would otherwise have
+// to grow.
+func (c *Conn) buffer(p []byte) {
+	if c.recvOff > 0 && len(c.recvBuf)+len(p) > cap(c.recvBuf) {
+		n := copy(c.recvBuf, c.recvBuf[c.recvOff:])
+		c.recvBuf, c.recvOff = c.recvBuf[:n], 0
+	}
+	c.recvBuf = append(c.recvBuf, p...)
+}
+
+// Write queues data on the connection, segmenting at MSS. Each segment's
+// wire buffer takes its copy of b; the connection keeps no reference to b.
 func (c *Conn) Write(b []byte) error {
 	if !c.Established() {
 		return fmt.Errorf("tcpsim: write on %v connection", c.state)
@@ -77,7 +98,7 @@ func (c *Conn) Write(b []byte) error {
 		if n > MSS {
 			n = MSS
 		}
-		c.sendData(b[:n])
+		c.sendFlags(FlagACK|FlagPSH, b[:n])
 		b = b[n:]
 	}
 	return nil
@@ -111,9 +132,12 @@ func (c *Conn) teardown() {
 	delete(c.stack.conns, c.key)
 }
 
-// sendFlags transmits a control segment, consuming one sequence number for
-// SYN and FIN.
+// sendFlags transmits a segment carrying a copy of payload, consuming one
+// sequence number for SYN and FIN. The copy is made once, into the wire
+// buffer the packet leaves in; the segment's Payload aliases it, so the
+// retransmission queue holds no second copy.
 func (c *Conn) sendFlags(flags uint8, payload []byte) {
+	wire := make([]byte, segHeaderLen+len(payload))
 	seg := &Segment{
 		SrcPort: c.key.localPort,
 		DstPort: c.key.remotePort,
@@ -121,8 +145,9 @@ func (c *Conn) sendFlags(flags uint8, payload []byte) {
 		Ack:     c.rcvNxt,
 		Flags:   flags,
 		Window:  65535,
-		Payload: payload,
+		Payload: wire[segHeaderLen:],
 	}
+	copy(seg.Payload, payload)
 	consumed := uint32(len(payload))
 	if flags&(FlagSYN|FlagFIN) != 0 {
 		consumed++
@@ -131,11 +156,7 @@ func (c *Conn) sendFlags(flags uint8, payload []byte) {
 	if consumed > 0 {
 		c.track(seg)
 	}
-	c.stack.sendSegment(c.remoteAddr, seg)
-}
-
-func (c *Conn) sendData(b []byte) {
-	c.sendFlags(FlagACK|FlagPSH, append([]byte(nil), b...))
+	c.stack.sendSegment(c.remoteAddr, seg, wire)
 }
 
 // track adds a sequence-consuming segment to the retransmission queue.
@@ -172,7 +193,7 @@ func (c *Conn) onRTO() {
 	}
 	seg := c.inFlight[0]
 	seg.Ack = c.rcvNxt // refresh cumulative ack
-	c.stack.sendSegment(c.remoteAddr, seg)
+	c.stack.sendSegment(c.remoteAddr, seg, nil)
 	if c.rtoBackoff < 4 {
 		c.rtoBackoff++
 	}
@@ -222,7 +243,7 @@ func (c *Conn) handleSegment(seg *Segment) {
 	if len(seg.Payload) > 0 {
 		switch {
 		case seg.Seq == c.rcvNxt:
-			c.recvBuf = append(c.recvBuf, seg.Payload...)
+			c.buffer(seg.Payload)
 			c.rcvNxt += uint32(len(seg.Payload))
 			advanced = true
 			if c.OnReadable != nil {
@@ -255,23 +276,30 @@ func (c *Conn) handleSegment(seg *Segment) {
 	}
 }
 
-// ackUpTo drops acknowledged segments from the retransmission queue.
+// ackUpTo drops acknowledged segments from the retransmission queue. The
+// queue is in sequence order, so the acknowledged segments are a prefix.
 func (c *Conn) ackUpTo(ack uint32) {
 	if seqLess(c.sndUna, ack) {
 		c.sndUna = ack
 		c.rtoBackoff = 0
 	}
-	keep := c.inFlight[:0]
+	n := 0
 	for _, seg := range c.inFlight {
 		end := seg.Seq + uint32(len(seg.Payload))
 		if seg.Flags&(FlagSYN|FlagFIN) != 0 {
 			end++
 		}
 		if seqLess(ack, end) {
-			keep = append(keep, seg)
+			break
 		}
+		n++
 	}
-	c.inFlight = keep
+	clear(c.inFlight[:n])
+	if n == len(c.inFlight) {
+		c.inFlight = c.inFlight[:0]
+	} else {
+		c.inFlight = c.inFlight[n:]
+	}
 }
 
 // seqLess compares sequence numbers with wraparound (RFC 1982 style).

@@ -176,7 +176,7 @@ func (st *Stack) onPacket(pkt *netsim.Packet) {
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, Ack: seg.Seq + 1, Flags: FlagRST | FlagACK,
 		}
-		st.sendSegment(pkt.Src, rst)
+		st.sendSegment(pkt.Src, rst, nil)
 	}
 }
 
@@ -198,8 +198,11 @@ func (st *Stack) acceptSyn(l *Listener, remoteAddr string, syn *Segment) {
 	c.sendFlags(FlagSYN|FlagACK, nil)
 }
 
-// sendSegment applies egress filtering and transmits.
-func (st *Stack) sendSegment(dst string, seg *Segment) {
+// sendSegment applies egress filtering and transmits. wire, when not nil,
+// is the buffer whose bytes from segHeaderLen on hold seg.Payload: the
+// header goes in front of the payload there, so a passing segment leaves
+// without another copy. A nil wire (a resend, an RST) is encoded afresh.
+func (st *Stack) sendSegment(dst string, seg *Segment, wire []byte) {
 	st.Segments++
 	for _, rule := range st.egress {
 		if !rule.Match(seg, st.host.Addr(), dst) {
@@ -216,10 +219,14 @@ func (st *Stack) sendSegment(dst string, seg *Segment) {
 			return
 		}
 	}
-	buf := seg.Encode(st.host.Addr(), dst)
+	if wire == nil {
+		wire = seg.Encode(st.host.Addr(), dst)
+	} else {
+		seg.encodeHeader(st.host.Addr(), dst, wire)
+	}
 	// Errors (no route) surface as silent drops, like a black-holed packet;
 	// retransmission logic deals with the fallout.
-	_ = st.host.Send(&netsim.Packet{Dst: dst, Payload: buf})
+	_ = st.host.Send(&netsim.Packet{Dst: dst, Payload: wire})
 }
 
 // Conns returns the number of live connections (diagnostics).

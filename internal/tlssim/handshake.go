@@ -17,21 +17,30 @@ import (
 // server picks the most recent version both sides share. TinMan's modified
 // client library additionally enforces a floor of TLS 1.1.
 
+// The hellos carry their randoms and the server's modulus as bytes, which
+// encode at a fixed length. The handshake's size on the wire — and so its
+// simulated transfer time — then depends on neither the crypto/rand draw
+// nor the key, and a seeded run is reproducible.
+
+// randomLen is the length of each hello's random.
+const randomLen = 32
+
 // ClientHello opens the handshake.
 type ClientHello struct {
-	MaxVersion Version  `json:"max_version"`
-	Suites     []Suite  `json:"suites"`
-	Random     [32]byte `json:"random"`
+	MaxVersion Version `json:"max_version"`
+	Suites     []Suite `json:"suites"`
+	Random     []byte  `json:"random"`
 }
 
 // ServerHello answers with the chosen parameters and the server's RSA
-// public key (standing in for the certificate).
+// public key (standing in for the certificate): PubN is the modulus's
+// big-endian bytes.
 type ServerHello struct {
-	Version Version  `json:"version"`
-	Suite   Suite    `json:"suite"`
-	Random  [32]byte `json:"random"`
-	PubN    *big.Int `json:"pub_n"`
-	PubE    int      `json:"pub_e"`
+	Version Version `json:"version"`
+	Suite   Suite   `json:"suite"`
+	Random  []byte  `json:"random"`
+	PubN    []byte  `json:"pub_n"`
+	PubE    int     `json:"pub_e"`
 }
 
 // ClientKeyExchange carries the RSA-encrypted pre-master secret.
@@ -105,8 +114,9 @@ type ClientState struct {
 // NewClientHello begins a handshake.
 func NewClientHello(cfg ClientConfig) (*ClientHello, *ClientState, error) {
 	cfg.fill()
-	ch := ClientHello{MaxVersion: cfg.MaxVersion, Suites: append([]Suite(nil), cfg.Suites...)}
-	if _, err := io.ReadFull(cfg.Rand, ch.Random[:]); err != nil {
+	ch := ClientHello{MaxVersion: cfg.MaxVersion, Suites: append([]Suite(nil), cfg.Suites...),
+		Random: make([]byte, randomLen)}
+	if _, err := io.ReadFull(cfg.Rand, ch.Random); err != nil {
 		return nil, nil, fmt.Errorf("tlssim: client random: %v", err)
 	}
 	return &ch, &ClientState{cfg: cfg, hello: ch}, nil
@@ -125,6 +135,9 @@ func ServerRespond(cfg ServerConfig, ch *ClientHello) (*ServerHello, *ServerStat
 	cfg.fill()
 	if cfg.Key == nil {
 		return nil, nil, fmt.Errorf("tlssim: server has no key")
+	}
+	if len(ch.Random) != randomLen {
+		return nil, nil, fmt.Errorf("tlssim: client random of %d bytes, want %d", len(ch.Random), randomLen)
 	}
 	version := cfg.MaxVersion
 	if ch.MaxVersion < version {
@@ -147,8 +160,9 @@ clientSuites:
 	if !found {
 		return nil, nil, fmt.Errorf("tlssim: no common cipher suite")
 	}
-	sh := ServerHello{Version: version, Suite: suite, PubN: cfg.Key.N, PubE: cfg.Key.E}
-	if _, err := io.ReadFull(cfg.Rand, sh.Random[:]); err != nil {
+	sh := ServerHello{Version: version, Suite: suite, Random: make([]byte, randomLen),
+		PubN: cfg.Key.N.Bytes(), PubE: cfg.Key.E}
+	if _, err := io.ReadFull(cfg.Rand, sh.Random); err != nil {
 		return nil, nil, fmt.Errorf("tlssim: server random: %v", err)
 	}
 	return &sh, &ServerState{cfg: cfg, hello: sh, clientHello: *ch}, nil
@@ -174,18 +188,21 @@ func ClientFinish(st *ClientState, sh *ServerHello) (*ClientKeyExchange, *Sessio
 	if !okSuite {
 		return nil, nil, fmt.Errorf("tlssim: server chose unoffered suite %v", sh.Suite)
 	}
+	if len(sh.Random) != randomLen || len(sh.PubN) == 0 {
+		return nil, nil, fmt.Errorf("tlssim: malformed ServerHello (random %d bytes, modulus %d bytes)", len(sh.Random), len(sh.PubN))
+	}
 
 	preMaster := make([]byte, 48)
 	if _, err := io.ReadFull(st.cfg.Rand, preMaster); err != nil {
 		return nil, nil, fmt.Errorf("tlssim: pre-master: %v", err)
 	}
-	pub := &rsa.PublicKey{N: sh.PubN, E: sh.PubE}
+	pub := &rsa.PublicKey{N: new(big.Int).SetBytes(sh.PubN), E: sh.PubE}
 	epm, err := rsa.EncryptOAEP(sha256.New(), st.cfg.Rand, pub, preMaster, []byte("tinman-premaster"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("tlssim: encrypting pre-master: %v", err)
 	}
 
-	sess, err := buildSession(true, sh.Version, sh.Suite, preMaster, st.hello.Random[:], sh.Random[:], st.cfg.Rand)
+	sess, err := buildSession(true, sh.Version, sh.Suite, preMaster, st.hello.Random, sh.Random, st.cfg.Rand)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,7 +215,7 @@ func ServerFinish(st *ServerState, cke *ClientKeyExchange) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tlssim: decrypting pre-master: %v", err)
 	}
-	return buildSession(false, st.hello.Version, st.hello.Suite, preMaster, st.clientHello.Random[:], st.hello.Random[:], st.cfg.Rand)
+	return buildSession(false, st.hello.Version, st.hello.Suite, preMaster, st.clientHello.Random, st.hello.Random, st.cfg.Rand)
 }
 
 // buildSession derives directional keys and assembles a Session for one

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -479,4 +480,69 @@ func mustMarshal(t *testing.T, st *State) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestHelloLengthsFixed: the encoded ClientHello, ServerHello and
+// ClientKeyExchange each have one length whatever the crypto/rand draws
+// and whichever 1024-bit key the server holds, so a seeded simulation
+// spends the same virtual time on every handshake of every run.
+func TestHelloLengthsFixed(t *testing.T) {
+	other, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []*rsa.PrivateKey{serverKey(t), other}
+	lengths := map[string]int{}
+	for i := 0; i < 32; i++ {
+		ch, cst, err := NewClientHello(ClientConfig{MinVersion: TLS11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, _, err := ServerRespond(ServerConfig{Key: keys[i%len(keys)]}, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cke, _, err := ClientFinish(cst, sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, m := range map[string]any{"ClientHello": ch, "ServerHello": sh, "ClientKeyExchange": cke} {
+			b, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, seen := lengths[name]; seen && n != len(b) {
+				t.Fatalf("%s encoded to %d bytes, earlier to %d", name, len(b), n)
+			}
+			lengths[name] = len(b)
+		}
+	}
+}
+
+// TestMalformedHelloRefused: a hello whose random is not 32 bytes, or a
+// ServerHello without a modulus, ends the handshake with an error.
+func TestMalformedHelloRefused(t *testing.T) {
+	ch, cst, err := NewClientHello(ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := *ch
+	short.Random = ch.Random[:31]
+	if _, _, err := ServerRespond(ServerConfig{Key: serverKey(t)}, &short); err == nil {
+		t.Fatal("31-byte client random accepted")
+	}
+	sh, _, err := ServerRespond(ServerConfig{Key: serverKey(t)}, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(*ServerHello){
+		"short random": func(h *ServerHello) { h.Random = h.Random[:31] },
+		"no modulus":   func(h *ServerHello) { h.PubN = nil },
+	} {
+		bad := *sh
+		tamper(&bad)
+		if _, _, err := ClientFinish(cst, &bad); err == nil {
+			t.Fatalf("ServerHello with %s accepted", name)
+		}
+	}
 }

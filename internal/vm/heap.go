@@ -1,8 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tinman/internal/taint"
 )
@@ -190,9 +191,12 @@ func (h *Heap) Objects() []*Object {
 	for _, o := range h.objects {
 		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, byID)
 	return out
 }
+
+// byID orders objects by ID.
+func byID(a, b *Object) int { return cmp.Compare(a.ID, b.ID) }
 
 // MarkDirty records a mutation for the DSM. The VM calls it on every heap
 // write; natives that mutate objects must call it too.
@@ -213,7 +217,7 @@ func (h *Heap) DirtyObjects() []*Object {
 			out = append(out, o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, byID)
 	return out
 }
 
