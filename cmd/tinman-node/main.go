@@ -160,7 +160,7 @@ func serveAdmin(srv *nodeproto.Server, tr *obs.Tracer, m *obs.Metrics, addr, sto
 		Target: srv.Svc,
 		Stamp:  srv.Svc.Policy.Stamp,
 		Export: srv.Svc.Policy.Export,
-		Audit:  srv.Svc.Audit,
+		Audit:  srv.Svc.AuditAdmin,
 		Token:  token,
 		Logf:   log.Printf,
 	})

@@ -51,7 +51,7 @@ const adminToken = "test-admin-token"
 // admin serves srv's control plane for the rest of the test.
 func admin(t *testing.T, srv *nodeproto.Server) string {
 	t.Helper()
-	plane, err := ctl.New(ctl.Config{Target: srv.Svc, Stamp: srv.Svc.Policy.Stamp, Export: srv.Svc.Policy.Export, Audit: srv.Svc.Audit, Token: adminToken})
+	plane, err := ctl.New(ctl.Config{Target: srv.Svc, Stamp: srv.Svc.Policy.Stamp, Export: srv.Svc.Policy.Export, Audit: srv.Svc.AuditAdmin, Token: adminToken})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,26 +136,10 @@ func (l *Log) shardFor(deviceID, corID string) *shard {
 	return &l.shards[h.Sum64()%numShards]
 }
 
-// Append records an access.
-func (l *Log) Append(appHash, corID, deviceID, domain string, outcome Outcome, detail string) Entry {
-	return l.AppendDevice(appHash, corID, deviceID, domain, outcome, detail, 0)
-}
-
-// AppendDevice is Append carrying a caller-minted per-device sequence
-// number (see Entry.DeviceSeq). The trusted node's shard layer mints the
-// number so it stays monotonic for the device across node handoffs.
-func (l *Log) AppendDevice(appHash, corID, deviceID, domain string, outcome Outcome, detail string, deviceSeq uint64) Entry {
-	return l.AppendEntry(Entry{
-		AppHash: appHash, CorID: corID,
-		DeviceID: deviceID, Domain: domain, Outcome: outcome, Detail: detail,
-		DeviceSeq: deviceSeq,
-	})
-}
-
 // AppendEntry records a caller-built entry, minting its Seq and Time (any
-// caller-supplied values for those two fields are overwritten). It is the
-// funnel for appends that carry extra context — e.g. the policy
-// version/hash stamp — without growing the positional Append signatures.
+// caller-supplied values for those two fields are overwritten). On the
+// trusted node only the operation commit calls it, under the lock that
+// orders Seq with the store's LSNs (internal/node).
 func (l *Log) AppendEntry(e Entry) Entry {
 	e.Seq = l.seq.Add(1)
 	e.Time = l.now()
@@ -206,7 +190,7 @@ func (l *Log) detectAnomalyLocked(sh *shard, e Entry) {
 func (l *Log) Subscribe(fn func(Entry)) {
 	l.subMu.Lock()
 	defer l.subMu.Unlock()
-	// Copy-on-write so Append can read the slice under the read lock while
+	// Copy-on-write so AppendEntry can read the slice under the read lock while
 	// holding no reference past the call.
 	subs := make([]func(Entry), len(l.subscribers), len(l.subscribers)+1)
 	copy(subs, l.subscribers)

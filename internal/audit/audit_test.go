@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// appendAccess appends an entry with the given fields.
+func appendAccess(l *Log, appHash, corID, deviceID, domain string, outcome Outcome, detail string) Entry {
+	return l.AppendEntry(Entry{AppHash: appHash, CorID: corID, DeviceID: deviceID, Domain: domain, Outcome: outcome, Detail: detail})
+}
+
 func testClock() (*time.Time, func() time.Time) {
 	t := time.Date(2015, 4, 21, 12, 0, 0, 0, time.UTC)
 	return &t, func() time.Time { return t }
@@ -15,8 +20,8 @@ func testClock() (*time.Time, func() time.Time) {
 func TestAppendAndEntries(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	e1 := l.Append("hash1", "pw", "dev1", "bank.com", OutcomeAllowed, "")
-	e2 := l.Append("hash2", "pw", "dev1", "evil.com", OutcomeDenied, "domain")
+	e1 := appendAccess(l, "hash1", "pw", "dev1", "bank.com", OutcomeAllowed, "")
+	e2 := appendAccess(l, "hash2", "pw", "dev1", "evil.com", OutcomeDenied, "domain")
 	if e1.Seq != 1 || e2.Seq != 2 {
 		t.Fatalf("seqs: %d %d", e1.Seq, e2.Seq)
 	}
@@ -37,8 +42,8 @@ func TestSubscribe(t *testing.T) {
 	l := NewLog(now)
 	var got []Entry
 	l.Subscribe(func(e Entry) { got = append(got, e) })
-	l.Append("h", "c", "d", "", OutcomeAllowed, "")
-	l.Append("h", "c", "d", "", OutcomeDenied, "")
+	appendAccess(l, "h", "c", "d", "", OutcomeAllowed, "")
+	appendAccess(l, "h", "c", "d", "", OutcomeDenied, "")
 	if len(got) != 2 {
 		t.Fatalf("subscriber saw %d entries", len(got))
 	}
@@ -47,10 +52,10 @@ func TestSubscribe(t *testing.T) {
 func TestFind(t *testing.T) {
 	clock, now := testClock()
 	l := NewLog(now)
-	l.Append("h1", "pw", "dev1", "a.com", OutcomeAllowed, "")
+	appendAccess(l, "h1", "pw", "dev1", "a.com", OutcomeAllowed, "")
 	*clock = clock.Add(time.Hour)
-	l.Append("h2", "cc", "dev2", "b.com", OutcomeDenied, "")
-	l.Append("h3", "pw", "dev2", "c.com", OutcomeDenied, "")
+	appendAccess(l, "h2", "cc", "dev2", "b.com", OutcomeDenied, "")
+	appendAccess(l, "h3", "pw", "dev2", "c.com", OutcomeDenied, "")
 
 	if got := l.Find(Query{CorID: "pw"}); len(got) != 2 {
 		t.Fatalf("by cor: %d", len(got))
@@ -77,13 +82,13 @@ func TestAnomalyDetection(t *testing.T) {
 	l.AnomalyWindow = time.Hour
 
 	// Two denials: below threshold.
-	l.Append("h", "pw", "stolen", "evil.com", OutcomeDenied, "")
-	l.Append("h", "pw", "stolen", "evil.com", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
 	if len(l.Anomalies()) != 0 {
 		t.Fatal("anomaly flagged too early")
 	}
 	// Third within the window: flagged.
-	l.Append("h", "pw", "stolen", "evil.com", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
 	an := l.Anomalies()
 	if len(an) != 1 || an[0].Denials != 3 || an[0].DeviceID != "stolen" {
 		t.Fatalf("anomalies = %v", an)
@@ -98,10 +103,10 @@ func TestAnomalyWindowExpires(t *testing.T) {
 	l := NewLog(now)
 	l.AnomalyThreshold = 3
 	l.AnomalyWindow = time.Hour
-	l.Append("h", "pw", "d", "", OutcomeDenied, "")
-	l.Append("h", "pw", "d", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
 	*clock = clock.Add(2 * time.Hour)
-	l.Append("h", "pw", "d", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
 	if len(l.Anomalies()) != 0 {
 		t.Fatal("stale denials counted toward anomaly")
 	}
@@ -111,9 +116,9 @@ func TestAnomalyScopedToDeviceAndCor(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
 	l.AnomalyThreshold = 3
-	l.Append("h", "pw", "d1", "", OutcomeDenied, "")
-	l.Append("h", "pw", "d2", "", OutcomeDenied, "")
-	l.Append("h", "cc", "d1", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d1", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d2", "", OutcomeDenied, "")
+	appendAccess(l, "h", "cc", "d1", "", OutcomeDenied, "")
 	if len(l.Anomalies()) != 0 {
 		t.Fatal("denials across devices/cors must not aggregate")
 	}
@@ -124,7 +129,7 @@ func TestAllowedEntriesNeverAnomalous(t *testing.T) {
 	l := NewLog(now)
 	l.AnomalyThreshold = 1
 	for i := 0; i < 10; i++ {
-		l.Append("h", "pw", "d", "", OutcomeAllowed, "")
+		appendAccess(l, "h", "pw", "d", "", OutcomeAllowed, "")
 	}
 	if len(l.Anomalies()) != 0 {
 		t.Fatal("allowed accesses flagged as anomalies")
@@ -146,7 +151,7 @@ func buildPersistLog(n int) *Log {
 		if i%4 == 0 {
 			out = OutcomeDenied
 		}
-		l.Append("hash", "cor-1", "dev-1", "example.com", out, "d")
+		appendAccess(l, "hash", "cor-1", "dev-1", "example.com", out, "d")
 	}
 	return l
 }
@@ -163,7 +168,7 @@ func TestRestoreResumesSeq(t *testing.T) {
 	if len(l.Anomalies()) != len(src.Anomalies()) {
 		t.Fatal("restore lost anomalies")
 	}
-	e := l.Append("h", "c", "d", "dom", OutcomeAllowed, "")
+	e := appendAccess(l, "h", "c", "d", "dom", OutcomeAllowed, "")
 	if e.Seq != 9 {
 		t.Fatalf("post-restore Seq = %d, want 9", e.Seq)
 	}

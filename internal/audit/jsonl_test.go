@@ -28,8 +28,8 @@ func exportJSONL(t *testing.T, l *Log) *bytes.Buffer {
 func TestWriteReadRoundTrip(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	l.Append("h1", "pw", "dev1", "a.com", OutcomeAllowed, "first")
-	l.Append("h2", "cc", "dev2", "b.com", OutcomeDenied, "second")
+	appendAccess(l, "h1", "pw", "dev1", "a.com", OutcomeAllowed, "first")
+	appendAccess(l, "h2", "cc", "dev2", "b.com", OutcomeDenied, "second")
 
 	buf := exportJSONL(t, l)
 	if strings.Count(buf.String(), "\n") != 2 {
@@ -46,7 +46,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("entries = %+v", got)
 	}
 	// Sequence numbering resumes.
-	e := l2.Append("h3", "x", "d", "", OutcomeAllowed, "")
+	e := appendAccess(l2, "h3", "x", "d", "", OutcomeAllowed, "")
 	if e.Seq != 3 {
 		t.Fatalf("resumed seq = %d, want 3", e.Seq)
 	}
@@ -71,7 +71,7 @@ func TestSaveLoadFile(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
 	for i := 0; i < 10; i++ {
-		l.Append("h", "pw", "dev", "d.com", OutcomeAllowed, "")
+		appendAccess(l, "h", "pw", "dev", "d.com", OutcomeAllowed, "")
 	}
 	if err := os.WriteFile(path, exportJSONL(t, l).Bytes(), 0o600); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestRescanAnomaliesAfterLoad(t *testing.T) {
 	l := NewLog(now)
 	l.AnomalyThreshold = 3
 	for i := 0; i < 3; i++ {
-		l.Append("h", "pw", "stolen", "evil.com", OutcomeDenied, "")
+		appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
 	}
 	if len(l.Anomalies()) != 1 {
 		t.Fatal("setup: anomaly not detected live")
@@ -118,9 +118,9 @@ func TestRescanAnomaliesAfterLoad(t *testing.T) {
 func TestTimesSurviveRoundTrip(t *testing.T) {
 	clock, now := testClock()
 	l := NewLog(now)
-	l.Append("h", "pw", "d", "", OutcomeAllowed, "")
+	appendAccess(l, "h", "pw", "d", "", OutcomeAllowed, "")
 	*clock = clock.Add(90 * time.Minute)
-	l.Append("h", "pw", "d", "", OutcomeDenied, "")
+	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
 
 	l2 := NewLog(now)
 	if _, err := l2.ReadFrom(exportJSONL(t, l)); err != nil {

@@ -97,8 +97,8 @@ func measureMemlog(appenders, records int) StoreAppendEntry {
 			defer wg.Done()
 			dev := fmt.Sprintf("dev-%d", w)
 			for i := 0; i < per; i++ {
-				l.AppendDevice("sha256:aabbccddeeff0011", "bank-pw", dev,
-					"bank.example.com", audit.OutcomeAllowed, "offloaded access", uint64(i+1))
+				l.AppendEntry(audit.Entry{AppHash: "sha256:aabbccddeeff0011", CorID: "bank-pw", DeviceID: dev,
+					Domain: "bank.example.com", Outcome: audit.OutcomeAllowed, Detail: "offloaded access", DeviceSeq: uint64(i + 1)})
 			}
 		}(w)
 	}
@@ -144,7 +144,7 @@ func measureWAL(mode string, appenders, window, records int, interval time.Durat
 					}
 					inflight = inflight[1:]
 				}
-				inflight = append(inflight, s.AppendAudit(benchEntry(w*per+i+1)))
+				inflight = append(inflight, s.Append(store.Audit(benchEntry(w*per+i+1))))
 			}
 			for _, tk := range inflight {
 				if err := tk.Wait(ctx); err != nil {
@@ -183,7 +183,7 @@ func measureRecovery(records, snapEvery int) (StoreRecoveryEntry, error) {
 	ctx := context.Background()
 	var tk store.Ticket
 	for i := 1; i <= records; i++ {
-		tk = s.AppendAudit(benchEntry(i))
+		tk = s.Append(store.Audit(benchEntry(i)))
 	}
 	if err := tk.Wait(ctx); err != nil {
 		return StoreRecoveryEntry{}, err

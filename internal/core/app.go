@@ -159,8 +159,9 @@ func (d *Device) InstallAppOpts(name, source string, opts InstallOpts) (*App, er
 	// Framework heap: the app/framework state that the first offload must
 	// ship wholesale (Table 3 "Off. Init").
 	const chunk = 256
+	filler := strings.Repeat("f", chunk-24)
 	for i := 0; i < frameworkHeapKB*1024/chunk; i++ {
-		machine.NewString(strings.Repeat("f", chunk-24))
+		machine.NewString(filler)
 	}
 
 	if d.w.enabled {

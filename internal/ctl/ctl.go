@@ -50,10 +50,11 @@ type Config struct {
 	// Export returns the current policy document for GET /policy; nil
 	// hides that endpoint.
 	Export func() *policy.Snapshot
-	// Audit receives control-plane audit entries: accepted mutations and
-	// unauthorized attempts. Nil skips auditing (tests only — production
-	// callers always pass the node's log).
-	Audit *audit.Log
+	// Audit records a control-plane audit entry (an accepted mutation or an
+	// unauthorized attempt) and returns once it is durable: a node passes
+	// node.Service.AuditAdmin, its one write path. Nil skips auditing
+	// (tests only).
+	Audit func(outcome audit.Outcome, detail string) error
 	// Token is the bearer token mutating endpoints require. Empty fails
 	// closed: every mutation is refused. (The operator opts into mutation
 	// by exporting TINMAN_ADMIN_TOKEN; there is no insecure default.)
@@ -84,24 +85,32 @@ func (p *Plane) logf(format string, args ...any) {
 	}
 }
 
-// auditf appends a control-plane entry to the audit log, if one is wired.
-func (p *Plane) auditf(outcome audit.Outcome, format string, args ...any) {
+// auditf records a control-plane audit entry, if auditing is wired, and
+// returns the error of an entry that could not be made durable.
+func (p *Plane) auditf(outcome audit.Outcome, format string, args ...any) error {
 	if p.cfg.Audit == nil {
-		return
+		return nil
 	}
-	p.cfg.Audit.Append("", "", "", "", outcome, fmt.Sprintf(format, args...))
+	if err := p.cfg.Audit(outcome, fmt.Sprintf(format, args...)); err != nil {
+		p.logf("ctl: audit entry not recorded: %v", err)
+		return err
+	}
+	return nil
 }
 
 // InstallPolicy validates and pushes a snapshot through the target,
 // auditing the accepted stamp. The stamp is returned even when the push
-// was partial (some fleet members unreachable) — err says which.
+// was partial (some fleet members unreachable) — err says which. An audit
+// entry that cannot be recorded fails the call.
 func (p *Plane) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (policy.Stamp, error) {
 	if err := snap.Validate(); err != nil {
 		return policy.Stamp{}, err
 	}
 	stamp, err := p.cfg.Target.InstallPolicy(ctx, snap)
 	if stamp.Version != 0 {
-		p.auditf(audit.OutcomeAllowed, "admin: policy v%d (%s) installed", stamp.Version, stamp.Hash)
+		if aerr := p.auditf(audit.OutcomeAllowed, "admin: policy v%d (%s) installed", stamp.Version, stamp.Hash); aerr != nil {
+			return policy.Stamp{}, aerr
+		}
 		p.logf("ctl: policy v%d (%s) installed", stamp.Version, stamp.Hash)
 	}
 	return stamp, err
@@ -112,21 +121,24 @@ func (p *Plane) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (polic
 // revocation holds on every reachable member — and still returned, so the
 // caller can report the stragglers.
 func (p *Plane) Revoke(deviceID string) error {
-	err := p.cfg.Target.Revoke(deviceID)
-	if err != nil && !isPartial(err) {
-		return err
-	}
-	p.auditf(audit.OutcomeAllowed, "admin: device %s revoked", deviceID)
-	return err
+	return p.audited(p.cfg.Target.Revoke(deviceID), "admin: device %s revoked", deviceID)
 }
 
 // Restore re-enables a device, reporting a partial push as Revoke does.
 func (p *Plane) Restore(deviceID string) error {
-	err := p.cfg.Target.Restore(deviceID)
+	return p.audited(p.cfg.Target.Restore(deviceID), "admin: device %s restored", deviceID)
+}
+
+// audited audits a mutation the target accepted, wholly or on the
+// reachable fleet members, and returns the target's err; an entry that
+// cannot be recorded fails the call instead.
+func (p *Plane) audited(err error, format string, args ...any) error {
 	if err != nil && !isPartial(err) {
 		return err
 	}
-	p.auditf(audit.OutcomeAllowed, "admin: device %s restored", deviceID)
+	if aerr := p.auditf(audit.OutcomeAllowed, format, args...); aerr != nil {
+		return aerr
+	}
 	return err
 }
 
@@ -138,11 +150,7 @@ func isPartial(err error) bool {
 
 // SetCorClass reclassifies a cor's sensitivity.
 func (p *Plane) SetCorClass(ctx context.Context, corID string, class cor.Class) error {
-	if err := p.cfg.Target.SetCorClass(ctx, corID, class); err != nil {
-		return err
-	}
-	p.auditf(audit.OutcomeAllowed, "admin: cor %s reclassified as %s", corID, class)
-	return nil
+	return p.audited(p.cfg.Target.SetCorClass(ctx, corID, class), "admin: cor %s reclassified as %s", corID, class)
 }
 
 // Stamp reports the policy stamp currently running.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"tinman/internal/audit"
 	"tinman/internal/cor"
 	"tinman/internal/ctl"
+	"tinman/internal/fault"
 	"tinman/internal/fleet"
 	"tinman/internal/node"
 	"tinman/internal/policy"
@@ -36,7 +38,7 @@ func newPlane(t *testing.T) (*node.Service, *httptest.Server) {
 		Target: svc,
 		Stamp:  svc.Policy.Stamp,
 		Export: svc.Policy.Export,
-		Audit:  svc.Audit,
+		Audit:  svc.AuditAdmin,
 		Token:  adminToken,
 	})
 	if err != nil {
@@ -319,6 +321,67 @@ func TestPolicyRecoveredFromStore(t *testing.T) {
 	}
 }
 
+// TestAdminAuditRecoveredFromStore kills a store-backed node after an
+// accepted /revoke, a refused 403 and a reseal the revocation denies: the
+// restarted node recovers all three audit entries, with a gap-free Seq.
+func TestAdminAuditRecoveredFromStore(t *testing.T) {
+	ctx := context.Background()
+	fs := fault.NewCrashFS(1)
+	sealer, err := cor.NewSealer("ctl-test-pass", bytes.Repeat([]byte{0x5a}, cor.SaltLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *node.Service {
+		st, err := store.Open(store.Options{Dir: "store", FS: fs, Sealer: sealer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := node.New(node.Options{MalwareSeed: -1})
+		if err := svc.AttachStore(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+
+	svc := open()
+	if _, err := svc.RegisterCor(ctx, "pw", "hunter2!", "password", "bank.com"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := ctl.New(ctl.Config{Target: svc, Stamp: svc.Policy.Stamp, Audit: svc.AuditAdmin, Token: adminToken})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	p.Routes(mux, nil, nil)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	if resp := post(t, ts.URL+"/revoke", adminToken, `{"device_id":"stolen"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("authorized revoke: status %d", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/revoke", "wrong-token", `{"device_id":"phone-1"}`); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("unauthorized revoke: status %d", resp.StatusCode)
+	}
+	if _, err := svc.Reseal(ctx, node.ResealRequest{CorID: "pw", AppHash: "app", DeviceID: "stolen", Domain: "bank.com"}); !errors.Is(err, policy.ErrDenied) {
+		t.Fatalf("reseal for a revoked device: %v, want a denial", err)
+	}
+	want := svc.Audit.Entries()
+	if len(want) != 3 {
+		t.Fatalf("live log holds %d entries, want 3", len(want))
+	}
+
+	fs.CrashNow()
+	fs.Restart()
+	got := open().Audit.Entries()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d audit entries, want %d: %v", len(got), len(want), got)
+	}
+	for i, e := range got {
+		if e.Seq != uint64(i+1) || e.Detail != want[i].Detail {
+			t.Fatalf("recovered entry %d = Seq %d %q, want Seq %d %q", i, e.Seq, e.Detail, i+1, want[i].Detail)
+		}
+	}
+}
+
 // TestPartialRevokeAnswers207 puts a two-member fleet behind the plane
 // with one member down. A revocation then holds on the reachable member
 // only, so /revoke and /restore answer 207 with the straggler named — as
@@ -338,7 +401,11 @@ func TestPartialRevokeAnswers207(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := audit.NewLog(nil)
-	p, err := ctl.New(ctl.Config{Target: f, Stamp: up.Policy.Stamp, Audit: log, Token: adminToken})
+	record := func(outcome audit.Outcome, detail string) error {
+		log.AppendEntry(audit.Entry{Outcome: outcome, Detail: detail})
+		return nil
+	}
+	p, err := ctl.New(ctl.Config{Target: f, Stamp: up.Policy.Stamp, Audit: record, Token: adminToken})
 	if err != nil {
 		t.Fatal(err)
 	}

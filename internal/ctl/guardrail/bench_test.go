@@ -24,7 +24,7 @@ func BenchmarkSweep(b *testing.B) {
 	met.Counter("reseals_total").Add(12345)
 	met.Counter("denials_total").Add(17)
 	for i := 0; i < 2000; i++ {
-		log.Append("app", "pw", fmt.Sprintf("dev-%d", i%64), "bank.com", audit.OutcomeAllowed, "record resealed")
+		log.AppendEntry(audit.Entry{AppHash: "app", CorID: "pw", DeviceID: fmt.Sprintf("dev-%d", i%64), Domain: "bank.com", Outcome: audit.OutcomeAllowed, Detail: "record resealed"})
 	}
 	sc := New()
 	for i := 0; i < 8; i++ {

@@ -100,7 +100,7 @@ func TestSweeperCanary(t *testing.T) {
 	// ordinary detail, a file of sealed-looking bytes.
 	sp := tr.StartSpan(obs.PhasePolicyCheck, obs.Cor("pw"), obs.Device("phone-1"))
 	sp.End()
-	log.Append("app", "pw", "phone-1", "x.example", audit.OutcomeAllowed, "record resealed")
+	log.AppendEntry(audit.Entry{AppHash: "app", CorID: "pw", DeviceID: "phone-1", Domain: "x.example", Outcome: audit.OutcomeAllowed, Detail: "record resealed"})
 	if err := os.WriteFile(filepath.Join(dir, "vault.wal"), []byte("ciphertext-here"), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSweeperCanary(t *testing.T) {
 	leak := tr.StartSpan(obs.PhaseVaultOpen, obs.Note(secret))
 	leak.End()
 	// Seed the audit log and the persistence dir too.
-	log.Append("app", "pw", "phone-1", "x.example", audit.OutcomeAllowed, "oops: "+secret)
+	log.AppendEntry(audit.Entry{AppHash: "app", CorID: "pw", DeviceID: "phone-1", Domain: "x.example", Outcome: audit.OutcomeAllowed, Detail: "oops: " + secret})
 	leakFile := filepath.Join(dir, "snapshot.json")
 	if err := os.WriteFile(leakFile, []byte(`{"v":"`+hex.EncodeToString([]byte(secret))+`"}`), 0o600); err != nil {
 		t.Fatal(err)

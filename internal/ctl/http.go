@@ -113,7 +113,7 @@ func (p *Plane) authorize(w http.ResponseWriter, r *http.Request) bool {
 		subtle.ConstantTimeCompare([]byte(got), []byte(p.cfg.Token)) == 1 {
 		return true
 	}
-	p.auditf(audit.OutcomeDenied, "admin: unauthorized %s %s from %s",
+	_ = p.auditf(audit.OutcomeDenied, "admin: unauthorized %s %s from %s",
 		r.Method, r.URL.Path, r.RemoteAddr)
 	p.logf("ctl: unauthorized %s %s from %s", r.Method, r.URL.Path, r.RemoteAddr)
 	http.Error(w, "forbidden", http.StatusForbidden)

@@ -319,3 +319,30 @@ func TestDanglingReferenceAcrossChunksRefused(t *testing.T) {
 		t.Fatalf("refused migration adopted %d objects", n)
 	}
 }
+
+// TestApplyOwnSpaceIDMovesAllocator sends the node an object whose ID lies
+// in the node's own (even) ID space, as a full re-sync to a fresh node VM
+// does after a handoff. The node must adopt it and allocate past it; an
+// own-space ID from vm.MaxOwnAdoptID up, which could run the allocator out
+// of room, is refused before anything is adopted.
+func TestApplyOwnSpaceIDMovesAllocator(t *testing.T) {
+	prog := loginProgram(t)
+	ep := nodeEndpoint(prog)
+	str := func(id uint64) *dsm.Migration {
+		return &dsm.Migration{Seq: 1, Result: dsm.ValueState{Kind: uint8(vm.KindRef)},
+			Objects: []dsm.ObjectState{{ID: id, Class: "java/lang/String", IsStr: true, Str: "peer", StrLen: 4}}}
+	}
+	if _, err := ep.ApplyMigration(str(2)); err != nil {
+		t.Fatalf("own-space ID refused: %v", err)
+	}
+	if o := ep.VM.NewString("local"); o.ID != 4 {
+		t.Fatalf("allocation after adopting #2 took ID %d, want 4", o.ID)
+	}
+	top := nodeEndpoint(prog)
+	if _, err := top.ApplyMigration(str(vm.MaxOwnAdoptID)); err == nil {
+		t.Fatal("an ID the allocator cannot move past was admitted")
+	}
+	if n := top.VM.Heap.Len(); n != 0 {
+		t.Fatalf("refused payload adopted %d objects", n)
+	}
+}

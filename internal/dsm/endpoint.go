@@ -529,9 +529,10 @@ func (e *Endpoint) checkObject(os *ObjectState) error {
 	if class == nil {
 		return fmt.Errorf("dsm: %s: migration references unknown class %s", e.Side, os.Class)
 	}
-	// ID 0 is the wire's null reference; no object carries it.
-	if os.ID == 0 {
-		return fmt.Errorf("dsm: %s: object of class %s without an ID", e.Side, os.Class)
+	// ID 0 is the wire's null reference; an ID in this side's own space is
+	// admitted, and moves the allocator past it, below vm.MaxOwnAdoptID.
+	if !e.VM.Heap.CanAdopt(os.ID) {
+		return fmt.Errorf("dsm: %s: object of class %s cannot take ID %d", e.Side, os.Class, os.ID)
 	}
 	// Field reads index by the class's slot numbers, so an object must
 	// carry exactly its class's fields (the string and array classes have

@@ -12,18 +12,19 @@ import (
 )
 
 // This file wires the crash-safe storage engine (internal/store) under the
-// Service: once a store is attached, every vault mutation, audit append,
-// and policy change is written to the WAL and fsynced before the operation
-// is acknowledged, and AttachStore itself restores a freshly recovered
-// store's state into an empty Service — the trusted node's boot path after
-// kill -9.
+// Service. Every operation collects its audit entries, vault upserts and
+// policy document in one opRecords and commits them once before it
+// returns, error paths included: with a store, as one fsynced store.Append,
+// so recovery holds every operation whole or not at all. AttachStore
+// restores a recovered store's state into an empty Service — the trusted
+// node's boot path after kill -9.
 //
 // Ordering invariant: the node's audit Seq order must equal the WAL's LSN
 // order, so that a torn WAL tail only ever truncates a suffix of the audit
 // log and can never create a Seq gap. durMu serializes "mint Seq + append
 // to the in-memory log + enqueue to the WAL" as one atomic step; the fsync
-// wait happens outside the lock, so concurrent appends still share group
-// commits.
+// wait happens outside the lock, so concurrent operations still share
+// group commits.
 
 // AttachStore restores st's recovered state into the Service and enables
 // durable logging. The Service must be fresh (no cors, no audit entries):
@@ -118,110 +119,115 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 	return nil
 }
 
-// DurableStore returns the attached store (nil when the service runs
-// in-memory only).
-func (s *Service) DurableStore() *store.Store {
-	s.durMu.Lock()
-	defer s.durMu.Unlock()
-	return s.dur
+// opRecords collects one operation's durable effects for commit: audit
+// entries (complete but for Seq, Time and DeviceSeq, which commit mints),
+// vault upserts and the policy document.
+type opRecords struct {
+	// sh is the shard the operation entered, nil for an operation on no
+	// device; it mints the DeviceSeq of that device's entries.
+	sh   *DeviceShard
+	recs []store.Record
 }
 
-// durStore reads the attached store.
-func (s *Service) durStore() *store.Store {
-	s.durMu.Lock()
-	defer s.durMu.Unlock()
-	return s.dur
+// note records an audit entry decided under policy stamp st.
+func (op *opRecords) note(st policy.Stamp, appHash, corID, deviceID, domain string, outcome audit.Outcome, detail string) {
+	op.recs = append(op.recs, store.Audit(audit.Entry{
+		AppHash: appHash, CorID: corID, DeviceID: deviceID, Domain: domain,
+		Outcome: outcome, Detail: detail,
+		PolicyVersion: st.Version, PolicyHash: st.Hash,
+	}))
 }
 
-// durVaultRec logs a vault mutation and waits for its fsync. Callers hold
-// no Service locks.
-func (s *Service) durVaultRec(id string) error {
-	rec := s.Cors.Get(id)
-	if rec == nil {
-		return errf(ErrUnknownCor, "cor %q vanished before durable log", id)
-	}
-	return vaultDurable(id, s.queueVault(rec))
-}
-
-// queueVault queues the cor's current record for the store: the zero
-// Ticket, which waits for nothing, when no store is attached.
-func (s *Service) queueVault(rec *cor.Record) store.Ticket {
-	st := s.durStore()
-	if st == nil {
-		return store.Ticket{}
-	}
-	return st.AppendVault(store.VaultRecord{
+// vault records the cor's current state as a vault upsert.
+func (op *opRecords) vault(rec *cor.Record) {
+	op.recs = append(op.recs, store.Vault(store.VaultRecord{
 		ID: rec.ID, Plaintext: rec.Plaintext, Description: rec.Description,
 		Bit: rec.Bit, Class: string(rec.Class),
-	})
+	}))
 }
 
-// vaultDurable waits for a vault record's fsync.
-func vaultDurable(id string, tk store.Ticket) error {
-	if err := tk.Wait(context.Background()); err != nil {
-		return errf(ErrNotDurable, "cor %s not durable: %v", id, err)
+// enqueue is the locked half of commit: under durMu it mints each audit
+// entry's Seq and Time (and, for an entry of op.sh's device, its
+// DeviceSeq), appends the entries to the in-memory log and, with a store
+// attached, enqueues all of op's records as one store.Append. Without a
+// store the returned zero Ticket waits for nothing.
+func (s *Service) enqueue(op *opRecords) store.Ticket {
+	if len(op.recs) == 0 {
+		return store.Ticket{}
 	}
-	return nil
+	s.durMu.Lock()
+	defer s.durMu.Unlock()
+	for i := range op.recs {
+		if e := op.recs[i].Entry(); e != nil {
+			if op.sh != nil && e.DeviceID == op.sh.deviceID {
+				e.DeviceSeq = op.sh.nextAuditSeq()
+			}
+			*e = s.Audit.AppendEntry(*e)
+		}
+	}
+	if s.dur == nil {
+		return store.Ticket{}
+	}
+	return s.dur.Append(op.recs...)
+}
+
+// end is a device operation's deferred epilogue: it commits op's records
+// (a commit failure replaces *err) and then leaves op's shard, so a drain
+// waits for the commit.
+func (s *Service) end(op *opRecords, err *error) {
+	*err = commit(s.enqueue(op), *err)
+	if op.sh != nil {
+		op.sh.exit()
+	}
+}
+
+// endWith is end for an operation with a result, which a commit failure
+// zeroes: the operation acknowledges nothing.
+func endWith[T any](s *Service, op *opRecords, out *T, err *error) {
+	if s.end(op, err); *err != nil {
+		var zero T
+		*out = zero
+	}
+}
+
+// commit waits, outside the Service's locks, for the records enqueue
+// queued and returns the operation's outcome: opErr, or ErrNotDurable when
+// the records could not be made durable, since an operation whose records
+// are not durable must acknowledge nothing.
+func commit(tk store.Ticket, opErr error) error {
+	if err := tk.Wait(context.Background()); err != nil {
+		return errf(ErrNotDurable, "operation not durable: %v", err)
+	}
+	return opErr
 }
 
 // writePolicy is the node's one policy write: edit changes a copy of the
-// enforced document, the result is installed, and with a store attached
-// it is queued for the WAL before polMu is released, so durable policy
-// records are in install order. The caller waits on the returned ticket
-// (the zero Ticket without a store).
-func (s *Service) writePolicy(edit func(*policy.Snapshot)) (policy.Stamp, store.Ticket, error) {
+// enforced document and the result is installed. The document joins op's
+// records, and op is enqueued before polMu is released, so durable policy
+// documents are in install order; the wait happens outside polMu.
+func (s *Service) writePolicy(op *opRecords, edit func(*policy.Snapshot)) (policy.Stamp, error) {
 	s.polMu.Lock()
-	defer s.polMu.Unlock()
 	doc, stamp, err := s.Policy.Update(edit)
 	if err != nil {
-		return policy.Stamp{}, store.Ticket{}, badRequest(err)
+		err = badRequest(err)
+	} else if raw, merr := json.Marshal(doc); merr != nil {
+		err = errf(ErrNotDurable, "encoding policy v%d: %v", stamp.Version, merr)
+	} else {
+		op.recs = append(op.recs, store.Policy(store.PolicyRecord{Version: stamp.Version, Snapshot: raw}))
 	}
-	st := s.durStore()
-	if st == nil {
-		return stamp, store.Ticket{}, nil
-	}
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return policy.Stamp{}, store.Ticket{}, errf(ErrNotDurable, "encoding policy v%d: %v", stamp.Version, err)
-	}
-	return stamp, st.AppendPolicy(store.PolicyRecord{Version: stamp.Version, Snapshot: raw}), nil
-}
-
-// updatePolicy is writePolicy followed by the wait for its fsync.
-func (s *Service) updatePolicy(edit func(*policy.Snapshot)) (policy.Stamp, error) {
-	stamp, tk, err := s.writePolicy(edit)
-	if err == nil {
-		err = policyDurable(stamp, tk)
-	}
-	if err != nil {
+	tk := s.enqueue(op)
+	s.polMu.Unlock()
+	if err = commit(tk, err); err != nil {
 		return policy.Stamp{}, err
 	}
 	return stamp, nil
 }
 
-// policyDurable waits for a policy document's fsync.
-func policyDurable(stamp policy.Stamp, tk store.Ticket) error {
-	if err := tk.Wait(context.Background()); err != nil {
-		return errf(ErrNotDurable, "policy v%d not durable: %v", stamp.Version, err)
-	}
-	return nil
-}
-
-// auditAppendDurable is the durable half of Service.auditAppend: mint the
-// per-device sequence, append to the in-memory log, and enqueue to the WAL
-// as one durMu-serialized step (Seq order == LSN order), then wait for the
-// group commit outside the lock. The caller builds the entry (including the
-// policy stamp); Seq/Time/DeviceSeq are minted here.
-func (s *Service) auditAppendDurable(st *store.Store, e audit.Entry) error {
-	s.durMu.Lock()
-	if e.DeviceID != "" {
-		e.DeviceSeq = s.shard(e.DeviceID).nextAuditSeq()
-	}
-	e = s.Audit.AppendEntry(e)
-	tk := st.AppendAudit(e)
-	s.durMu.Unlock()
-	if err := tk.Wait(context.Background()); err != nil {
-		return errf(ErrNotDurable, "audit entry %d not durable: %v", e.Seq, err)
-	}
-	return nil
+// AuditAdmin records a control-plane audit entry (no device, no cor),
+// stamped with the enforced policy, and returns once it is durable: the
+// admin plane's audit trail takes the same commit as every operation.
+func (s *Service) AuditAdmin(outcome audit.Outcome, detail string) error {
+	var op opRecords
+	op.note(s.Policy.Stamp(), "", "", "", "", outcome, detail)
+	return commit(s.enqueue(&op), nil)
 }

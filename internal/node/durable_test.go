@@ -345,6 +345,187 @@ func TestDurableNodeCrashSweep(t *testing.T) {
 	}
 }
 
+// TestDurableOffloadCrashSweep kills the node at every filesystem
+// operation of a workload of offloads that mint derived cors, each followed
+// by an injection and its payload replacement. After every crash the
+// recovered audit log and vault must equal the fault-free control's state
+// after a whole number of operations — the acknowledged ones, or those
+// plus the one in flight, never part of one — with a gap-free Seq and no
+// cor plaintext on disk. The store snapshots every three records, so
+// crashes also land inside snapshot writes and log compaction, and each
+// seed tears the unsynced tail at a different length.
+func TestDurableOffloadCrashSweep(t *testing.T) {
+	ctx := context.Background()
+	const logins = 3
+	raw, _ := sessionState(t)
+	setup := func(fs *fault.CrashFS) (*Service, *deviceHalf) {
+		st, err := store.Open(store.Options{Dir: "store", FS: fs, Sealer: nodeTestSealer, SnapshotEvery: 3})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		svc := durableService(t, st, testClock())
+		if _, err := svc.RegisterCor(ctx, "pw", "hunter2!", "bank password", "bank.com"); err != nil {
+			t.Fatal(err)
+		}
+		dev := newDeviceHalf(t, svc, "dev-1", "login", loginSrc)
+		if err := svc.BindApp("pw", dev.install(t, svc, loginSrc)); err != nil {
+			t.Fatal(err)
+		}
+		return svc, dev
+	}
+	// workload runs the operations until the first error, calling done
+	// after each acknowledged one, and returns how many were acknowledged.
+	workload := func(svc *Service, dev *deviceHalf, done func()) (acked int) {
+		for i := 0; i < logins; i++ {
+			masked, err := dev.login(t, svc, "pw")
+			if err != nil {
+				return acked
+			}
+			acked++
+			done()
+			key := InjectionKey{ClientAddr: "10.0.0.2", ClientPort: uint16(40000 + i), ServerAddr: "203.0.113.5", ServerPort: 443}
+			if err := svc.ArmInjection(ctx, InjectRequest{
+				DeviceID: "dev-1", App: "login", CorID: masked.CorID, Domain: "bank.com", Key: key, State: raw,
+			}); err != nil {
+				return acked
+			}
+			acked++
+			done()
+			if _, err := svc.ReplacePayload(ctx, key, 0); err != nil {
+				return acked
+			}
+			acked++
+			done()
+		}
+		return acked
+	}
+	type state struct{ audit, vault []string }
+	capture := func(svc *Service) state {
+		var vault []string
+		for _, r := range svc.Cors.List() {
+			vault = append(vault, fmt.Sprintf("%s bit=%d class=%s %q", r.ID, r.Bit, r.Class, r.Plaintext))
+		}
+		return state{auditWire(t, svc.Audit.Entries()), vault}
+	}
+
+	// Control run, fault-free: states[k] is the node after k operations.
+	control, dev := setup(fault.NewCrashFS(41))
+	states := []state{capture(control)}
+	if n := workload(control, dev, func() { states = append(states, capture(control)) }); n != 3*logins {
+		t.Fatalf("control run acknowledged %d of %d operations", n, 3*logins)
+	}
+	secrets := []string{"hunter2!"}
+	for _, r := range control.Cors.List() {
+		if r.ID != "pw" {
+			secrets = append(secrets, r.Plaintext)
+		}
+	}
+	if len(secrets)-1 < logins {
+		t.Fatalf("control minted %d derived cors in %d offloads", len(secrets)-1, logins)
+	}
+
+	for seed := int64(1); seed <= 4; seed++ {
+		for crashAt := 0; ; crashAt++ {
+			fs := fault.NewCrashFS(seed)
+			svc, dev := setup(fs)
+			fs.CrashAfter(crashAt)
+			acked := workload(svc, dev, func() {})
+			if !fs.Crashed() {
+				if acked != 3*logins {
+					t.Fatalf("seed %d crashAt=%d: operation %d failed without a crash", seed, crashAt, acked)
+				}
+				break // swept past the whole workload
+			}
+			fs.Restart()
+
+			rec := durableService(t, openNodeStore(t, fs), testClock())
+			got := capture(rec)
+			whole := false
+			for _, want := range states[acked:min(acked+2, len(states))] {
+				if slices.Equal(got.audit, want.audit) && slices.Equal(got.vault, want.vault) {
+					whole = true
+				}
+			}
+			if !whole {
+				next := states[min(acked+1, len(states)-1)]
+				t.Fatalf("seed %d crashAt=%d: %d operations acknowledged; recovered %d audit entries and %d cors, "+
+					"want the state after operation %d (%d entries, %d cors) or %d (%d entries, %d cors)",
+					seed, crashAt, acked, len(got.audit), len(got.vault),
+					acked, len(states[acked].audit), len(states[acked].vault),
+					acked+1, len(next.audit), len(next.vault))
+			}
+			for i, e := range rec.Audit.Entries() {
+				if e.Seq != uint64(i+1) {
+					t.Fatalf("seed %d crashAt=%d: Seq gap at %d: %d", seed, crashAt, i, e.Seq)
+				}
+			}
+			if hits := fault.ScanForPlaintext(fs.DiskBytes(), secrets); len(hits) != 0 {
+				t.Fatalf("seed %d crashAt=%d: cor plaintext on disk: %v", seed, crashAt, hits)
+			}
+		}
+	}
+}
+
+// TestRegisterCorIsOneBatch checks that a registration with a whitelist
+// commits its vault record and its policy document as one group commit,
+// across nearly as many registrations as a store's 64 taint bits allow.
+func TestRegisterCorIsOneBatch(t *testing.T) {
+	st := openNodeStore(t, fault.NewCrashFS(43))
+	svc := durableService(t, st, testClock())
+	for i := 0; i < 60; i++ {
+		before := st.Stats()
+		if _, err := svc.RegisterCor(context.Background(), fmt.Sprintf("cor-%d", i), "hunter2!", "", "bank.com"); err != nil {
+			t.Fatal(err)
+		}
+		after := st.Stats()
+		if b, r := after.Batches-before.Batches, after.Records-before.Records; b != 1 || r != 2 {
+			t.Fatalf("registration %d took %d group commits for %d records, want 1 for 2", i, b, r)
+		}
+	}
+}
+
+// TestImportShardNotDurableAttachesNothing imports a shard carrying a
+// derived cor into a node whose store has failed. The import must fail as
+// not durable and leave the device's shard unattached, so the fleet's
+// re-import on the source node leaves one member holding the device.
+func TestImportShardNotDurableAttachesNothing(t *testing.T) {
+	ctx := context.Background()
+	src := New(Options{})
+	fs := fault.NewCrashFS(47)
+	dst := durableService(t, openNodeStore(t, fs), testClock())
+	for _, svc := range []*Service{src, dst} {
+		if _, err := svc.RegisterCor(ctx, "pw", "hunter2!", "pw", "bank.com"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := newDeviceHalf(t, src, "dev-1", "login", loginSrc)
+	hash := dev.install(t, src, loginSrc)
+	if err := src.BindApp("pw", hash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.login(t, src, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := src.DetachShard("dev-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.DerivedCors) == 0 {
+		t.Fatal("export carries no derived cor to commit")
+	}
+
+	fs.CrashNow()
+	if err := dst.ImportShard(ctx, exp); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("import on a failed store: err = %v, want ErrNotDurable", err)
+	}
+	if _, ok := dst.Shard("dev-1"); ok {
+		t.Fatal("a not-durable import left the shard attached")
+	}
+	if err := src.ImportShard(ctx, exp); err != nil {
+		t.Fatalf("re-import on the source node: %v", err)
+	}
+}
+
 // TestDurablePolicyCrashSweep kills the node at every filesystem operation
 // of a sequence that exercises each policy write — RegisterCor with a
 // whitelist, BindApp, Revoke, InstallPolicy, Restore. After each crash the

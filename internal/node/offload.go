@@ -25,8 +25,10 @@ type AppKey struct {
 	Name     string
 }
 
-// hostedApp is the trusted node's half of an installed application.
+// hostedApp is the trusted node's half of an installed application. It
+// resolves its DSM endpoint's cors (Fill, MaskID).
 type hostedApp struct {
+	svc  *Service
 	key  AppKey
 	prog *vm.Program
 	hash string
@@ -42,6 +44,9 @@ type hostedApp struct {
 	locks   *dsm.LockTable
 	// mon is the per-app dynamic-analysis monitor (§3.4/§8 extension).
 	mon *monitor.Monitor
+	// op collects the running offload's records (runMu held): monitor
+	// findings and the derived cors MaskID mints.
+	op *opRecords
 }
 
 // DeviceNatives lists the native methods the TinMan device platform gives
@@ -71,8 +76,9 @@ type InstallResult struct {
 
 // buildApp assembles, verifies and malware-checks the program, then
 // provisions the per-app VM, monitor and DSM endpoint. It is the shared
-// core of Install and ImportShard; it touches no shard state.
-func (s *Service) buildApp(req InstallRequest) (*hostedApp, error) {
+// core of Install and ImportShard; it touches no shard state, and notes a
+// malware denial in op.
+func (s *Service) buildApp(op *opRecords, req InstallRequest) (*hostedApp, error) {
 	prog, err := asm.Assemble(req.Name, req.Source)
 	if err != nil {
 		return nil, errf(ErrBadRequest, "assembling %s: %v", req.Name, err)
@@ -85,9 +91,7 @@ func (s *Service) buildApp(req InstallRequest) (*hostedApp, error) {
 	hash := prog.Hash()
 	if s.Malware.Contains(hash) {
 		family := s.Malware.Family(hash)
-		if aerr := s.auditAppend(hash, "", req.DeviceID, "", audit.OutcomeDenied, "malware: "+family); aerr != nil {
-			return nil, aerr
-		}
+		op.note(s.Policy.Stamp(), hash, "", req.DeviceID, "", audit.OutcomeDenied, "malware: "+family)
 		return nil, denied(&policy.Denial{Reason: policy.ReasonMalware, Detail: family})
 	}
 
@@ -100,40 +104,36 @@ func (s *Service) buildApp(req InstallRequest) (*hostedApp, error) {
 	registerNativeStubs(machine, req.NonOffloadableNatives)
 	key := AppKey{DeviceID: req.DeviceID, Name: req.Name}
 	app := &hostedApp{
-		key: key, prog: prog, hash: hash, machine: machine,
+		svc: s, key: key, prog: prog, hash: hash, machine: machine,
 		source:  req.Source,
 		natives: append([]string(nil), req.NonOffloadableNatives...),
 	}
 	app.mon = monitor.New(monitor.Config{
+		// Findings fire mid-offload and join its commit.
 		OnFinding: func(f monitor.Finding) {
-			// Findings fire mid-execution with no caller to fail; a durable
-			// store failure is sticky and surfaces on the next acknowledged
-			// operation instead.
-			_ = s.auditAppend(hash, "", req.DeviceID, "", audit.OutcomeDenied, "monitor: "+f.String())
+			app.op.note(s.Policy.Stamp(), hash, "", req.DeviceID, "", audit.OutcomeDenied, "monitor: "+f.String())
 		},
 	})
 	app.mon.Attach(machine)
-	app.ep = dsm.NewEndpoint(dsm.NodeSide, machine, &corResolver{svc: s, deviceID: req.DeviceID})
+	app.ep = dsm.NewEndpoint(dsm.NodeSide, machine, app)
 	app.ep.Restricted = s.Cors.RestrictedMask()
 	return app, nil
 }
 
 // denyRestricted maps a dsm.ErrRestricted violation (server-only tainted
 // state in a DSM payload) to the corresponding policy denial, with an audit
-// entry; any other error surfaces as a plain bad request.
-func (s *Service) denyRestricted(err error, appHash, deviceID string) error {
+// entry noted in op; any other error surfaces as a plain bad request.
+func (s *Service) denyRestricted(op *opRecords, err error, appHash, deviceID string) error {
 	if !errors.Is(err, dsm.ErrRestricted) {
 		return badRequest(err)
 	}
-	if aerr := s.auditAppend(appHash, "", deviceID, "", audit.OutcomeDenied, err.Error()); aerr != nil {
-		return aerr
-	}
+	op.note(s.Policy.Stamp(), appHash, "", deviceID, "", audit.OutcomeDenied, err.Error())
 	return denied(&policy.Denial{Reason: policy.ReasonServerOnlyClass, Detail: err.Error()})
 }
 
 // Install assembles and verifies the app on the node and runs the malware
 // check, then hosts it in the device's shard.
-func (s *Service) Install(ctx context.Context, req InstallRequest) (*InstallResult, error) {
+func (s *Service) Install(ctx context.Context, req InstallRequest) (res *InstallResult, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -141,8 +141,9 @@ func (s *Service) Install(ctx context.Context, req InstallRequest) (*InstallResu
 	if err != nil {
 		return nil, err
 	}
-	defer sh.exit()
-	app, err := s.buildApp(req)
+	op := opRecords{sh: sh}
+	defer endWith(s, &op, &res, &err)
+	app, err := s.buildApp(&op, req)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +213,7 @@ type OffloadResult struct {
 // node; the offload-time policy checks still gate any *use* of the warmed
 // state. Any ordering or apply error drops the buffered epoch and surfaces
 // to the sender, which falls back to the cold path.
-func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chunkBytes []byte) error {
+func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chunkBytes []byte) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -223,7 +224,8 @@ func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chu
 	if err := sh.enter(); err != nil {
 		return err
 	}
-	defer sh.exit()
+	op := opRecords{sh: sh}
+	defer s.end(&op, &err)
 	app, err := s.app(deviceID, appName)
 	if err != nil {
 		return err
@@ -245,7 +247,7 @@ func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chu
 	if err := app.ep.ApplyWarmupChunk(c); err != nil {
 		span.Add(obs.Outcome(false))
 		span.End()
-		return s.denyRestricted(err, app.hash, deviceID)
+		return s.denyRestricted(&op, err, app.hash, deviceID)
 	}
 	s.warm.chunks.Add(1)
 	s.met.warmChunks.Inc()
@@ -257,7 +259,7 @@ func (s *Service) WarmupChunk(ctx context.Context, deviceID, appName string, chu
 // Offload is the offload entry point: policy-check every cor reachable from
 // the trigger tag (§3.4), apply the migration, run the thread under full
 // tainting with the behavioral monitor watching, and capture the reply.
-func (s *Service) Offload(ctx context.Context, deviceID, appName string, migBytes []byte) (*OffloadResult, error) {
+func (s *Service) Offload(ctx context.Context, deviceID, appName string, migBytes []byte) (res *OffloadResult, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -269,7 +271,8 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 	if err := sh.enter(); err != nil {
 		return nil, err
 	}
-	defer sh.exit()
+	op := opRecords{sh: sh}
+	defer endWith(s, &op, &res, &err)
 	app, err := s.app(deviceID, appName)
 	if err != nil {
 		return nil, err
@@ -293,10 +296,7 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 		stamp, perr := s.Policy.CheckStamped(acc)
 		if perr != nil {
 			s.met.policyDenials.Inc()
-			if aerr := s.auditAppendStamped(stamp, app.hash, rec.ID, deviceID, "", audit.OutcomeDenied, perr.Error()); aerr != nil {
-				span.End()
-				return nil, aerr
-			}
+			op.note(stamp, app.hash, rec.ID, deviceID, "", audit.OutcomeDenied, perr.Error())
 			if d, ok := policy.IsDenial(perr); ok {
 				span.Add(obs.Outcome(false), obs.Reason(d.Reason.String()))
 				span.End()
@@ -306,16 +306,17 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 			span.End()
 			return nil, badRequest(perr)
 		}
-		if aerr := s.auditAppendStamped(stamp, app.hash, rec.ID, deviceID, "", audit.OutcomeAllowed, "offloaded access"); aerr != nil {
-			span.End()
-			return nil, aerr
-		}
+		op.note(stamp, app.hash, rec.ID, deviceID, "", audit.OutcomeAllowed, "offloaded access")
 		span.Add(obs.Outcome(true))
 		span.End()
 	}
 
 	app.runMu.Lock()
-	defer app.runMu.Unlock()
+	app.op = &op
+	defer func() {
+		app.op = nil
+		app.runMu.Unlock()
+	}()
 	// Refresh the server-only mask before admitting or capturing state.
 	app.ep.Restricted = s.Cors.RestrictedMask()
 
@@ -338,7 +339,7 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 
 	th, err := app.ep.ApplyMigration(mig)
 	if err != nil {
-		return nil, s.denyRestricted(err, app.hash, deviceID)
+		return nil, s.denyRestricted(&op, err, app.hash, deviceID)
 	}
 	var (
 		stop      = vm.StopDone
@@ -368,7 +369,7 @@ func (s *Service) Offload(ctx context.Context, deviceID, appName string, migByte
 	// th == nil is a pure state sync: ack with an empty node sync.
 	reply, err := app.ep.CaptureMigration(th, stop)
 	if err != nil {
-		return nil, s.denyRestricted(err, app.hash, deviceID)
+		return nil, s.denyRestricted(&op, err, app.hash, deviceID)
 	}
 	return &OffloadResult{
 		Bytes: reply.Encode(),
@@ -418,7 +419,7 @@ type pendingInjection struct {
 
 // ArmInjection enforces the send-time policy (§3.4 second binding) and
 // records the session state for the flow's one-shot payload replacement.
-func (s *Service) ArmInjection(ctx context.Context, req InjectRequest) error {
+func (s *Service) ArmInjection(ctx context.Context, req InjectRequest) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -430,12 +431,13 @@ func (s *Service) ArmInjection(ctx context.Context, req InjectRequest) error {
 	if err != nil {
 		return err
 	}
-	defer sh.exit()
+	op := opRecords{sh: sh}
+	defer s.end(&op, &err)
 	rec := s.Cors.Get(req.CorID)
 	if rec == nil {
 		return errf(ErrUnknownCor, "unknown cor %q", req.CorID)
 	}
-	checkID, stamp, err := s.checkSend(ctx, rec, app.hash, req.DeviceID, req.Domain, req.Key.ServerAddr)
+	checkID, stamp, err := s.checkSend(ctx, &op, rec, app.hash, req.DeviceID, req.Domain, req.Key.ServerAddr)
 	if err != nil {
 		return err
 	}
@@ -447,9 +449,7 @@ func (s *Service) ArmInjection(ctx context.Context, req InjectRequest) error {
 	// point; the node double-checks (defense in depth, §3.2).
 	if st.Version <= tlssim.TLS10 {
 		e := errf(ErrWeakTLS, "refusing session injection for %v (implicit-IV leak, fig 7)", st.Version)
-		if aerr := s.auditAppendStamped(stamp, app.hash, checkID, req.DeviceID, req.Domain, audit.OutcomeDenied, e.Error()); aerr != nil {
-			return aerr
-		}
+		op.note(stamp, app.hash, checkID, req.DeviceID, req.Domain, audit.OutcomeDenied, e.Error())
 		return e
 	}
 	sh.mu.Lock()
@@ -462,30 +462,39 @@ func (s *Service) ArmInjection(ctx context.Context, req InjectRequest) error {
 	s.mu.Lock()
 	s.flows[req.Key] = req.DeviceID
 	s.mu.Unlock()
-	return s.auditAppendStamped(stamp, app.hash, checkID, req.DeviceID, req.Domain, audit.OutcomeAllowed, "ssl session injected")
+	op.note(stamp, app.hash, checkID, req.DeviceID, req.Domain, audit.OutcomeAllowed, "ssl session injected")
+	return nil
 }
 
 // ReplacePayload is the payload-replacement hook (fig 8 step 4): swap the
 // placeholder-bearing marked record for the cor-bearing one. The armed
 // injection is one-shot. Replacement is keyed by TCP flow alone; the flow
-// index routes it to the owning device's shard.
-func (s *Service) ReplacePayload(ctx context.Context, key InjectionKey, recordLen int) ([]byte, error) {
+// index routes it to the owning device's shard, which the replacement
+// enters before it consumes the injection, as every device operation
+// enters its shard.
+func (s *Service) ReplacePayload(ctx context.Context, key InjectionKey, recordLen int) (out []byte, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s.mu.RLock()
+	sh := s.shards[s.flows[key]]
+	s.mu.RUnlock()
+	if sh == nil {
+		return nil, errf(ErrNoInjection, "no armed injection for %s:%d -> %s:%d",
+			key.ClientAddr, key.ClientPort, key.ServerAddr, key.ServerPort)
+	}
+	if err := sh.enter(); err != nil {
+		return nil, err
+	}
+	op := opRecords{sh: sh}
+	defer endWith(s, &op, &out, &err)
 	s.mu.Lock()
-	deviceID, ok := s.flows[key]
 	delete(s.flows, key)
 	s.mu.Unlock()
-	var inj *pendingInjection
-	if ok {
-		if sh := s.lookupShard(deviceID); sh != nil {
-			sh.mu.Lock()
-			inj = sh.injections[key]
-			delete(sh.injections, key)
-			sh.mu.Unlock()
-		}
-	}
+	sh.mu.Lock()
+	inj := sh.injections[key]
+	delete(sh.injections, key)
+	sh.mu.Unlock()
 	if inj == nil {
 		return nil, errf(ErrNoInjection, "no armed injection for %s:%d -> %s:%d",
 			key.ClientAddr, key.ClientPort, key.ServerAddr, key.ServerPort)
@@ -507,7 +516,7 @@ func (s *Service) ReplacePayload(ctx context.Context, key InjectionKey, recordLe
 		vspan.End()
 		return nil, badRequest(err)
 	}
-	out, err := sess.Seal(tlssim.TypeApplicationData, []byte(rec.Plaintext))
+	out, err = sess.Seal(tlssim.TypeApplicationData, []byte(rec.Plaintext))
 	if err != nil {
 		vspan.Add(obs.Err(obs.ErrBadRequest))
 		vspan.End()
@@ -518,22 +527,13 @@ func (s *Service) ReplacePayload(ctx context.Context, key InjectionKey, recordLe
 	if recordLen > 0 && len(out) != recordLen {
 		return nil, errf(ErrRecordLength, "resealed record %dB != placeholder record %dB (would desynchronize TCP)", len(out), recordLen)
 	}
-	if aerr := s.auditAppend(inj.appHash, inj.corID, inj.deviceID, inj.domain, audit.OutcomeAllowed, "payload replaced"); aerr != nil {
-		return nil, aerr
-	}
+	op.note(s.Policy.Stamp(), inj.appHash, inj.corID, inj.deviceID, inj.domain, audit.OutcomeAllowed, "payload replaced")
 	return out, nil
 }
 
-// corResolver adapts the cor store to the DSM resolver interface for one
-// device's hosted apps.
-type corResolver struct {
-	svc      *Service
-	deviceID string
-}
-
 // Fill returns plaintext for the cor.
-func (r *corResolver) Fill(id string, length int) (string, taint.Tag, bool) {
-	rec := r.svc.Cors.Get(id)
+func (a *hostedApp) Fill(id string, length int) (string, taint.Tag, bool) {
+	rec := a.svc.Cors.Get(id)
 	if rec == nil {
 		return "", taint.None, false
 	}
@@ -541,36 +541,32 @@ func (r *corResolver) Fill(id string, length int) (string, taint.Tag, bool) {
 }
 
 // MaskID mints a derived cor for a freshly tainted string (the concatenated
-// request of fig 11 is "a new cor").
-func (r *corResolver) MaskID(o *vm.Object) string {
-	parents := r.svc.Cors.ByTag(o.Tag)
-	if len(parents) == 0 {
+// request of fig 11 is "a new cor") inside the offload capturing the reply:
+// that offload's shard mints the ID and its commit takes the vault record.
+// An empty return fails the capture, so the string never leaves unmasked.
+func (a *hostedApp) MaskID(o *vm.Object) string {
+	parents := a.svc.Cors.ByTag(o.Tag)
+	if len(parents) == 0 || a.op == nil {
 		return ""
 	}
-	id := r.svc.mintDerivedID(r.deviceID, parents[0].ID)
-	if _, err := r.svc.Cors.Derive(parents[0].ID, id, o.Str); err != nil {
+	id := a.op.sh.mintDerivedID(parents[0].ID)
+	rec, err := a.svc.Cors.Derive(parents[0].ID, id, o.Str)
+	if err != nil {
 		return ""
 	}
-	// The resolver interface cannot surface an error; an unmasked string
-	// ("" here) keeps the derived cor out of circulation when it could not
-	// be made durable.
-	if err := r.svc.durVaultRec(id); err != nil {
-		return ""
-	}
+	a.op.vault(rec)
 	return id
 }
 
-// mintDerivedID allocates the device's next derived-cor ID under its shard
+// mintDerivedID allocates the device's next derived-cor ID under the shard
 // lock and records the lineage for shard export. The ID carries the device
 // so two devices' mints can never collide fleet-wide.
-func (s *Service) mintDerivedID(deviceID, parentID string) string {
-	sh := s.shard(deviceID)
+func (sh *DeviceShard) mintDerivedID(parentID string) string {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.derivedSeq++
-	n := sh.derivedSeq
-	id := fmt.Sprintf("derived-%s-%s-%d", parentID, deviceID, n)
+	id := fmt.Sprintf("derived-%s-%s-%d", parentID, sh.deviceID, sh.derivedSeq)
 	sh.derived = append(sh.derived, derivedCor{ID: id, Parent: parentID})
-	sh.mu.Unlock()
 	return id
 }
 

@@ -32,7 +32,7 @@ type ResealRequest struct {
 
 // Reseal checks policy for the cor's lineage, joins the session, and seals
 // the cor plaintext into a wire record.
-func (s *Service) Reseal(ctx context.Context, req ResealRequest) ([]byte, error) {
+func (s *Service) Reseal(ctx context.Context, req ResealRequest) (out []byte, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -44,8 +44,9 @@ func (s *Service) Reseal(ctx context.Context, req ResealRequest) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	defer sh.exit()
-	checkID, stamp, err := s.checkSend(ctx, rec, req.AppHash, req.DeviceID, req.Domain, req.TargetIP)
+	op := opRecords{sh: sh}
+	defer endWith(s, &op, &out, &err)
+	checkID, stamp, err := s.checkSend(ctx, &op, rec, req.AppHash, req.DeviceID, req.Domain, req.TargetIP)
 	if err != nil {
 		return nil, err
 	}
@@ -60,9 +61,7 @@ func (s *Service) Reseal(ctx context.Context, req ResealRequest) ([]byte, error)
 	// The modified client library refuses TLS 1.0 before ever reaching this
 	// point; the node double-checks (defense in depth, §3.2).
 	if st.Version <= tlssim.TLS10 {
-		if aerr := s.auditAppendStamped(stamp, req.AppHash, checkID, req.DeviceID, req.Domain, audit.OutcomeDenied, "TLS1.0 session refused"); aerr != nil {
-			return nil, aerr
-		}
+		op.note(stamp, req.AppHash, checkID, req.DeviceID, req.Domain, audit.OutcomeDenied, "TLS1.0 session refused")
 		return nil, errf(ErrWeakTLS, "refusing %v session: implicit-IV state sync leaks plaintext (fig 7)", st.Version)
 	}
 	// The vault_open span brackets the only stretch where cor plaintext is
@@ -80,7 +79,7 @@ func (s *Service) Reseal(ctx context.Context, req ResealRequest) ([]byte, error)
 		vspan.End()
 		return nil, errf(ErrBadRequest, "resuming session: %v", err)
 	}
-	out, err := sess.Seal(tlssim.TypeApplicationData, []byte(rec.Plaintext))
+	out, err = sess.Seal(tlssim.TypeApplicationData, []byte(rec.Plaintext))
 	if err != nil {
 		vspan.Add(obs.Err(obs.ErrBadRequest))
 		vspan.End()
@@ -91,9 +90,7 @@ func (s *Service) Reseal(ctx context.Context, req ResealRequest) ([]byte, error)
 	if req.RecordLen > 0 && len(out) != req.RecordLen {
 		return nil, errf(ErrRecordLength, "resealed record %dB != placeholder record %dB (would desynchronize TCP)", len(out), req.RecordLen)
 	}
-	if aerr := s.auditAppendStamped(stamp, req.AppHash, checkID, req.DeviceID, req.Domain, audit.OutcomeAllowed, "record resealed"); aerr != nil {
-		return nil, aerr
-	}
+	op.note(stamp, req.AppHash, checkID, req.DeviceID, req.Domain, audit.OutcomeAllowed, "record resealed")
 	return out, nil
 }
 

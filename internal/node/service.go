@@ -79,13 +79,14 @@ type Service struct {
 	warm  warmCounters
 
 	// dur, when set by AttachStore, is the crash-safe storage engine every
-	// vault/audit/policy mutation must reach before being acknowledged.
-	// durMu guards the pointer and serializes audit Seq minting with WAL
-	// enqueue so Seq order equals LSN order (durable.go).
+	// operation's records must reach before it is acknowledged. durMu
+	// guards the pointer and serializes audit Seq minting with WAL enqueue
+	// so Seq order equals LSN order (durable.go).
 	durMu sync.Mutex
 	dur   *store.Store
 	// polMu serializes policy writes from install through WAL enqueue, so
-	// the store logs documents in install order (writePolicy).
+	// the store logs documents in install order (writePolicy). It is taken
+	// before durMu.
 	polMu sync.Mutex
 }
 
@@ -185,9 +186,9 @@ func New(opts Options) *Service {
 
 // RegisterCor initializes a cor with known plaintext. A non-nil whitelist
 // becomes the cor's entry in the policy document (empty: never sent); a nil
-// one leaves the document alone, so the cor may go to any domain. With a
-// store attached, the policy document is queued before the vault record
-// and both share one commit: a recovered cor never lacks its whitelist.
+// one leaves the document alone, so the cor may go to any domain. The vault
+// record and the policy document are one commit: a recovered cor never
+// lacks its whitelist.
 func (s *Service) RegisterCor(ctx context.Context, id, plaintext, description string, whitelist ...string) (*cor.Record, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -196,18 +197,14 @@ func (s *Service) RegisterCor(ctx context.Context, id, plaintext, description st
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	var stamp policy.Stamp
-	var pol store.Ticket
+	var op opRecords
+	op.vault(rec)
 	if whitelist != nil {
-		stamp, pol, err = s.writePolicy(func(d *policy.Snapshot) { d.AllowDomains(id, whitelist) })
-		if err != nil {
-			return nil, err
-		}
+		_, err = s.writePolicy(&op, func(d *policy.Snapshot) { d.AllowDomains(id, whitelist) })
+	} else {
+		err = commit(s.enqueue(&op), nil)
 	}
-	if err := vaultDurable(id, s.queueVault(rec)); err != nil {
-		return nil, err
-	}
-	if err := policyDurable(stamp, pol); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -231,19 +228,19 @@ func (s *Service) Catalog(ctx context.Context) ([]cor.DeviceView, error) {
 
 // BindApp restricts a cor to an app hash (§3.4 first binding).
 func (s *Service) BindApp(corID, appHash string) error {
-	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Bind(corID, appHash) })
+	_, err := s.writePolicy(new(opRecords), func(d *policy.Snapshot) { d.Bind(corID, appHash) })
 	return err
 }
 
 // Revoke cuts off a device ("if a user realizes her phone is stolen", §3.4).
 func (s *Service) Revoke(deviceID string) error {
-	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Revoke(deviceID) })
+	_, err := s.writePolicy(new(opRecords), func(d *policy.Snapshot) { d.Revoke(deviceID) })
 	return err
 }
 
 // Restore re-enables a device.
 func (s *Service) Restore(deviceID string) error {
-	_, err := s.updatePolicy(func(d *policy.Snapshot) { d.Restore(deviceID) })
+	_, err := s.writePolicy(new(opRecords), func(d *policy.Snapshot) { d.Restore(deviceID) })
 	return err
 }
 
@@ -257,12 +254,12 @@ func (s *Service) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (pol
 	if snap == nil {
 		return policy.Stamp{}, errf(ErrBadRequest, "nil policy snapshot")
 	}
-	return s.updatePolicy(func(d *policy.Snapshot) { *d = *snap })
+	return s.writePolicy(new(opRecords), func(d *policy.Snapshot) { *d = *snap })
 }
 
-// SetCorClass reassigns a cor's sensitivity tier. With a store attached the
-// reclassified record is re-logged (vault records are upserts), so the
-// class survives restarts.
+// SetCorClass reassigns a cor's sensitivity tier. The reclassified record
+// is committed again (vault records are upserts), so the class survives
+// restarts.
 func (s *Service) SetCorClass(ctx context.Context, corID string, class cor.Class) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -270,7 +267,9 @@ func (s *Service) SetCorClass(ctx context.Context, corID string, class cor.Class
 	if err := s.Cors.SetClass(corID, class); err != nil {
 		return badRequest(err)
 	}
-	return s.durVaultRec(corID)
+	var op opRecords
+	op.vault(s.Cors.Get(corID))
+	return commit(s.enqueue(&op), nil)
 }
 
 // --- audit ---
@@ -294,12 +293,12 @@ func (s *Service) lineageID(rec *cor.Record) string {
 }
 
 // checkSend runs the send-time policy check (§3.4 second binding) for a
-// cor's lineage and writes the audit entry for a denial. The decision is
-// attributed as a policy_check child of whatever span rides on ctx. The
-// returned stamp names the exact policy version consulted; callers pass it
-// to auditAppendStamped so the allowed-path entry carries the same version
+// cor's lineage and notes the audit entry for a denial in op. The decision
+// is attributed as a policy_check child of whatever span rides on ctx. The
+// returned stamp names the exact policy version consulted; callers note
+// the allowed-path entry under the same stamp, so it carries that version
 // even if a hot-reload lands in between.
-func (s *Service) checkSend(ctx context.Context, rec *cor.Record, appHash, deviceID, domain, ip string) (checkID string, stamp policy.Stamp, err error) {
+func (s *Service) checkSend(ctx context.Context, op *opRecords, rec *cor.Record, appHash, deviceID, domain, ip string) (checkID string, stamp policy.Stamp, err error) {
 	checkID = s.lineageID(rec)
 	var span *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
@@ -319,10 +318,7 @@ func (s *Service) checkSend(ctx context.Context, rec *cor.Record, appHash, devic
 	stamp, perr := s.Policy.CheckStamped(acc)
 	if perr != nil {
 		s.met.policyDenials.Inc()
-		if aerr := s.auditAppendStamped(stamp, appHash, checkID, deviceID, domain, audit.OutcomeDenied, perr.Error()); aerr != nil {
-			span.End()
-			return checkID, stamp, aerr
-		}
+		op.note(stamp, appHash, checkID, deviceID, domain, audit.OutcomeDenied, perr.Error())
 		if d, ok := policy.IsDenial(perr); ok {
 			span.Add(obs.Outcome(false), obs.Reason(d.Reason.String()))
 			span.End()

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tinman/internal/audit"
-	"tinman/internal/policy"
 	"tinman/internal/tlssim"
 )
 
@@ -357,13 +355,19 @@ func (s *Service) DetachShard(deviceID string) (*ShardExport, error) {
 // replay window, derived-ID counter and per-device audit sequence resume
 // where the exporter stopped. Importing over an existing shard for the
 // device fails — the fleet must detach first.
-func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) error {
+//
+// The re-minted derived cors are one commit, made before the shard is
+// attached. Its audit entries (a refused app) carry no DeviceSeq: on
+// failure the device's sequence continues wherever the export goes back to.
+func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if exp == nil || exp.DeviceID == "" {
 		return errf(ErrBadRequest, "shard import missing device ID")
 	}
+	var op opRecords
+	defer s.end(&op, &err)
 	sh := newShard(exp.DeviceID, s.replayCfg)
 	sh.auditSeq.Store(exp.AuditSeq)
 	sh.derivedSeq = exp.DerivedSeq
@@ -373,16 +377,15 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) error {
 			sh.derived = append(sh.derived, derivedCor{ID: d.ID, Parent: d.Parent})
 			continue // already present (e.g. round-tripped back)
 		}
-		if _, err := s.Cors.Derive(d.Parent, d.ID, d.Plaintext); err != nil {
+		rec, err := s.Cors.Derive(d.Parent, d.ID, d.Plaintext)
+		if err != nil {
 			return errf(ErrBadRequest, "importing derived cor %s: %v", d.ID, err)
 		}
-		if err := s.durVaultRec(d.ID); err != nil {
-			return err
-		}
+		op.vault(rec)
 		sh.derived = append(sh.derived, derivedCor{ID: d.ID, Parent: d.Parent})
 	}
 	for _, a := range exp.Apps {
-		app, err := s.buildApp(InstallRequest{
+		app, err := s.buildApp(&op, InstallRequest{
 			DeviceID:              exp.DeviceID,
 			Name:                  a.Name,
 			Source:                a.Source,
@@ -405,6 +408,11 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) error {
 	}
 	sh.replays.Import(exp.Replays)
 
+	tk := s.enqueue(&op)
+	op = opRecords{} // enqueued: the deferred end has nothing left to commit
+	if err := commit(tk, nil); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.shards[exp.DeviceID] != nil {
@@ -462,35 +470,6 @@ func (s *Service) ReplayDo(deviceID, reqID string, fn func() any) (val any, repl
 		return fn(), false
 	}
 	return s.shard(deviceID).replays.Do(reqID, fn)
-}
-
-// auditAppend writes an audit entry stamped with the device's next
-// per-device sequence number (0 when the entry has no device) and the
-// engine's current policy version/hash. With a store attached, the entry is
-// WAL-logged and fsynced before auditAppend returns, so operations
-// acknowledge only durable audit trail.
-func (s *Service) auditAppend(appHash, corID, deviceID, domain string, outcome audit.Outcome, detail string) error {
-	return s.auditAppendStamped(s.Policy.Stamp(), appHash, corID, deviceID, domain, outcome, detail)
-}
-
-// auditAppendStamped is auditAppend carrying the exact policy stamp the
-// decision was made under. Paths that ran a check pass the stamp
-// CheckStamped returned, so during a hot-reload the entry names the version
-// actually consulted, not whichever one is current at append time.
-func (s *Service) auditAppendStamped(st policy.Stamp, appHash, corID, deviceID, domain string, outcome audit.Outcome, detail string) error {
-	e := audit.Entry{
-		AppHash: appHash, CorID: corID, DeviceID: deviceID, Domain: domain,
-		Outcome: outcome, Detail: detail,
-		PolicyVersion: st.Version, PolicyHash: st.Hash,
-	}
-	if dur := s.durStore(); dur != nil {
-		return s.auditAppendDurable(dur, e)
-	}
-	if deviceID != "" {
-		e.DeviceSeq = s.shard(deviceID).nextAuditSeq()
-	}
-	s.Audit.AppendEntry(e)
-	return nil
 }
 
 // injectionKeyLess orders injection keys for deterministic exports.

@@ -62,7 +62,9 @@ func TestShardDetachEvictsStateCache(t *testing.T) {
 }
 
 // TestShardDrainRefusesNewWork checks the Draining phase: in-flight work is
-// unaffected, new per-device operations fail with ErrShardDraining.
+// unaffected, new per-device operations fail with ErrShardDraining. A
+// payload replacement on a draining shard leaves its injection armed, so
+// the injection moves with the shard's export.
 func TestShardDrainRefusesNewWork(t *testing.T) {
 	ctx := context.Background()
 	svc := New(Options{})
@@ -72,8 +74,18 @@ func TestShardDrainRefusesNewWork(t *testing.T) {
 	dev := newDeviceHalf(t, svc, "dev-1", "login", loginSrc)
 	hash := dev.install(t, svc, loginSrc)
 	svc.BindApp("pw", hash)
+	state, _ := sessionState(t)
+	key := InjectionKey{ClientAddr: "10.0.0.2", ClientPort: 40000, ServerAddr: "203.0.113.5", ServerPort: 443}
+	if err := svc.ArmInjection(ctx, InjectRequest{
+		DeviceID: "dev-1", App: "login", CorID: "pw", Domain: "bank.com", Key: key, State: state,
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	svc.BeginDrain("dev-1")
+	if _, err := svc.ReplacePayload(ctx, key, 0); !errors.Is(err, ErrShardDraining) {
+		t.Fatalf("payload replacement on draining shard: err = %v, want ErrShardDraining", err)
+	}
 	if _, err := dev.login(t, svc, "pw"); !errors.Is(err, ErrShardDraining) {
 		t.Fatalf("offload on draining shard: err = %v, want ErrShardDraining", err)
 	}
@@ -82,6 +94,13 @@ func TestShardDrainRefusesNewWork(t *testing.T) {
 		CorID: "pw", AppHash: hash, DeviceID: "dev-1", Domain: "bank.com", State: raw,
 	}); !errors.Is(err, ErrShardDraining) {
 		t.Fatalf("reseal on draining shard: err = %v, want ErrShardDraining", err)
+	}
+	exp, err := svc.DetachShard("dev-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Injections) != 1 || exp.Injections[0].Key != key {
+		t.Fatalf("export carries injections %+v, want the armed one", exp.Injections)
 	}
 }
 

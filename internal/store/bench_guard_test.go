@@ -21,7 +21,7 @@ func TestWALAppendAllocGuard(t *testing.T) {
 	i := 0
 	avg := testing.AllocsPerRun(500, func() {
 		i++
-		if err := s.AppendAudit(entry(i%30 + 1)).Wait(ctx); err != nil {
+		if err := s.Append(Audit(entry(i%30 + 1))).Wait(ctx); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -56,7 +56,7 @@ func TestWALFsyncsPerOpGuard(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				if err := s.AppendAudit(entry(w*perW + i + 1)).Wait(ctx); err != nil {
+				if err := s.Append(Audit(entry(w*perW + i + 1))).Wait(ctx); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -90,7 +90,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Seq = uint64(i + 1)
-		if err := s.AppendAudit(e).Wait(ctx); err != nil {
+		if err := s.Append(Audit(e)).Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func BenchmarkWALAppendGrouped(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		e := entry(1)
 		for pb.Next() {
-			if err := s.AppendAudit(e).Wait(ctx); err != nil {
+			if err := s.Append(Audit(e)).Wait(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

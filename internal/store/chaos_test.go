@@ -21,6 +21,9 @@ import (
 //   - recovery succeeds and yields a gap-free prefix of the workload per
 //     record stream (audit Seq 1..k, vault upserts 1..v) and the policy
 //     document of the last policy record it kept (version p);
+//   - recovery keeps whole Appends only: every chaosEveryV-th audit entry
+//     shares one Append with a vault upsert and a policy document, so
+//     v = p = k / chaosEveryV;
 //   - every acknowledged record (Ticket.Wait returned nil before the
 //     crash) is present — zero cor loss, zero audit loss;
 //   - no cor plaintext appears anywhere on the post-crash disk;
@@ -29,7 +32,7 @@ import (
 
 const (
 	chaosAudit  = 36 // audit entries in the workload
-	chaosEveryV = 6  // a vault upsert + policy document every n audit entries
+	chaosEveryV = 6  // a vault upsert + policy document ride every n-th audit entry's Append
 )
 
 func chaosOpts(fs fault.FS) Options {
@@ -64,52 +67,23 @@ func chaosSecrets() []string {
 type acked struct{ audit, vault, policy int }
 
 // runChaosWorkload resumes the deterministic workload from the recovered
-// state (fromAudit/fromVault/fromPolicy entries already present) and runs
-// until the first error or completion. It returns the acknowledged
-// high-water marks.
+// state (from.audit entries already present) and runs until the first
+// error or completion. Each audit entry is one Append; every
+// chaosEveryV-th also carries that step's vault upsert and policy
+// document. It returns the acknowledged high-water marks.
 func runChaosWorkload(s *Store, from acked) acked {
 	ack := from
 	ctx := context.Background()
-	vaultDone := from.vault
-	policyDone := from.policy
-	// Catch up on vault/policy records whose trigger point (every
-	// chaosEveryV-th audit entry) already passed before the crash.
-	for j := vaultDone + 1; j <= from.audit/chaosEveryV; j++ {
-		if err := s.AppendVault(chaosVault(j)).Wait(ctx); err != nil {
-			return ack
-		}
-		ack.vault = j
-		vaultDone = j
-	}
-	for j := policyDone + 1; j <= from.audit/chaosEveryV; j++ {
-		if err := s.AppendPolicy(chaosPolicy(j)).Wait(ctx); err != nil {
-			return ack
-		}
-		ack.policy = j
-		policyDone = j
-	}
 	for i := from.audit + 1; i <= chaosAudit; i++ {
-		if err := s.AppendAudit(entry(i)).Wait(ctx); err != nil {
+		recs := []Record{Audit(entry(i))}
+		j := i / chaosEveryV
+		if i%chaosEveryV == 0 {
+			recs = append(recs, Vault(chaosVault(j)), Policy(chaosPolicy(j)))
+		}
+		if err := s.Append(recs...).Wait(ctx); err != nil {
 			return ack
 		}
-		ack.audit = i
-		if i%chaosEveryV == 0 {
-			j := i / chaosEveryV
-			if j > vaultDone {
-				if err := s.AppendVault(chaosVault(j)).Wait(ctx); err != nil {
-					return ack
-				}
-				ack.vault = j
-				vaultDone = j
-			}
-			if j > policyDone {
-				if err := s.AppendPolicy(chaosPolicy(j)).Wait(ctx); err != nil {
-					return ack
-				}
-				ack.policy = j
-				policyDone = j
-			}
-		}
+		ack = acked{audit: i, vault: j, policy: j}
 	}
 	return ack
 }
@@ -215,6 +189,10 @@ func TestChaosKillRecoverSweep(t *testing.T) {
 			t.Fatalf("crashAt=%d: recovery failed: %v", crashAt, err)
 		}
 		from := verifyPrefix(t, fmt.Sprintf("crashAt=%d", crashAt), r.State(), ack)
+		if j := from.audit / chaosEveryV; from.vault != j || from.policy != j {
+			t.Fatalf("crashAt=%d: recovered part of an Append: %d audit entries, %d vault records, policy v%d",
+				crashAt, from.audit, from.vault, from.policy)
+		}
 
 		// Resume and finish; the final state must be bit-identical to the
 		// fault-free control.
@@ -259,9 +237,9 @@ func TestChaosCrashDuringSnapshot(t *testing.T) {
 		opts.SegmentBytes = 200
 		s := mustOpen(t, opts)
 		for i := 1; i <= n; i++ {
-			wait(t, s.AppendAudit(entry(i)))
+			wait(t, s.Append(Audit(entry(i))))
 		}
-		wait(t, s.AppendVault(chaosVault(1)))
+		wait(t, s.Append(Vault(chaosVault(1))))
 		pre := fs.Ops()
 		fs.CrashAfter(crashAt)
 		err := s.Snapshot()
@@ -303,11 +281,11 @@ func TestChaosTornTailRepairIdempotent(t *testing.T) {
 		fs := fault.NewCrashFS(7)
 		s := mustOpen(t, testOpts(fs))
 		for i := 1; i <= 5; i++ {
-			wait(t, s.AppendAudit(entry(i)))
+			wait(t, s.Append(Audit(entry(i))))
 		}
 		// Crash on the commit write of entry 6: the frame lands torn.
 		fs.CrashAfter(1)
-		s.AppendAudit(entry(6)).Wait(context.Background())
+		s.Append(Audit(entry(6))).Wait(context.Background())
 		fs.Restart()
 		return fs
 	}

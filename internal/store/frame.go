@@ -5,11 +5,13 @@
 //
 // The durability contract is the one TinMan's security argument needs
 // (§3.4: the node is the system of record for cors and audit evidence):
-// every vault mutation, audit append, and policy change is framed into the
-// WAL and fsynced before the operation is acknowledged, and recovery after
-// kill -9 replays the latest valid snapshot plus the WAL to a gap-free
-// audit Seq — including after a crash between snapshot write and log
-// truncation, and after a second crash during recovery itself.
+// each node operation hands its audit entries, vault upserts and policy
+// document to one Store.Append, which is framed into the WAL as one unit
+// and fsynced before the operation is acknowledged. Recovery after kill -9
+// replays the latest valid snapshot plus the WAL, applying each Append
+// whole or, when a crash tore it, not at all, to a gap-free audit Seq —
+// including after a crash between snapshot write and log truncation, and
+// after a second crash during recovery itself.
 package store
 
 import (
@@ -26,7 +28,7 @@ const (
 	recAudit   byte = 1 // payload: binary audit entry (record.go)
 	recVault   byte = 2 // payload: sealed vault record (encrypted at rest)
 	recPolicy  byte = 3 // payload: JSON policy document
-	recSnapHdr byte = 4 // payload: JSON snapshot header; lsn = covered LSN
+	recSnapHdr byte = 4 // payload: empty; lsn = covered LSN (snapshot start)
 	recSnapEnd byte = 5 // payload: empty; lsn = covered LSN (validity mark)
 )
 
@@ -38,10 +40,14 @@ const (
 // (Castagnoli) covers the same bytes. A frame whose length field, crc, or
 // body cannot be read intact marks the torn tail of the file — recovery
 // keeps everything before it and discards the rest.
+// An Append of n records is n frames, the type byte of the first n-1
+// flagged frameMore; recovery applies an Append only once its unflagged
+// last frame is intact, so a torn Append goes with the tail.
 const (
 	frameHdrLen  = 4 + 4    // length + crc
 	frameMetaLen = 1 + 8    // type + lsn
 	maxFrameLen  = 16 << 20 // sanity cap; no record approaches this
+	frameMore    = 0x80     // type flag: the Append continues in the next frame
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -50,66 +56,71 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // tail, or flipped bits. Recovery treats it as "the log ends here".
 var errTornFrame = errors.New("store: torn or corrupt frame")
 
+// frame is one decoded frame; typ has frameMore cleared.
+type frame struct {
+	typ     byte
+	more    bool
+	lsn     uint64
+	payload []byte
+}
+
 // appendFrame appends one framed record to dst and returns the result.
 func appendFrame(dst []byte, typ byte, lsn uint64, payload []byte) []byte {
-	bodyLen := frameMetaLen + len(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
-	crcAt := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	bodyAt := len(dst)
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[bodyAt:], castagnoli)
-	binary.LittleEndian.PutUint32(dst[crcAt:], crc)
-	return dst
+	at := len(dst)
+	return endFrame(append(beginFrame(dst, typ, lsn), payload...), at)
 }
 
 // appendAuditFrame frames an audit entry, encoding the payload straight
 // into dst — the append hot path allocates no intermediate buffer.
-func appendAuditFrame(dst []byte, lsn uint64, e audit.Entry) []byte {
-	lenAt := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // length placeholder
-	crcAt := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	bodyAt := len(dst)
-	dst = append(dst, recAudit)
-	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	dst = encodeAudit(dst, e)
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-bodyAt))
-	binary.LittleEndian.PutUint32(dst[crcAt:], crc32.Checksum(dst[bodyAt:], castagnoli))
+func appendAuditFrame(dst []byte, typ byte, lsn uint64, e audit.Entry) []byte {
+	at := len(dst)
+	return endFrame(encodeAudit(beginFrame(dst, typ, lsn), e), at)
+}
+
+// beginFrame appends a frame up to its payload, length and crc zero.
+func beginFrame(dst []byte, typ byte, lsn uint64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // length + crc
+	dst = append(dst, typ)
+	return binary.LittleEndian.AppendUint64(dst, lsn)
+}
+
+// endFrame fills in the length and crc of the frame that starts at dst[at:].
+func endFrame(dst []byte, at int) []byte {
+	body := dst[at+frameHdrLen:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(body, castagnoli))
 	return dst
 }
 
-// readFrame decodes the frame at buf[off:]. It returns the frame fields and
-// the offset just past the frame. Any failure — short header, absurd
-// length, short body, crc mismatch, unknown type — returns errTornFrame:
-// the valid prefix of the file ends at off.
-func readFrame(buf []byte, off int) (typ byte, lsn uint64, payload []byte, next int, err error) {
+// readFrame decodes the frame at buf[off:] and returns it with the offset
+// just past it. Any failure — short header, absurd length, short body, crc
+// mismatch, unknown type — returns errTornFrame: the valid prefix of the
+// file ends at off.
+func readFrame(buf []byte, off int) (frame, int, error) {
 	if off+frameHdrLen > len(buf) {
-		return 0, 0, nil, off, errTornFrame
+		return frame{}, off, errTornFrame
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(buf[off:]))
 	if bodyLen < frameMetaLen || bodyLen > maxFrameLen {
-		return 0, 0, nil, off, errTornFrame
+		return frame{}, off, errTornFrame
 	}
 	crc := binary.LittleEndian.Uint32(buf[off+4:])
 	bodyAt := off + frameHdrLen
 	if bodyAt+bodyLen > len(buf) {
-		return 0, 0, nil, off, errTornFrame
+		return frame{}, off, errTornFrame
 	}
 	body := buf[bodyAt : bodyAt+bodyLen]
 	if crc32.Checksum(body, castagnoli) != crc {
-		return 0, 0, nil, off, errTornFrame
+		return frame{}, off, errTornFrame
 	}
-	typ = body[0]
-	if typ < recAudit || typ > recSnapEnd {
-		return 0, 0, nil, off, errTornFrame
+	f := frame{
+		typ:     body[0] &^ frameMore,
+		more:    body[0]&frameMore != 0,
+		lsn:     binary.LittleEndian.Uint64(body[1:]),
+		payload: body[frameMetaLen:],
 	}
-	lsn = binary.LittleEndian.Uint64(body[1:])
-	payload = body[frameMetaLen:]
-	return typ, lsn, payload, bodyAt + bodyLen, nil
+	if f.typ < recAudit || f.typ > recSnapEnd {
+		return frame{}, off, errTornFrame
+	}
+	return f, bodyAt + bodyLen, nil
 }
-
-// frameSize returns the on-disk size of a frame with the given payload.
-func frameSize(payloadLen int) int { return frameHdrLen + frameMetaLen + payloadLen }

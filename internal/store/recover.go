@@ -22,16 +22,19 @@ const saltFile = "seal.salt"
 //  1. load the newest snapshot that parses end-to-end (a snapshot is valid
 //     iff its recSnapEnd frame is intact — a crash mid-snapshot-write
 //     leaves either a .tmp or a missing end frame, both rejected);
-//  2. replay every WAL segment in LSN order, skipping records the snapshot
-//     already covers and enforcing gap-free LSN continuity above it;
+//  2. replay every WAL segment in LSN order, one whole Append at a time,
+//     skipping records the snapshot already covers and enforcing gap-free
+//     LSN continuity above it;
 //  3. stop at the first torn frame of the final segment (a crash
-//     mid-group-commit) and repair by truncating the tail — an idempotent
-//     step, so a second crash during recovery just repeats it;
+//     mid-group-commit), drop the Append it tore, and repair by truncating
+//     the tail at that Append's first frame — an idempotent step, so a
+//     second crash during recovery just repeats it;
 //  4. delete stray .tmp files and start the group committer.
 //
-// A torn frame anywhere but the final segment, an LSN gap, or a sealed
-// vault record that fails authentication (wrong passphrase) is
-// unrepairable and fails with ErrCorrupt / cor.ErrVaultCorrupt.
+// A torn frame or an unfinished Append anywhere but the final segment, an
+// LSN gap, or a sealed vault record that fails authentication (wrong
+// passphrase) is unrepairable and fails with ErrCorrupt /
+// cor.ErrVaultCorrupt.
 func Open(opts Options) (*Store, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -175,32 +178,30 @@ func (s *Store) recover() error {
 			return err
 		}
 		last := i == len(segs)-1
-		off := 0
+		// group holds the frames of the Append being read; end is just past
+		// the last whole Append, where a torn one is cut off.
+		var group []frame
+		off, end := 0, 0
 		for off < len(data) {
-			typ, lsn, payload, next, ferr := readFrame(data, off)
-			if ferr != nil || typ == recSnapHdr || typ == recSnapEnd {
-				if !last {
-					return fmt.Errorf("store: bad frame at %s+%d in a non-final segment: %w", segName(first), off, ErrCorrupt)
-				}
-				tornSeg, tornOff = name, off
+			f, next, ferr := readFrame(data, off)
+			if ferr != nil || f.typ == recSnapHdr || f.typ == recSnapEnd {
 				break
 			}
-			if lsn > s.snapLSN {
-				if lsn != lastLSN+1 {
-					return fmt.Errorf("store: LSN gap in %s: have %d, want %d: %w", segName(first), lsn, lastLSN+1, ErrCorrupt)
-				}
-				if err := s.applyReplay(typ, payload); err != nil {
+			group, off = append(group, f), next
+			if !f.more {
+				if lastLSN, err = s.replayAppend(group, lastLSN, first); err != nil {
 					return err
 				}
-				lastLSN = lsn
+				group, end = group[:0], off
 			}
-			off = next
+		}
+		if end < len(data) && !last {
+			return fmt.Errorf("store: bad frame at %s+%d in a non-final segment: %w", segName(first), end, ErrCorrupt)
 		}
 		if last {
-			if tornOff >= 0 {
-				lastSize = tornOff
-			} else {
-				lastSize = len(data)
+			lastSize = end
+			if end < len(data) {
+				tornSeg, tornOff = name, end
 			}
 		}
 	}
@@ -264,50 +265,59 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// applyReplay decodes one WAL record and folds it into the state.
-func (s *Store) applyReplay(typ byte, payload []byte) error {
-	val, err := s.decodeRecord(typ, payload)
-	if err != nil {
-		return err
+// replayAppend applies a whole Append's frames above the snapshot horizon,
+// their LSNs continuing lastLSN without a gap, and returns the last LSN.
+func (s *Store) replayAppend(group []frame, lastLSN, seg uint64) (uint64, error) {
+	for _, f := range group {
+		if f.lsn <= s.snapLSN {
+			continue
+		}
+		if f.lsn != lastLSN+1 {
+			return 0, fmt.Errorf("store: LSN gap in %s: have %d, want %d: %w", segName(seg), f.lsn, lastLSN+1, ErrCorrupt)
+		}
+		r, err := s.decodeRecord(f.typ, f.payload)
+		if err != nil {
+			return 0, err
+		}
+		s.applyLocked(&r) // single-threaded during recovery
+		lastLSN = f.lsn
 	}
-	if val != nil {
-		s.applyLocked(val) // single-threaded during recovery
-	}
-	return nil
+	return lastLSN, nil
 }
 
-// decodeRecord turns a frame payload into its typed value; nil means
-// "skip" (a sealed vault record without a passphrase).
-func (s *Store) decodeRecord(typ byte, payload []byte) (any, error) {
+// decodeRecord turns a frame payload into its Record; the zero Record
+// (which applyLocked ignores) stands for a sealed vault record read
+// without a passphrase.
+func (s *Store) decodeRecord(typ byte, payload []byte) (Record, error) {
 	switch typ {
 	case recAudit:
 		e, err := decodeAudit(payload)
 		if err != nil {
-			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
+			return Record{}, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
-		return e, nil
+		return Audit(e), nil
 	case recVault:
 		if s.sealer == nil {
 			s.state.SealedVault++
-			return nil, nil
+			return Record{}, nil
 		}
 		plain, err := s.sealer.Open(payload, vaultAD)
 		if err != nil {
-			return nil, err // wraps cor.ErrVaultCorrupt
+			return Record{}, err // wraps cor.ErrVaultCorrupt
 		}
 		r, err := decodeVault(plain)
 		if err != nil {
-			return nil, fmt.Errorf("store: vault record unparsable: %v: %w", err, ErrCorrupt)
+			return Record{}, fmt.Errorf("store: vault record unparsable: %v: %w", err, ErrCorrupt)
 		}
-		return r, nil
+		return Vault(r), nil
 	case recPolicy:
-		op, err := decodePolicy(payload)
+		r, err := decodePolicy(payload)
 		if err != nil {
-			return nil, fmt.Errorf("store: policy record unparsable: %v: %w", err, ErrCorrupt)
+			return Record{}, fmt.Errorf("store: policy record unparsable: %v: %w", err, ErrCorrupt)
 		}
-		return op, nil
+		return Policy(r), nil
 	}
-	return nil, fmt.Errorf("store: unexpected record type %d: %w", typ, ErrCorrupt)
+	return Record{}, fmt.Errorf("store: unexpected record type %d: %w", typ, ErrCorrupt)
 }
 
 // loadSnapshot parses one snapshot file into s.state. ok is false when the
@@ -324,45 +334,39 @@ func (s *Store) loadSnapshot(path string, covered uint64) (ok bool, err error) {
 	}
 	// Structural validation pass first: only a snapshot terminated by its
 	// recSnapEnd frame may mutate state.
-	type rec struct {
-		typ     byte
-		payload []byte
-	}
-	var recs []rec
+	var recs []frame
 	off, seenEnd := 0, false
 	for off < len(data) {
-		typ, lsn, payload, next, ferr := readFrame(data, off)
-		if ferr != nil {
+		f, next, ferr := readFrame(data, off)
+		if ferr != nil || f.more {
 			return false, nil
 		}
 		switch {
 		case off == 0:
-			if typ != recSnapHdr || lsn != covered {
+			if f.typ != recSnapHdr || f.lsn != covered {
 				return false, nil
 			}
-		case typ == recSnapEnd:
-			if lsn != covered || next != len(data) {
+		case f.typ == recSnapEnd:
+			if f.lsn != covered || next != len(data) {
 				return false, nil
 			}
 			seenEnd = true
-		case typ == recSnapHdr:
+		case f.typ == recSnapHdr:
 			return false, nil
 		default:
-			recs = append(recs, rec{typ, payload})
+			recs = append(recs, f)
 		}
 		off = next
 	}
 	if !seenEnd {
 		return false, nil
 	}
-	for _, r := range recs {
-		val, derr := s.decodeRecord(r.typ, r.payload)
+	for _, f := range recs {
+		r, derr := s.decodeRecord(f.typ, f.payload)
 		if derr != nil {
 			return false, derr
 		}
-		if val != nil {
-			s.applyLocked(val)
-		}
+		s.applyLocked(&r)
 	}
 	return true, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,13 +8,6 @@ import (
 
 	"tinman/internal/audit"
 )
-
-// snapHeader is the JSON payload of a snapshot's recSnapHdr frame.
-type snapHeader struct {
-	Covered uint64 `json:"covered_lsn"`
-	Audit   int    `json:"audit"`
-	Vault   int    `json:"vault"`
-}
 
 func snapName(covered uint64) string { return fmt.Sprintf("snap-%016x.db", covered) }
 func segName(first uint64) string    { return fmt.Sprintf("wal-%016x.log", first) }
@@ -70,24 +62,12 @@ func (s *Store) snapshotLocked() error {
 		return nil // nothing new to cover
 	}
 
-	hdr, err := json.Marshal(snapHeader{
-		Covered: covered, Audit: len(st.Audit), Vault: len(st.Vault),
-	})
-	if err != nil {
-		return err
-	}
-	buf := appendFrame(nil, recSnapHdr, covered, hdr)
-	scratch := make([]byte, 0, 256)
+	buf := appendFrame(nil, recSnapHdr, covered, nil)
 	for _, e := range st.Audit {
-		scratch = encodeAudit(scratch[:0], e)
-		buf = appendFrame(buf, recAudit, 0, scratch)
+		buf = appendAuditFrame(buf, recAudit, 0, e)
 	}
 	for _, r := range st.Vault {
-		plain, err := encodeVault(r)
-		if err != nil {
-			return err
-		}
-		sealed, err := s.sealer.Seal(plain, vaultAD)
+		sealed, err := s.sealVault(r)
 		if err != nil {
 			return err
 		}

@@ -82,29 +82,53 @@ type Stats struct {
 	SnapLSN   uint64 // LSN covered by the latest snapshot
 }
 
-// pending is one queued record: its frame inputs, the typed value for the
-// in-memory state, and the caller's completion channel. The value slot per
-// record type (rather than one `any`) keeps the append hot path from boxing
-// every record — interface conversion is an allocation the group-commit
-// throughput benchmark can see.
-type pending struct {
-	typ     byte
-	payload []byte
-	aud     audit.Entry
-	vlt     VaultRecord
-	pol     PolicyRecord
-	lsn     uint64
+// Record is one durable record — an audit entry, a vault upsert or a
+// policy document — built with Audit, Vault or Policy. A value slot per
+// kind, not an `any`, keeps the append hot path from boxing each record.
+type Record struct {
+	typ byte
+	aud audit.Entry
+	vlt VaultRecord
+	pol PolicyRecord
 }
 
-// Ticket is a handle on one append's durability: Wait returns nil once the
-// record's group commit has fsynced, or the commit error.
+// Audit makes an audit entry a Record.
+func Audit(e audit.Entry) Record { return Record{typ: recAudit, aud: e} }
+
+// Vault makes a vault upsert a Record; Append seals it before framing.
+func Vault(r VaultRecord) Record { return Record{typ: recVault, vlt: r} }
+
+// Policy makes a policy document a Record; it replaces the earlier one.
+func Policy(r PolicyRecord) Record { return Record{typ: recPolicy, pol: r} }
+
+// Entry returns the audit entry an audit Record carries, nil for another
+// kind, for its owner to complete in place before the Append.
+func (r *Record) Entry() *audit.Entry {
+	if r.typ != recAudit {
+		return nil
+	}
+	return &r.aud
+}
+
+// pending is one queued record with its LSN, its encoded payload (audit
+// entries are encoded straight into the batch buffer), and whether the
+// next queued record belongs to the same Append.
+type pending struct {
+	Record
+	payload []byte
+	lsn     uint64
+	more    bool
+}
+
+// Ticket is a handle on one Append's durability: Wait returns nil once the
+// group commit holding its records has fsynced, or the commit error.
 type Ticket struct {
 	s   *Store
 	lsn uint64
 	err error // append-time failure (encode, seal, closed store)
 }
 
-// Wait blocks until the record is durable or ctx is done.
+// Wait blocks until the records are durable or ctx is done.
 func (t Ticket) Wait(ctx context.Context) error {
 	if t.s == nil {
 		return t.err
@@ -144,14 +168,14 @@ func (s *Store) waitLSN(ctx context.Context, lsn uint64) error {
 	}
 }
 
-// Store is the crash-safe storage engine. Appends assign LSNs under one
-// mutex (callers that must keep an external order — the node's audit Seq —
-// take their own lock around mint+append, making Seq order equal LSN
-// order), queue the record, and return a Ticket; a single committer
-// goroutine drains the queue in batches, writing each batch with one
-// buffered write and one fsync, then completes the tickets. A failed
-// commit is sticky: the store refuses further work, because the disk state
-// past the failure point is unknown.
+// Store is the crash-safe storage engine. An Append assigns its records
+// consecutive LSNs and queues them in one step under one mutex (callers
+// that must keep an external order — the node's audit Seq — take their own
+// lock around mint+Append, making Seq order equal LSN order) and returns a
+// Ticket; a single committer goroutine drains the queue in batches of
+// whole Appends, writing each batch with one buffered write and one fsync,
+// then completes the tickets. A failed commit is sticky: the store refuses
+// further work, because the disk state past the failure point is unknown.
 type Store struct {
 	fs     fault.FS
 	dir    string
@@ -196,9 +220,6 @@ type Store struct {
 	stats  Stats
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // ReadOnly reports whether the store was opened read-only.
 func (s *Store) ReadOnly() bool { return s.opts.ReadOnly }
 
@@ -229,68 +250,74 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// AppendAudit queues an audit entry for durable commit. The entry travels
-// to the committer as its typed value and is encoded straight into the
-// batch buffer there — no payload allocation on the hot path.
-func (s *Store) AppendAudit(e audit.Entry) Ticket {
-	return s.enqueue(pending{typ: recAudit, aud: e})
-}
-
-// AppendVault queues a vault upsert; the record is sealed (encrypted at
-// rest) before it is framed.
-func (s *Store) AppendVault(r VaultRecord) Ticket {
-	plain, err := encodeVault(r)
-	if err != nil {
-		return failedTicket(err)
+// Append queues one operation's records for durable commit and returns
+// one Ticket for all of them. The records take consecutive LSNs in one
+// queue step, land in one group commit, and are framed as one unit:
+// recovery applies them all or, when a crash tears them, none. Vault
+// records are sealed and policy documents encoded here, outside the queue
+// lock; audit entries are encoded straight into the committer's batch
+// buffer. An empty Append waits for every record queued before it.
+func (s *Store) Append(recs ...Record) Ticket {
+	if s.opts.ReadOnly {
+		return Ticket{err: ErrReadOnly}
 	}
-	sealed, err := s.sealer.Seal(plain, vaultAD)
-	if err != nil {
-		return failedTicket(err)
+	var small [4]pending // an operation's records, without a heap allocation
+	ps := small[:0]
+	for i, r := range recs {
+		p := pending{Record: r, more: i < len(recs)-1}
+		var err error
+		switch r.typ {
+		case recAudit:
+		case recVault:
+			p.payload, err = s.sealVault(r.vlt)
+		case recPolicy:
+			p.payload, err = encodePolicy(r.pol)
+		default:
+			err = errors.New("store: Append of a zero Record")
+		}
+		if err != nil {
+			return Ticket{err: err}
+		}
+		ps = append(ps, p)
 	}
-	return s.enqueue(pending{typ: recVault, payload: sealed, vlt: r})
-}
-
-// AppendPolicy queues a policy document; once committed it replaces the
-// state's earlier one.
-func (s *Store) AppendPolicy(r PolicyRecord) Ticket {
-	p, err := encodePolicy(r)
-	if err != nil {
-		return failedTicket(err)
-	}
-	return s.enqueue(pending{typ: recPolicy, payload: p, pol: r})
-}
-
-func failedTicket(err error) Ticket {
-	return Ticket{err: err}
-}
-
-// enqueue assigns the LSN and queues the record.
-func (s *Store) enqueue(p pending) Ticket {
 	s.mu.Lock()
 	switch {
-	case s.opts.ReadOnly:
-		s.mu.Unlock()
-		return failedTicket(ErrReadOnly)
 	case s.closed:
 		s.mu.Unlock()
-		return failedTicket(ErrClosed)
+		return Ticket{err: ErrClosed}
 	case s.failed != nil:
 		err := s.failed
 		s.mu.Unlock()
-		return failedTicket(err)
+		return Ticket{err: err}
 	}
-	s.nextLSN++
-	p.lsn = s.nextLSN
+	for i := range ps {
+		s.nextLSN++
+		ps[i].lsn = s.nextLSN
+	}
 	if s.queue == nil && s.spare != nil {
 		s.queue, s.spare = s.spare[:0], nil
 	}
-	s.queue = append(s.queue, p)
+	s.queue = append(s.queue, ps...)
+	t := Ticket{s: s, lsn: s.nextLSN}
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
 	default:
 	}
-	return Ticket{s: s, lsn: p.lsn}
+	return t
+}
+
+// AppendAudit appends one audit entry: Append(Audit(e)).
+func (s *Store) AppendAudit(e audit.Entry) Ticket { return s.Append(Audit(e)) }
+
+// sealVault encodes and seals a vault record: no cor plaintext reaches the
+// disk.
+func (s *Store) sealVault(r VaultRecord) ([]byte, error) {
+	plain, err := encodeVault(r)
+	if err != nil {
+		return nil, err
+	}
+	return s.sealer.Seal(plain, vaultAD)
 }
 
 // committer is the group-commit loop: drain everything queued, commit it
@@ -362,10 +389,14 @@ func (s *Store) commit(batch []pending) error {
 	buf := s.buf[:0]
 	for i := range batch {
 		p := &batch[i]
+		typ := p.typ
+		if p.more {
+			typ |= frameMore
+		}
 		if p.typ == recAudit {
-			buf = appendAuditFrame(buf, p.lsn, p.aud)
+			buf = appendAuditFrame(buf, typ, p.lsn, p.aud)
 		} else {
-			buf = appendFrame(buf, p.typ, p.lsn, p.payload)
+			buf = appendFrame(buf, typ, p.lsn, p.payload)
 		}
 	}
 	s.buf = buf
@@ -383,15 +414,8 @@ func (s *Store) commit(batch []pending) error {
 	s.segSize += int64(len(buf))
 
 	s.stateMu.Lock()
-	for _, p := range batch {
-		switch p.typ {
-		case recAudit:
-			s.state.Audit = append(s.state.Audit, p.aud)
-		case recVault:
-			s.applyVaultLocked(p.vlt)
-		case recPolicy:
-			s.state.Policy = p.pol
-		}
+	for i := range batch {
+		s.applyLocked(&batch[i].Record)
 	}
 	s.durableLSN = batch[len(batch)-1].lsn
 	s.stateMu.Unlock()
@@ -457,25 +481,20 @@ func (s *Store) openSegment(firstLSN uint64) error {
 }
 
 // applyLocked folds one committed record into the in-memory state;
-// stateMu held.
-func (s *Store) applyLocked(val any) {
-	switch v := val.(type) {
-	case audit.Entry:
-		s.state.Audit = append(s.state.Audit, v)
-	case VaultRecord:
-		s.applyVaultLocked(v)
-	case PolicyRecord:
-		s.state.Policy = v
-	}
-}
-
-// applyVaultLocked upserts one vault record; stateMu held.
-func (s *Store) applyVaultLocked(v VaultRecord) {
-	if i, ok := s.vaultIdx[v.ID]; ok {
-		s.state.Vault[i] = v
-	} else {
-		s.vaultIdx[v.ID] = len(s.state.Vault)
-		s.state.Vault = append(s.state.Vault, v)
+// stateMu held (or recovery, which is single-threaded).
+func (s *Store) applyLocked(r *Record) {
+	switch r.typ {
+	case recAudit:
+		s.state.Audit = append(s.state.Audit, r.aud)
+	case recVault:
+		if i, ok := s.vaultIdx[r.vlt.ID]; ok {
+			s.state.Vault[i] = r.vlt
+		} else {
+			s.vaultIdx[r.vlt.ID] = len(s.state.Vault)
+			s.state.Vault = append(s.state.Vault, r.vlt)
+		}
+	case recPolicy:
+		s.state.Policy = r.pol
 	}
 }
 

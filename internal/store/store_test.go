@@ -58,33 +58,30 @@ func wait(t *testing.T, tk Ticket) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	buf := appendFrame(nil, recAudit, 7, []byte("hello"))
+	buf := appendFrame(nil, recAudit|frameMore, 7, []byte("hello"))
 	buf = appendFrame(buf, recPolicy, 8, nil)
-	typ, lsn, payload, next, err := readFrame(buf, 0)
-	if err != nil || typ != recAudit || lsn != 7 || string(payload) != "hello" {
-		t.Fatalf("frame 1 = %d %d %q %v", typ, lsn, payload, err)
+	f, next, err := readFrame(buf, 0)
+	if err != nil || f.typ != recAudit || !f.more || f.lsn != 7 || string(f.payload) != "hello" {
+		t.Fatalf("frame 1 = %+v %v", f, err)
 	}
-	typ, lsn, payload, next2, err := readFrame(buf, next)
-	if err != nil || typ != recPolicy || lsn != 8 || len(payload) != 0 {
-		t.Fatalf("frame 2 = %d %d %q %v", typ, lsn, payload, err)
+	f, next2, err := readFrame(buf, next)
+	if err != nil || f.typ != recPolicy || f.more || f.lsn != 8 || len(f.payload) != 0 {
+		t.Fatalf("frame 2 = %+v %v", f, err)
 	}
 	if next2 != len(buf) {
 		t.Fatalf("next2 = %d, want %d", next2, len(buf))
 	}
 	// Every one-byte truncation and every flipped byte must read as torn.
-	for cut := 0; cut < len(buf); cut++ {
-		if cut >= next {
-			break
-		}
-		if _, _, _, _, err := readFrame(buf[:cut], 0); err == nil {
+	for cut := 0; cut < next; cut++ {
+		if _, _, err := readFrame(buf[:cut], 0); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
 	for i := 0; i < next; i++ {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0x40
-		if typ, lsn, p, _, err := readFrame(mut, 0); err == nil &&
-			(typ != recAudit || lsn != 7 || string(p) != "hello") {
+		if f, _, err := readFrame(mut, 0); err == nil &&
+			(f.typ != recAudit || !f.more || f.lsn != 7 || string(f.payload) != "hello") {
 			t.Fatalf("flip at %d decoded wrong frame silently", i)
 		}
 	}
@@ -115,14 +112,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	fs := fault.NewCrashFS(1)
 	s := mustOpen(t, testOpts(fs))
 	for i := 1; i <= 10; i++ {
-		wait(t, s.AppendAudit(entry(i)))
+		wait(t, s.Append(Audit(entry(i))))
 	}
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "secret-a", Bit: 1, Description: "first"}))
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-b", Plaintext: "secret-b", Bit: 2}))
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "secret-a2", Bit: 1})) // upsert
-	wait(t, s.AppendPolicy(PolicyRecord{Version: 1, Snapshot: []byte(`{"bindings":{"cor-a":["h1"]}}`)}))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-a", Plaintext: "secret-a", Bit: 1, Description: "first"})))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-b", Plaintext: "secret-b", Bit: 2})))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-a", Plaintext: "secret-a2", Bit: 1}))) // upsert
+	wait(t, s.Append(Policy(PolicyRecord{Version: 1, Snapshot: []byte(`{"bindings":{"cor-a":["h1"]}}`)})))
 	latest := PolicyRecord{Version: 2, Snapshot: []byte(`{"bindings":{"cor-a":["h1"]},"revoked":["dev-1"]}`)}
-	wait(t, s.AppendPolicy(latest)) // replaces the first document
+	wait(t, s.Append(Policy(latest))) // replaces the first document
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -150,10 +147,10 @@ func TestStoreNoPlaintextOnDisk(t *testing.T) {
 	fs := fault.NewCrashFS(2)
 	s := mustOpen(t, Options{Dir: "store", FS: fs, Sealer: testSealer, SnapshotEvery: 3})
 	secrets := []string{"hunter2-super-secret", "derived-sha-secret"}
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: secrets[0], Bit: 1}))
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-b", Plaintext: secrets[1], Bit: 2}))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-a", Plaintext: secrets[0], Bit: 1})))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-b", Plaintext: secrets[1], Bit: 2})))
 	for i := 1; i <= 6; i++ {
-		wait(t, s.AppendAudit(entry(i)))
+		wait(t, s.Append(Audit(entry(i))))
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -179,7 +176,7 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 	opts.SnapshotEvery = 10
 	s := mustOpen(t, opts)
 	for i := 1; i <= 35; i++ {
-		wait(t, s.AppendAudit(entry(i)))
+		wait(t, s.Append(Audit(entry(i))))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -220,9 +217,9 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 func TestStoreReadOnly(t *testing.T) {
 	fs := fault.NewCrashFS(4)
 	s := mustOpen(t, Options{Dir: "store", FS: fs, Passphrase: "pp", SnapshotEvery: 4})
-	wait(t, s.AppendVault(VaultRecord{ID: "cor-a", Plaintext: "sealed-secret", Bit: 1}))
+	wait(t, s.Append(Vault(VaultRecord{ID: "cor-a", Plaintext: "sealed-secret", Bit: 1})))
 	for i := 1; i <= 5; i++ {
-		wait(t, s.AppendAudit(entry(i)))
+		wait(t, s.Append(Audit(entry(i))))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -233,7 +230,7 @@ func TestStoreReadOnly(t *testing.T) {
 	if st := ro.State(); len(st.Audit) != 5 || len(st.Vault) != 0 || st.SealedVault != 1 {
 		t.Fatalf("read-only state: %d audit, %d vault, %d sealed", len(st.Audit), len(st.Vault), st.SealedVault)
 	}
-	if err := ro.AppendAudit(entry(9)).Wait(context.Background()); !errors.Is(err, ErrReadOnly) {
+	if err := ro.Append(Audit(entry(9))).Wait(context.Background()); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("append on read-only store: %v", err)
 	}
 	ro.Close()
@@ -259,7 +256,7 @@ func TestStoreGroupCommitBatches(t *testing.T) {
 	const n = 64
 	tickets := make([]Ticket, n)
 	for i := 0; i < n; i++ {
-		tickets[i] = s.AppendAudit(entry(i + 1))
+		tickets[i] = s.Append(Audit(entry(i + 1)))
 	}
 	for _, tk := range tickets {
 		wait(t, tk)

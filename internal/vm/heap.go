@@ -170,13 +170,29 @@ func (h *Heap) AllocString(c *Class, s string, tag taint.Tag) *Object {
 	return o
 }
 
-// Adopt installs an object created elsewhere (DSM sync) preserving its ID.
-// An existing object with the same ID is replaced.
+// Adopt installs an object created elsewhere (DSM sync) preserving its ID,
+// replacing an existing object with the same ID. An ID in this heap's own
+// space moves the allocator past it: after a handoff, a full re-sync to a
+// fresh node VM carries the IDs the old node allocated. CanAdopt(o.ID)
+// must hold.
 func (h *Heap) Adopt(o *Object) {
-	if o.ID == 0 {
-		panic("vm: adopting object without ID")
+	if !h.CanAdopt(o.ID) {
+		panic(fmt.Sprintf("vm: cannot adopt object ID %d", o.ID))
 	}
 	h.objects[o.ID] = o
+	if o.ID%h.step == h.nextID%h.step && o.ID >= h.nextID {
+		h.nextID = o.ID + h.step
+	}
+}
+
+// MaxOwnAdoptID bounds the own-space IDs Adopt accepts: no heap allocates
+// 2^62 objects, so the allocator never wraps onto ID 0 or an ID it holds.
+const MaxOwnAdoptID = 1 << 62
+
+// CanAdopt reports whether Adopt accepts an ID: not the null ID 0, nor one
+// in this heap's own space at or above MaxOwnAdoptID.
+func (h *Heap) CanAdopt(id uint64) bool {
+	return id != 0 && (id%h.step != h.nextID%h.step || id < MaxOwnAdoptID)
 }
 
 // Get returns the object with the given ID, or nil.

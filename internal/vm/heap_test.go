@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,49 @@ func TestHeapAdoptPreservesID(t *testing.T) {
 	h.Adopt(o2)
 	if h.Get(42) != o2 {
 		t.Fatal("adoption did not replace")
+	}
+}
+
+// TestHeapAdoptMovesAllocatorPast adopts objects in the heap's own ID
+// space, as a full re-sync to a fresh node VM does after a handoff: the
+// next allocation must take a fresh ID instead of colliding. An own-space
+// ID from MaxOwnAdoptID up is refused.
+func TestHeapAdoptMovesAllocatorPast(t *testing.T) {
+	h := NewHeap(2, 2) // the node's even IDs
+	c := NewClass("C")
+	h.Adopt(&Object{ID: 2, Class: c})
+	h.Adopt(&Object{ID: 7, Class: c}) // the device's space: no effect
+	if o := h.AllocString(c, "x", 0); o.ID != 4 {
+		t.Fatalf("allocation after adopting #2 took ID %d, want 4", o.ID)
+	}
+	h.Adopt(&Object{ID: 10, Class: c})
+	if o := h.Alloc(c); o.ID != 12 {
+		t.Fatalf("allocation after adopting #10 took ID %d, want 12", o.ID)
+	}
+	if h.CanAdopt(0) || h.CanAdopt(MaxOwnAdoptID) || h.CanAdopt(math.MaxUint64-3) || !h.CanAdopt(math.MaxUint64) {
+		t.Fatal("CanAdopt must refuse ID 0 and only own-space IDs from MaxOwnAdoptID up")
+	}
+}
+
+// TestHeapAdoptHighestOwnIDKeepsAllocating adopts the highest own-space ID
+// the heap admits next to an ID the heap allocated itself: the allocations
+// after it must neither panic on a duplicate nor hand out the null ID 0.
+func TestHeapAdoptHighestOwnIDKeepsAllocating(t *testing.T) {
+	h := NewHeap(2, 2)
+	c := NewClass("C")
+	h.Alloc(c) // #2
+	top := uint64(MaxOwnAdoptID - 2)
+	if !h.CanAdopt(top) {
+		t.Fatalf("CanAdopt(%d) = false, want the highest admitted own-space ID", top)
+	}
+	h.Adopt(&Object{ID: top, Class: c})
+	seen := map[uint64]bool{2: true, top: true}
+	for i := 0; i < 3; i++ {
+		o := h.Alloc(c)
+		if o.ID == 0 || seen[o.ID] {
+			t.Fatalf("allocation %d after adopting #%d took ID %d", i, top, o.ID)
+		}
+		seen[o.ID] = true
 	}
 }
 
