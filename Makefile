@@ -31,7 +31,7 @@
 #                     every fingerprinted secret — must find the seeded
 #                     canary and nothing else
 #   make obs-smoke    observability gate: traced login with valid exports,
-#                     zero-alloc disabled path, Fig 13 hook-cost guard
+#                     zero-alloc disabled path, redaction
 #   make bench-smoke  one iteration of every benchmark (a does-it-run gate,
 #                     not a measurement)
 #   make bench-json   append a machine-readable Caffeinemark run to
@@ -128,23 +128,25 @@ race:
 	$(GO) test -race -count=1 ./internal/node/ ./internal/nodeproto/ ./internal/fleet/ ./internal/policy/ ./internal/audit/ ./internal/fault/ ./internal/netsim/ ./internal/core/ ./internal/obs/ ./internal/vm/ ./internal/dsm/ ./internal/apps/ ./internal/store/ ./internal/ctl/...
 
 # Interpreter equivalence gate: the analyzed interpreter (taint
-# pre-analysis fast path), the fully instrumented linked interpreter, and
-# the reference interpreter must produce bit-identical results, tags,
-# counters and migration stops over every kernel and login app under every
-# policy (internal/bench/differential_test.go), plus the vm-level deopt
-# coverage tests.
+# pre-analysis fast path, counters off as on a device), the fully
+# instrumented linked interpreter, and the reference interpreter must
+# produce bit-identical results, tags, instruction and call counts and
+# migration stops over every kernel and login app under every policy, and
+# the last two identical counters (internal/bench/differential_test.go);
+# plus the vm-level deopt coverage tests and the rule that a counting VM
+# runs only the tracked loop.
 differential:
 	$(GO) test -count=1 -run 'TestDifferential' ./internal/bench/
-	$(GO) test -count=1 -run 'TestTaintflow|TestFastPath|TestFastPush|TestLeaf' ./internal/vm/
+	$(GO) test -count=1 -run 'TestTaintflow|TestFastPath|TestFastPush|TestLeaf|TestCollectStats' ./internal/vm/
 
 # Observability gate: one fully traced Wi-Fi login must attribute >= 90% of
 # its wall time with valid JSON-lines/Chrome exports and no cor plaintext;
-# the disabled path must stay allocation-free; the interpreter hook wrapper
-# must stay under the 2% Fig 13 budget.
+# the disabled path must stay allocation-free and exports redacted. The
+# interpreter has no tracing hook: VM metrics are Instrs and FastInstrs,
+# read after Run.
 obs-smoke:
 	$(GO) test -count=1 -run 'TestObsSmoke' ./internal/bench/
 	$(GO) test -count=1 -run 'TestObsZeroAllocDisabled|TestRedaction' ./internal/obs/
-	$(GO) test -count=1 -run 'TestFig13TracingGuard' ./internal/bench/
 
 # Deterministic fault-injection suite (see EXPERIMENTS.md "Chaos suite"):
 # scripted partitions, node crash/restart, flapping 3G and slow-node
@@ -167,12 +169,13 @@ crash-chaos:
 
 # Fleet gate: deterministic placement, drain/rebalance via shard handoff,
 # crash failover on the audit watermark (the whole internal/fleet suite,
-# its chaos and durable tests included, under -race), and the wire layer's
-# ownership gate + redirect + merged per-device audit stream.
+# its chaos and durable tests included, under -race), the wire layer's
+# ownership gate + redirect + merged per-device audit stream, and the
+# node's shard export/import. fleet.Handoff is the only handoff path.
 fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet/
 	$(GO) test -race -count=1 -run 'TestFleetWire|TestWireHandoff' ./internal/nodeproto/
-	$(GO) test -race -count=1 -run 'TestShard|TestHandoff' ./internal/node/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestShard|TestHandoff' ./internal/node/
 
 # Leak-guardrail gate: fingerprint the test cor's plaintext and all four
 # TLS session keys, drive 400 catalog and reseal operations from 4

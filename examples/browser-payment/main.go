@@ -77,7 +77,7 @@ func main() {
 	if _, err := node.RegisterCor("visa-code", securityCode, "Visa security code", "conf.example"); err != nil {
 		log.Fatal(err)
 	}
-	doc := node.Policy.Export()
+	doc := node.Svc.Policy.Export()
 	doc.Version = 0 // take the next version
 	doc.Windows = map[string]policy.Window{}
 	doc.Rates = map[string]policy.RateSpec{}
@@ -152,8 +152,8 @@ func main() {
 	}
 
 	// Everything is in the audit trail (§4.2 fourth policy).
-	fmt.Printf("\naudit entries: %d (last 3)\n", world.Node.Audit.Len())
-	entries := world.Node.Audit.Entries()
+	fmt.Printf("\naudit entries: %d (last 3)\n", world.Node.Svc.Audit.Len())
+	entries := world.Node.Svc.Audit.Entries()
 	for _, e := range entries[len(entries)-3:] {
 		fmt.Println("  " + e.String())
 	}

@@ -169,7 +169,7 @@ func main() {
 	legacy.MaxVersion = tlssim.TLS10
 	// Widen the cor's whitelist: export the enforced document, edit it and
 	// install it whole (dropping the version takes the next one).
-	doc := world.Node.Policy.Export()
+	doc := world.Node.Svc.Policy.Export()
 	doc.Version = 0
 	doc.AllowDomains("fl-pw", []string{"facelook.example", "legacy.example"})
 	if _, err := world.Node.Svc.InstallPolicy(context.Background(), doc); err != nil {
@@ -181,8 +181,8 @@ func main() {
 		log.Fatal("TLS1.0 origin was not refused")
 	}
 
-	fmt.Println("\nall four defenses engaged; audit trail has", world.Node.Audit.Len(), "entries and",
-		len(world.Node.Audit.Anomalies()), "anomaly reports")
+	fmt.Println("\nall four defenses engaged; audit trail has", world.Node.Svc.Audit.Len(), "entries and",
+		len(world.Node.Svc.Audit.Anomalies()), "anomaly reports")
 }
 
 // demoImplicitIVLeak reproduces the arithmetic of Figure 7 with a real AES

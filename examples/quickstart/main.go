@@ -108,7 +108,7 @@ func main() {
 
 	// 8. Everything was audited on the trusted node.
 	fmt.Println("\ntrusted node audit log:")
-	for _, e := range world.Node.Audit.Entries() {
+	for _, e := range world.Node.Svc.Audit.Entries() {
 		fmt.Println("  " + e.String())
 	}
 }

@@ -89,7 +89,7 @@ func TestTinManLoginEndToEnd(t *testing.T) {
 		}
 	}
 	// The audit log recorded the accesses.
-	if env.World.Node.Audit.Len() == 0 {
+	if env.World.Node.Svc.Audit.Len() == 0 {
 		t.Fatal("no audit entries")
 	}
 }
@@ -191,7 +191,7 @@ func TestPhishingAppDenied(t *testing.T) {
 	}
 	// The denial is in the audit log.
 	found := false
-	for _, e := range env.World.Node.Audit.Entries() {
+	for _, e := range env.World.Node.Svc.Audit.Entries() {
 		if e.Outcome == 1 && strings.Contains(e.Detail, "app not bound") {
 			found = true
 		}

@@ -68,7 +68,7 @@ func TestMonitorAbortsBulkHarvest(t *testing.T) {
 	}
 	// The finding is audited.
 	found := false
-	for _, e := range w.Node.Audit.Entries() {
+	for _, e := range w.Node.Svc.Audit.Entries() {
 		if strings.Contains(e.Detail, "taint-width") {
 			found = true
 		}
@@ -89,7 +89,7 @@ func TestMonitorAllowsNormalLogins(t *testing.T) {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 	}
-	for _, e := range env.World.Node.Audit.Entries() {
+	for _, e := range env.World.Node.Svc.Audit.Entries() {
 		if strings.Contains(e.Detail, "monitor:") {
 			t.Fatalf("false positive on legitimate login: %s", e.Detail)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,12 @@ func medianOverhead(t *testing.T, k Kernel, pol taint.Policy) float64 {
 		ratios[p] = float64(d[1]) / float64(d[0])
 	}
 	return median(ratios) - 1
+}
+
+// median returns the middle value of xs (reordering it).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 func TestLoginLatencyShape(t *testing.T) {

@@ -195,14 +195,6 @@ func NewCaffeineVM(policy taint.Policy) (*vm.VM, error) {
 	return newCaffeineVM(policy, false, false)
 }
 
-// NewAnalyzedCaffeineVM builds the same VM with the static taint
-// pre-analysis enabled (vm/taintflow.go): provably taint-free regions run
-// on the uninstrumented fast-path loop. Benchmarking it against
-// NewCaffeineVM isolates what partial instrumentation buys.
-func NewAnalyzedCaffeineVM(policy taint.Policy) (*vm.VM, error) {
-	return newCaffeineVM(policy, false, true)
-}
-
 // NewReferenceCaffeineVM builds the same VM forced through the reference
 // interpreter (vm.Config.SlowPath: no link-time resolution, no inline
 // caches, no literal interning). Benchmarking it against NewCaffeineVM

@@ -20,7 +20,9 @@ import (
 // counts, and the exact sequence of offload-trigger points. Heap object
 // identity is NOT compared: literal interning legitimately changes how many
 // untainted string objects exist, which is unobservable to programs (the
-// ISA has no reference equality on strings).
+// ISA has no reference equality on strings). The analyzed interpreter
+// (taint pre-analysis fast path) joins as a third leg, in the configuration
+// devices run: without propagation counters.
 
 // diffOutcome is everything about a run that the optimization must preserve.
 type diffOutcome struct {
@@ -30,6 +32,9 @@ type diffOutcome struct {
 	instrs   uint64
 	calls    uint64
 	counters taint.Counters
+	// fastInstrs is how many instructions the fast loop ran; the legs
+	// legitimately differ in it, so summary leaves it out.
+	fastInstrs uint64
 	// triggers is the ordered (tag, event) list of offload-trigger points.
 	triggers []string
 	// tainted is the sorted multiset of tainted-object descriptors.
@@ -91,7 +96,9 @@ func taintedObjects(h *vm.Heap) []string {
 // outcome. migrate controls the OnTaintedAccess verdict: false records the
 // trigger and continues (pure tracking), true stops at the first trigger
 // the way the device-side offload engine does. analyze enables the static
-// taint pre-analysis fast path (vm/taintflow.go).
+// taint pre-analysis fast path (vm/taintflow.go) and, as on a device,
+// leaves the propagation counters off: a counting VM runs no fast
+// instruction. The other legs count.
 func diffRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, analyze, migrate bool,
 	setup func(*vm.VM) (*vm.Thread, error)) diffOutcome {
 	t.Helper()
@@ -99,7 +106,7 @@ func diffRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, anal
 		Program:      prog,
 		Heap:         vm.NewHeap(1, 2),
 		Policy:       policy,
-		CollectStats: true,
+		CollectStats: !analyze,
 		SlowPath:     slowPath,
 		NoFastPath:   !analyze,
 	})
@@ -128,34 +135,42 @@ func diffRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, anal
 	out.instrs = machine.Instrs
 	out.calls = machine.Calls
 	out.counters = machine.Counters
+	out.fastInstrs = machine.FastInstrs
 	out.tainted = taintedObjects(machine.Heap)
 	return out
 }
 
 // diffCompare runs a setup under every Fig 13 policy in all three
 // interpreter configurations — the analyzed interpreter (pre-analysis fast
-// path on), the linked interpreter (fully instrumented), and the reference
-// interpreter (SlowPath) — and fails on the first divergence. The
-// analyzed-vs-linked comparison is the partial-instrumentation soundness
-// proof: running provably taint-free regions uninstrumented must leave
-// results, tags, counters, instruction counts and migration stops
-// bit-identical.
+// path on, counters off), the linked interpreter (fully instrumented), and
+// the reference interpreter (SlowPath) — and fails on the first
+// divergence. The analyzed-vs-linked comparison is the
+// partial-instrumentation soundness proof: running provably taint-free
+// regions uninstrumented, frame-free leaf calls included, must leave
+// results, tags, instruction and call counts and migration stops
+// bit-identical. Linked and reference also agree on the counters. It
+// returns the analyzed leg's outcome under each policy.
 func diffCompare(t *testing.T, name string, prog *vm.Program, migrate bool,
-	setup func(*vm.VM) (*vm.Thread, error)) {
+	setup func(*vm.VM) (*vm.Thread, error)) []diffOutcome {
 	t.Helper()
+	var out []diffOutcome
 	for _, pol := range Fig13Policies {
 		analyzed := diffRun(t, prog, pol, false, true, migrate, setup)
 		fast := diffRun(t, prog, pol, false, false, migrate, setup)
 		slow := diffRun(t, prog, pol, true, false, migrate, setup)
-		if !analyzed.equal(fast) {
+		uncounted := fast
+		uncounted.counters = taint.Counters{}
+		if !analyzed.equal(uncounted) {
 			t.Errorf("%s under %s diverges:\n  analyzed: %s\n  linked:   %s",
-				name, pol.Name(), analyzed.summary(), fast.summary())
+				name, pol.Name(), analyzed.summary(), uncounted.summary())
 		}
 		if !fast.equal(slow) {
 			t.Errorf("%s under %s diverges:\n  linked: %s\n  slow:   %s",
 				name, pol.Name(), fast.summary(), slow.summary())
 		}
+		out = append(out, analyzed)
 	}
+	return out
 }
 
 // TestDifferentialKernels runs every Caffeinemark kernel — with clean and
@@ -204,9 +219,11 @@ func appThread(spec apps.Spec) func(*vm.VM) (*vm.Thread, error) {
 	}
 }
 
-// TestDifferentialApps runs every sample login app through both
+// TestDifferentialApps runs every sample login app through the three
 // interpreters: once tracking-only (full trigger sequence) and once in
-// migrate mode (stop at the first trigger, compare the resume point).
+// migrate mode (stop at the first trigger, compare the resume point). The
+// analyzed leg must run part of each login on the fast loop, or the
+// comparison would not cover it.
 func TestDifferentialApps(t *testing.T) {
 	for _, spec := range apps.LoginApps {
 		spec := spec
@@ -214,12 +231,19 @@ func TestDifferentialApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		t.Run(spec.Name, func(t *testing.T) {
-			diffCompare(t, spec.Name, prog, false, appThread(spec))
-		})
-		t.Run(spec.Name+"/migrate", func(t *testing.T) {
-			diffCompare(t, spec.Name, prog, true, appThread(spec))
-		})
+		for _, migrate := range []bool{false, true} {
+			name := spec.Name
+			if migrate {
+				name += "/migrate"
+			}
+			t.Run(name, func(t *testing.T) {
+				for i, o := range diffCompare(t, name, prog, migrate, appThread(spec)) {
+					if o.fastInstrs == 0 {
+						t.Errorf("%s under %s ran no fast instruction", name, Fig13Policies[i].Name())
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -339,13 +363,11 @@ class L
   end
 end`
 
-// leafRun runs setup's thread with CollectStats off — the configuration
-// in which the fast loop calls leaves without a frame — resuming after
-// every StopLimit of a quantum-instruction budget (0: no limit), and
-// renders everything the leaf path must preserve: the stop trace (method,
-// pc and depth at each stop), result, error, instruction and call counts
-// and, with hook set, every OnInvoke.
-func leafRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, analyze, hook bool,
+// leafRun runs setup's thread, resuming after every StopLimit of a
+// quantum-instruction budget (0: no limit), and renders everything the
+// leaf path must preserve: the stop trace (method, pc and depth at each
+// stop), result, error, and instruction and call counts.
+func leafRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, analyze bool,
 	quantum uint64, setup func(*vm.VM) (*vm.Thread, error)) string {
 	t.Helper()
 	machine := vm.New(vm.Config{
@@ -353,9 +375,6 @@ func leafRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, anal
 		SlowPath: slowPath, NoFastPath: !analyze,
 	})
 	var b strings.Builder
-	if hook {
-		machine.Hooks.OnInvoke = func(m *vm.Method) { fmt.Fprintf(&b, "invoke %s; ", m.Name) }
-	}
 	th, err := setup(machine)
 	if err != nil {
 		t.Fatalf("setup: %v", err)
@@ -375,14 +394,14 @@ func leafRun(t *testing.T, prog *vm.Program, policy taint.Policy, slowPath, anal
 }
 
 // TestDifferentialLeafCalls pins the frame-free leaf call to the framed
-// path it replaces: with CollectStats off, the analyzed interpreter must
-// match the linked and the reference interpreters bit for bit under every
-// policy — when the budget ends inside a leaf (it must stop on the same
-// instruction), with OnInvoke set, for callees that are not leaves (div by
-// a register, including by zero; registers above the cap), for a leaf
-// reading registers it never wrote, and for a leaf call at the frame
-// limit (the same stack-overflow error). CollectStats on goes through the
-// three-way harness, counters included.
+// path it replaces: the analyzed interpreter must match the linked and the
+// reference interpreters bit for bit under every policy — when the budget
+// ends inside a leaf (it must stop on the same instruction), for callees
+// that are not leaves (div by a register, including by zero; registers
+// above the cap), for a leaf reading registers it never wrote, and for a
+// leaf call at the frame limit (the same stack-overflow error). Each case
+// also goes through the three-way harness, triggers and tainted heap
+// included.
 func TestDifferentialLeafCalls(t *testing.T) {
 	prog, err := asm.Assemble("leaf", leafSrc)
 	if err != nil {
@@ -410,15 +429,13 @@ func TestDifferentialLeafCalls(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			diffCompare(t, c.name, prog, false, c.setup)
 			for _, pol := range Fig13Policies {
-				for _, hook := range []bool{false, true} {
-					for _, quantum := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 11, 13} {
-						analyzed := leafRun(t, prog, pol, false, true, hook, quantum, c.setup)
-						linked := leafRun(t, prog, pol, false, false, hook, quantum, c.setup)
-						slow := leafRun(t, prog, pol, true, false, hook, quantum, c.setup)
-						if analyzed != linked || linked != slow {
-							t.Fatalf("%s hook=%v quantum=%d diverges:\n  analyzed: %s\n  linked:   %s\n  slow:     %s",
-								pol.Name(), hook, quantum, analyzed, linked, slow)
-						}
+				for _, quantum := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 11, 13} {
+					analyzed := leafRun(t, prog, pol, false, true, quantum, c.setup)
+					linked := leafRun(t, prog, pol, false, false, quantum, c.setup)
+					slow := leafRun(t, prog, pol, true, false, quantum, c.setup)
+					if analyzed != linked || linked != slow {
+						t.Fatalf("%s quantum=%d diverges:\n  analyzed: %s\n  linked:   %s\n  slow:     %s",
+							pol.Name(), quantum, analyzed, linked, slow)
 					}
 				}
 			}

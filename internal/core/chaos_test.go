@@ -74,7 +74,7 @@ func newChaosWorld(t *testing.T, cfg Config) (*World, *App, vm.Value) {
 // content-significant fields (Seq/Time vary with retry timing; the
 // executed operations must not).
 func auditTuples(w *World) []string {
-	entries := w.Node.Audit.Entries()
+	entries := w.Node.Svc.Audit.Entries()
 	out := make([]string, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, fmt.Sprintf("%s|%s|%s|%s|%s|%s",
@@ -87,7 +87,7 @@ func auditTuples(w *World) []string {
 // holes — a duplicated or dropped entry would show up here.
 func requireGapFreeSeq(t *testing.T, w *World) {
 	t.Helper()
-	for i, e := range w.Node.Audit.Entries() {
+	for i, e := range w.Node.Svc.Audit.Entries() {
 		if e.Seq != uint64(i+1) {
 			t.Fatalf("audit Seq gap: entry %d has Seq %d", i, e.Seq)
 		}

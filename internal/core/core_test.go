@@ -321,7 +321,7 @@ func TestMaliciousAppRefusedAtInstall(t *testing.T) {
 	}
 	// Poison the DB with this exact hash, then try installing a renamed
 	// copy (same code => same hash).
-	w.Node.Malware.Add(app.Hash(), "TestTrojan")
+	w.Node.Svc.Malware.Add(app.Hash(), "TestTrojan")
 	_, err = w.Device.InstallApp("tiny2", tinyApp, 8)
 	if err == nil || !strings.Contains(err.Error(), "malware") || !errors.Is(err, node.ErrMalware) {
 		t.Fatalf("err = %v, want malware rejection", err)

@@ -53,8 +53,8 @@ func TestDurableNodeSurvivesWorldRestart(t *testing.T) {
 	if _, err := app.Run("Tiny", "touch", pw); err != nil {
 		t.Fatal(err)
 	}
-	wantCors := w.Node.Cors.Len()
-	wantAudit := w.Node.Audit.Len()
+	wantCors := w.Node.Svc.Cors.Len()
+	wantAudit := w.Node.Svc.Audit.Len()
 	if wantAudit == 0 {
 		t.Fatal("offload produced no audit entries")
 	}
@@ -71,13 +71,13 @@ func TestDurableNodeSurvivesWorldRestart(t *testing.T) {
 	if err := w2.Node.AttachStore(open()); err != nil {
 		t.Fatal(err)
 	}
-	if got := w2.Node.Cors.Len(); got != wantCors {
+	if got := w2.Node.Svc.Cors.Len(); got != wantCors {
 		t.Fatalf("recovered %d cors, want %d", got, wantCors)
 	}
-	if got := w2.Node.Audit.Len(); got != wantAudit {
+	if got := w2.Node.Svc.Audit.Len(); got != wantAudit {
 		t.Fatalf("recovered %d audit entries, want %d", got, wantAudit)
 	}
-	rec := w2.Node.Cors.Get("pw")
+	rec := w2.Node.Svc.Cors.Get("pw")
 	if rec == nil || rec.Plaintext != "secret12" {
 		t.Fatalf("recovered cor = %+v", rec)
 	}

@@ -2,17 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"tinman/internal/audit"
 	"tinman/internal/cor"
-	"tinman/internal/malware"
 	"tinman/internal/netsim"
 	"tinman/internal/node"
 	"tinman/internal/nodeproto"
 	"tinman/internal/obs"
-	"tinman/internal/policy"
 	"tinman/internal/store"
 	"tinman/internal/tcpsim"
 )
@@ -29,13 +25,9 @@ type TrustedNode struct {
 	Host  *netsim.Host
 	Stack *tcpsim.Stack
 
-	// Svc is the shared trusted-node service; the component fields below
-	// alias its state so existing callers (tests, examples) keep working.
-	Svc     *node.Service
-	Cors    *cor.Store
-	Policy  *policy.Engine
-	Audit   *audit.Log
-	Malware *malware.DB
+	// Svc is the trusted-node service: cor vault, policy, audit log and
+	// malware database.
+	Svc *node.Service
 
 	Replacer *tcpsim.Replacer
 
@@ -53,15 +45,11 @@ func newTrustedNode(w *World, host *netsim.Host, corIdleWindow uint64) *TrustedN
 		CorIdleWindow: corIdleWindow,
 	})
 	n := &TrustedNode{
-		w:       w,
-		Host:    host,
-		Stack:   tcpsim.NewStack(w.Net, host),
-		Svc:     svc,
-		Cors:    svc.Cors,
-		Policy:  svc.Policy,
-		Audit:   svc.Audit,
-		Malware: svc.Malware,
-		srv:     nodeproto.NewServerWith(svc),
+		w:     w,
+		Host:  host,
+		Stack: tcpsim.NewStack(w.Net, host),
+		Svc:   svc,
+		srv:   nodeproto.NewServerWith(svc),
 	}
 
 	l, err := n.Stack.Listen(ControlPort)
@@ -90,26 +78,6 @@ func (n *TrustedNode) AttachStore(st *store.Store) error {
 
 // BindApp restricts a cor to an app hash (§3.4 first binding).
 func (n *TrustedNode) BindApp(corID, appHash string) error { return n.Svc.BindApp(corID, appHash) }
-
-// HandoffTo moves one device's hosted state — apps, armed injections,
-// derived cors, replay window and per-device audit sequence — onto another
-// trusted node via the shard export/import path (planned maintenance; crash
-// failover is the fleet's job). Registered cors are control-plane state and
-// must already be present on dst, as fleet replication guarantees. On import
-// failure the export is restored onto this node.
-func (n *TrustedNode) HandoffTo(dst *TrustedNode, deviceID string) error {
-	exp, err := n.Svc.DetachShard(deviceID)
-	if err != nil {
-		return fmt.Errorf("core: detaching %s: %w", deviceID, err)
-	}
-	if err := dst.Svc.ImportShard(context.Background(), exp); err != nil {
-		if rerr := n.Svc.ImportShard(context.Background(), exp); rerr != nil {
-			return fmt.Errorf("core: importing %s failed (%v) and rollback failed: %w", deviceID, err, rerr)
-		}
-		return fmt.Errorf("core: importing %s: %w", deviceID, err)
-	}
-	return nil
-}
 
 // --- control plane ---
 

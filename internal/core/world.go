@@ -162,11 +162,10 @@ type World struct {
 	Radio   *power.Radio
 	Display *power.Activity
 
-	profile       netsim.Profile
-	dns           map[string]string // domain -> address
-	enabled       bool
-	noWarmup      bool
-	corIdleWindow uint64
+	profile  netsim.Profile
+	dns      map[string]string // domain -> address
+	enabled  bool
+	noWarmup bool
 	// taintFactor slows device compute under client-side tainting (the
 	// Fig 13 overhead applied to the cost model): 1.0 for Off, ~1.10 for
 	// asymmetric, ~1.20 for full client tainting.
@@ -192,15 +191,14 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 
 	w := &World{
-		Net:           netsim.New(cfg.Seed),
-		Cost:          cfg.Cost,
-		Fault:         cfg.Fault.withDefaults(),
-		profile:       cfg.Profile,
-		dns:           make(map[string]string),
-		enabled:       cfg.TinManEnabled,
-		noWarmup:      cfg.NoWarmup,
-		taintFactor:   1.0,
-		corIdleWindow: cfg.CorIdleWindow,
+		Net:         netsim.New(cfg.Seed),
+		Cost:        cfg.Cost,
+		Fault:       cfg.Fault.withDefaults(),
+		profile:     cfg.Profile,
+		dns:         make(map[string]string),
+		enabled:     cfg.TinManEnabled,
+		noWarmup:    cfg.NoWarmup,
+		taintFactor: 1.0,
 	}
 	switch cfg.DevicePolicy.Name() {
 	case taint.Asymmetric.Name():
@@ -280,18 +278,6 @@ func (w *World) RestartNode() {
 
 // Profile returns the device uplink profile.
 func (w *World) Profile() netsim.Profile { return w.profile }
-
-// AddStandbyNode boots a second trusted node on the simulated network —
-// the target of a planned shard handoff (the in-process counterpart of a
-// fleet drain). Like a fleet member it starts with an empty vault: the
-// caller replicates registered cors onto it before handing shards off,
-// exactly as the fleet control plane would.
-func (w *World) AddStandbyNode(addr string) *TrustedNode {
-	host := w.Net.AddHost(addr)
-	w.Net.Connect(w.Node.Host, host, w.profile)
-	w.Net.Connect(w.Device.Host, host, w.profile)
-	return newTrustedNode(w, host, w.corIdleWindow)
-}
 
 // AddServerHost creates an origin-server host linked to the device (over
 // the wireless profile) and the trusted node (over a wired path), and

@@ -136,9 +136,6 @@ func (e *Endpoint) ResetWarmup() {
 	e.warm = nil
 }
 
-// InitialSent reports whether the full-heap sync has happened.
-func (e *Endpoint) InitialSent() bool { return e.initialSent }
-
 // CaptureMigration packages the thread's stack plus this side's heap delta
 // for transfer. The first capture ships the entire heap (the warm-up sync);
 // later captures ship only dirty objects. If the thread is nil (pure state

@@ -32,8 +32,6 @@ type Config struct {
 	// Options.Metrics is ignored here — pass Metrics below instead, and the
 	// fleet derives per-member collectors from it.
 	NodeOptions node.Options
-	// Vnodes is the virtual-node count per member (default 64).
-	Vnodes int
 	// NewService, when set, constructs each member's Service — the hook for
 	// durable deployments, where the factory opens the member's crash-safe
 	// store and attaches it (node.Service.AttachStore) before the fleet
@@ -78,7 +76,6 @@ type adminOp func(*node.Service) error
 // explicit Drain or Rebalance — routing never silently moves live state.
 type Fleet struct {
 	nodeOpts   node.Options
-	vnodes     int
 	newService func(memberID string) (*node.Service, error)
 
 	mu      sync.RWMutex
@@ -119,7 +116,6 @@ func New(cfg Config) (*Fleet, error) {
 	opts.Metrics = nil
 	f := &Fleet{
 		nodeOpts:   opts,
-		vnodes:     cfg.Vnodes,
 		newService: cfg.NewService,
 		members:    make(map[string]*member),
 		owners:     make(map[string]string),
@@ -151,7 +147,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.members[id] = mem
 		f.order = append(f.order, id)
 	}
-	f.ring = buildRing(f.order, f.vnodes)
+	f.ring = buildRing(f.order)
 
 	// Durable members may have recovered policy documents; the fleet's
 	// current document is the newest of them, so the next push is numbered

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -158,6 +159,57 @@ func TestDrainMovesShards(t *testing.T) {
 	}
 	if back == 0 {
 		t.Fatal("rebalance moved nothing back to the uncordoned member")
+	}
+}
+
+// TestHandoffMovesShard hands one device to the other member: its hosted
+// app and its per-device audit sequence follow the shard, the source keeps
+// no shard, and the source has nothing left to hand off a second time.
+func TestHandoffMovesShard(t *testing.T) {
+	ctx := context.Background()
+	f := newTestFleet(t, "node-a", "node-b")
+	if err := f.RegisterCor(ctx, "pw", "hunter2!", "pw", "bank.com"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.BindApp("pw", "apphash-1"); err != nil {
+		t.Fatal(err)
+	}
+	const dev = "dev-1"
+	src, from, err := f.ServiceFor(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const app = "class T\n  method m 0 1\n    const r0, 1\n    return r0\n  end\nend\n"
+	if _, err := src.Install(ctx, node.InstallRequest{DeviceID: dev, Name: "t", Source: app}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Reseal(ctx, node.ResealRequest{
+		CorID: "pw", AppHash: "apphash-1", DeviceID: dev, Domain: "bank.com", State: sessionState(t),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before, ok := src.Shard(dev)
+	if !ok || before.Apps != 1 || before.AuditSeq == 0 {
+		t.Fatalf("source shard before the handoff: %+v (attached %v)", before, ok)
+	}
+
+	to := map[string]string{"node-a": "node-b", "node-b": "node-a"}[from]
+	if err := f.Handoff(ctx, dev, to); err != nil {
+		t.Fatal(err)
+	}
+	if _, still := src.Shard(dev); still {
+		t.Fatal("shard still attached on the source after handoff")
+	}
+	dst, _ := f.MemberService(to)
+	after, ok := dst.Shard(dev)
+	if !ok {
+		t.Fatal("shard not attached on the target")
+	}
+	if after.Apps != before.Apps || after.AuditSeq != before.AuditSeq {
+		t.Fatalf("shard on the target %+v, want apps %d and audit seq %d", after, before.Apps, before.AuditSeq)
+	}
+	if _, err := src.DetachShard(dev); !errors.Is(err, node.ErrUnknownDevice) {
+		t.Fatalf("second detach on the source: err = %v, want ErrUnknownDevice", err)
 	}
 }
 

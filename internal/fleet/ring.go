@@ -11,10 +11,10 @@ import (
 	"strconv"
 )
 
-// defaultVnodes is how many ring points each member contributes. 64 keeps
-// the placement spread within a few percent of uniform for small fleets
-// while the ring stays tiny (3 members × 64 points = 192 entries).
-const defaultVnodes = 64
+// vnodes is how many ring points each member contributes. 64 keeps the
+// placement spread within a few percent of uniform for small fleets while
+// the ring stays tiny (3 members × 64 points = 192 entries).
+const vnodes = 64
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -50,10 +50,7 @@ func fmix64(x uint64) uint64 {
 }
 
 // buildRing lays members' virtual nodes on the circle.
-func buildRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+func buildRing(members []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(members)*vnodes)}
 	for _, m := range members {
 		for i := 0; i < vnodes; i++ {

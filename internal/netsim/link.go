@@ -276,9 +276,6 @@ func (h *Host) SendRaw(pkt *Packet) error {
 // SetEgressFilter enables or disables source-address verification on egress.
 func (h *Host) SetEgressFilter(on bool) { h.egressFilter = on }
 
-// EgressFilter reports whether egress filtering is active.
-func (h *Host) EgressFilter() bool { return h.egressFilter }
-
 func (h *Host) deliver(pkt *Packet) {
 	if h.down {
 		// Crashed hosts lose inbound traffic, including packets that were

@@ -16,6 +16,7 @@ import (
 	"tinman/internal/fault"
 	"tinman/internal/policy"
 	"tinman/internal/store"
+	"tinman/internal/taint"
 )
 
 // nodeTestSealer derives the vault sealing key once for the whole package
@@ -484,15 +485,14 @@ func TestRegisterCorIsOneBatch(t *testing.T) {
 	}
 }
 
-// TestImportShardNotDurableAttachesNothing imports a shard carrying a
-// derived cor into a node whose store has failed. The import must fail as
-// not durable and leave the device's shard unattached, so the fleet's
-// re-import on the source node leaves one member holding the device.
-func TestImportShardNotDurableAttachesNothing(t *testing.T) {
+// exportWithDerivedCor logs dev-1 in on an in-memory source node, which
+// mints a derived cor, and detaches its shard. dst is a store-backed node
+// on fs with the same registered cor, ready to import the export.
+func exportWithDerivedCor(t *testing.T, fs *fault.CrashFS) (src, dst *Service, exp *ShardExport) {
+	t.Helper()
 	ctx := context.Background()
-	src := New(Options{})
-	fs := fault.NewCrashFS(47)
-	dst := durableService(t, openNodeStore(t, fs), testClock())
+	src = New(Options{})
+	dst = durableService(t, openNodeStore(t, fs), testClock())
 	for _, svc := range []*Service{src, dst} {
 		if _, err := svc.RegisterCor(ctx, "pw", "hunter2!", "pw", "bank.com"); err != nil {
 			t.Fatal(err)
@@ -511,8 +511,19 @@ func TestImportShardNotDurableAttachesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(exp.DerivedCors) == 0 {
-		t.Fatal("export carries no derived cor to commit")
+		t.Fatal("export carries no derived cor")
 	}
+	return src, dst, exp
+}
+
+// TestImportShardNotDurableAttachesNothing imports a shard carrying a
+// derived cor into a node whose store has failed. The import must fail as
+// not durable and leave the device's shard unattached, so the fleet's
+// re-import on the source node leaves one member holding the device.
+func TestImportShardNotDurableAttachesNothing(t *testing.T) {
+	ctx := context.Background()
+	fs := fault.NewCrashFS(47)
+	src, dst, exp := exportWithDerivedCor(t, fs)
 
 	fs.CrashNow()
 	if err := dst.ImportShard(ctx, exp); !errors.Is(err, ErrNotDurable) {
@@ -523,6 +534,75 @@ func TestImportShardNotDurableAttachesNothing(t *testing.T) {
 	}
 	if err := src.ImportShard(ctx, exp); err != nil {
 		t.Fatalf("re-import on the source node: %v", err)
+	}
+}
+
+// TestDurableRefusedImportLeavesNoSecret imports a shard whose export
+// carries a derived cor and an app that does not assemble. The import must
+// fail before it mints the derived cor: the refusing node holds no copy of
+// the device's secret, in memory or on disk, and attaches no shard.
+func TestDurableRefusedImportLeavesNoSecret(t *testing.T) {
+	fs := fault.NewCrashFS(53)
+	_, dst, exp := exportWithDerivedCor(t, fs)
+	derivedID := exp.DerivedCors[0].ID
+	exp.Apps = append(exp.Apps, AppExport{Name: "broken", Source: "class X\n  method m 0 1\n    bogus r0\n  end\nend"})
+
+	if err := dst.ImportShard(context.Background(), exp); err == nil {
+		t.Fatal("import of an app that does not assemble succeeded")
+	}
+	if rec := dst.Cors.Get(derivedID); rec != nil {
+		t.Fatalf("refused import left derived cor %s in memory", derivedID)
+	}
+	if _, ok := dst.Shard("dev-1"); ok {
+		t.Fatal("refused import attached the shard")
+	}
+	fs.CrashNow()
+	fs.Restart()
+	for _, r := range openNodeStore(t, fs).State().Vault {
+		if r.ID == derivedID {
+			t.Fatalf("refused import left derived cor %s in the vault", derivedID)
+		}
+	}
+}
+
+// TestDurableClassThroughDerivedCor sets a lineage's class through a
+// derived cor's ID. SetClass reclassifies every cor of the taint bit, and
+// the class must still hold for all of them after a restart, with the bit
+// in the restricted mask that keeps server-only state out of DSM payloads.
+func TestDurableClassThroughDerivedCor(t *testing.T) {
+	ctx := context.Background()
+	fs := fault.NewCrashFS(59)
+	svc := durableService(t, openNodeStore(t, fs), testClock())
+	parent, err := svc.RegisterCor(ctx, "pw", "hunter2!", "pw", "bank.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := newDeviceHalf(t, svc, "dev-1", "login", loginSrc)
+	hash := dev.install(t, svc, loginSrc)
+	if err := svc.BindApp("pw", hash); err != nil {
+		t.Fatal(err)
+	}
+	masked, err := dev.login(t, svc, "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.Cors.Get(masked.CorID) == nil {
+		t.Fatalf("login minted no derived cor (masked %q)", masked.CorID)
+	}
+	if err := svc.SetCorClass(ctx, masked.CorID, cor.ClassServerOnly); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.CrashNow()
+	fs.Restart()
+	svc2 := durableService(t, openNodeStore(t, fs), testClock())
+	for _, id := range []string{"pw", masked.CorID} {
+		if got := svc2.Cors.Class(id); got != cor.ClassServerOnly {
+			t.Errorf("recovered class of %s = %s, want %s", id, got, cor.ClassServerOnly)
+		}
+	}
+	if mask := svc2.Cors.RestrictedMask(); !mask.Has(taint.Bit(parent.Bit)) {
+		t.Errorf("recovered restricted mask %v lacks the lineage's bit %d", mask, parent.Bit)
 	}
 }
 

@@ -18,25 +18,20 @@ import (
 // retry can never observe a half-executed operation or trigger a second
 // execution.
 type ReplayCache struct {
-	cfg ReplayCacheConfig
+	clock func() time.Time
 
 	mu      sync.Mutex
 	entries map[string]*replayEntry
 	order   []string // insertion order, for window/size pruning
 }
 
-// ReplayCacheConfig tunes a ReplayCache; zero values take the defaults
-// noted on each field.
-type ReplayCacheConfig struct {
-	// Window is how long a completed entry stays replayable (default 5m).
-	// It must comfortably exceed the client's whole retry budget.
-	Window time.Duration
-	// Max caps retained entries regardless of age (default 4096).
-	Max int
-	// Clock supplies the time; nil uses time.Now. Simulations inject
-	// their virtual clock.
-	Clock func() time.Time
-}
+const (
+	// replayWindow is how long a completed entry stays replayable. It must
+	// comfortably exceed the client's whole retry budget.
+	replayWindow = 5 * time.Minute
+	// replayMax caps retained entries regardless of age.
+	replayMax = 4096
+)
 
 // replayEntry records one deduplicated execution. val is written once,
 // before done is closed; readers wait on done first.
@@ -55,18 +50,10 @@ func (e *replayEntry) finished() bool {
 	}
 }
 
-// NewReplayCache builds a cache, filling config defaults.
-func NewReplayCache(cfg ReplayCacheConfig) *ReplayCache {
-	if cfg.Window <= 0 {
-		cfg.Window = 5 * time.Minute
-	}
-	if cfg.Max <= 0 {
-		cfg.Max = 4096
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	return &ReplayCache{cfg: cfg, entries: make(map[string]*replayEntry)}
+// NewReplayCache builds a cache that reads the time from clock
+// (simulations pass their virtual clock).
+func NewReplayCache(clock func() time.Time) *ReplayCache {
+	return &ReplayCache{clock: clock, entries: make(map[string]*replayEntry)}
 }
 
 // Do executes fn at most once per id within the window and returns its
@@ -81,7 +68,7 @@ func (c *ReplayCache) Do(id string, fn func() any) (val any, replayed bool) {
 		<-e.done
 		return e.val, true
 	}
-	e := &replayEntry{done: make(chan struct{}), at: c.cfg.Clock()}
+	e := &replayEntry{done: make(chan struct{}), at: c.clock()}
 	c.entries[id] = e
 	c.order = append(c.order, id)
 	c.pruneLocked()
@@ -165,13 +152,13 @@ func ReplayedRaw(v any) (json.RawMessage, bool) {
 }
 
 // pruneLocked drops completed entries that fell out of the window, then —
-// if the cache is still over Max — the oldest completed entries. Both
+// if the cache is still over replayMax — the oldest completed entries. Both
 // scans work from the front of the insertion order and stop at the first
 // entry that must stay, so pruning is O(1) amortized per insert. An
 // in-progress entry is never pruned; it blocks pruning anything behind it
 // for as long as its operation runs, which is transient.
 func (c *ReplayCache) pruneLocked() {
-	cutoff := c.cfg.Clock().Add(-c.cfg.Window)
+	cutoff := c.clock().Add(-replayWindow)
 	for len(c.order) > 0 {
 		e := c.entries[c.order[0]]
 		if !e.finished() || !e.at.Before(cutoff) {
@@ -180,7 +167,7 @@ func (c *ReplayCache) pruneLocked() {
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
 	}
-	for len(c.order) > c.cfg.Max {
+	for len(c.order) > replayMax {
 		e := c.entries[c.order[0]]
 		if !e.finished() {
 			break

@@ -9,7 +9,7 @@ import (
 )
 
 func TestReplayCacheDedup(t *testing.T) {
-	c := NewReplayCache(ReplayCacheConfig{})
+	c := NewReplayCache(time.Now)
 	calls := 0
 	fn := func() any { calls++; return calls }
 
@@ -34,7 +34,7 @@ func TestReplayCacheDedup(t *testing.T) {
 // while the original is mid-execution: exactly one runs fn, the rest block
 // until it finishes and all see its result.
 func TestReplayCacheConcurrentDuplicates(t *testing.T) {
-	c := NewReplayCache(ReplayCacheConfig{})
+	c := NewReplayCache(time.Now)
 	var calls atomic.Int32
 	release := make(chan struct{})
 	fn := func() any {
@@ -74,12 +74,9 @@ func TestReplayCacheConcurrentDuplicates(t *testing.T) {
 
 func TestReplayCachePrunesByWindow(t *testing.T) {
 	now := time.Unix(0, 0)
-	c := NewReplayCache(ReplayCacheConfig{
-		Window: time.Minute,
-		Clock:  func() time.Time { return now },
-	})
+	c := NewReplayCache(func() time.Time { return now })
 	c.Do("old", func() any { return 1 })
-	now = now.Add(2 * time.Minute)
+	now = now.Add(replayWindow + time.Second)
 	// Inserting after the window triggers pruning of the expired entry, so
 	// the same ID executes fresh.
 	if _, replayed := c.Do("other", func() any { return 2 }); replayed {
@@ -94,27 +91,28 @@ func TestReplayCachePrunesByWindow(t *testing.T) {
 }
 
 func TestReplayCachePrunesByMax(t *testing.T) {
-	c := NewReplayCache(ReplayCacheConfig{Max: 4})
-	for i := 0; i < 10; i++ {
+	c := NewReplayCache(time.Now)
+	const n = replayMax + 6
+	for i := 0; i < n; i++ {
 		c.Do(fmt.Sprintf("req-%d", i), func() any { return i })
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want Max=4", c.Len())
+	if c.Len() != replayMax {
+		t.Fatalf("Len = %d, want replayMax=%d", c.Len(), replayMax)
 	}
 	// Newest entries survive.
-	if _, replayed := c.Do("req-9", func() any { return -1 }); !replayed {
+	if _, replayed := c.Do(fmt.Sprintf("req-%d", n-1), func() any { return -1 }); !replayed {
 		t.Fatal("newest entry was pruned")
 	}
 	if _, replayed := c.Do("req-0", func() any { return -1 }); replayed {
-		t.Fatal("oldest entry survived past Max")
+		t.Fatal("oldest entry survived past replayMax")
 	}
 }
 
 // TestReplayCacheDoesNotPruneInProgress pins the safety property: an entry
-// whose operation is still running is never evicted, even under Max
+// whose operation is still running is never evicted, even under replayMax
 // pressure, because evicting it would let a duplicate re-execute.
 func TestReplayCacheDoesNotPruneInProgress(t *testing.T) {
-	c := NewReplayCache(ReplayCacheConfig{Max: 2})
+	c := NewReplayCache(time.Now)
 	release := make(chan struct{})
 	ran := make(chan struct{})
 	go c.Do("slow", func() any {
@@ -123,10 +121,10 @@ func TestReplayCacheDoesNotPruneInProgress(t *testing.T) {
 		return nil
 	})
 	<-ran
-	for i := 0; i < 5; i++ {
+	for i := 0; i < replayMax+5; i++ {
 		c.Do(fmt.Sprintf("fast-%d", i), func() any { return i })
 	}
-	// The in-progress entry heads the insertion order, so over-Max pruning
+	// The in-progress entry heads the insertion order, so over-replayMax pruning
 	// stops at it; a duplicate must still dedup, not re-execute.
 	done := make(chan struct{})
 	var replayed bool

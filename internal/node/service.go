@@ -61,7 +61,6 @@ type Service struct {
 	Malware *malware.DB
 
 	corIdleWindow uint64
-	replayCfg     ReplayCacheConfig
 
 	mu     sync.RWMutex
 	shards map[string]*DeviceShard
@@ -143,14 +142,12 @@ func New(opts Options) *Service {
 	if opts.CorIdleWindow == 0 {
 		opts.CorIdleWindow = defaultCorIdleWindow
 	}
-	replayCfg := ReplayCacheConfig{Clock: opts.Clock}
 	s := &Service{
 		Cors:          cor.NewStore(),
 		Policy:        policy.NewEngine(opts.Clock),
 		Audit:         audit.NewLog(opts.Clock),
 		Malware:       malware.NewDB(),
 		corIdleWindow: opts.CorIdleWindow,
-		replayCfg:     replayCfg,
 		shards:        make(map[string]*DeviceShard),
 		flows:         make(map[InjectionKey]string),
 		clock:         opts.Clock,
@@ -257,9 +254,10 @@ func (s *Service) InstallPolicy(ctx context.Context, snap *policy.Snapshot) (pol
 	return s.writePolicy(new(opRecords), func(d *policy.Snapshot) { *d = *snap })
 }
 
-// SetCorClass reassigns a cor's sensitivity tier. The reclassified record
-// is committed again (vault records are upserts), so the class survives
-// restarts.
+// SetCorClass reassigns the sensitivity tier of a cor's whole lineage:
+// every cor that shares its taint bit, derived ones included. Each of
+// their records is committed again in the operation's one Append (vault
+// records are upserts), so the class survives restarts.
 func (s *Service) SetCorClass(ctx context.Context, corID string, class cor.Class) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -267,8 +265,13 @@ func (s *Service) SetCorClass(ctx context.Context, corID string, class cor.Class
 	if err := s.Cors.SetClass(corID, class); err != nil {
 		return badRequest(err)
 	}
+	bit := s.Cors.Get(corID).Bit
 	var op opRecords
-	op.vault(s.Cors.Get(corID))
+	for _, rec := range s.Cors.List() {
+		if rec.Bit == bit {
+			op.vault(rec)
+		}
+	}
 	return commit(s.enqueue(&op), nil)
 }
 

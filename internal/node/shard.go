@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tinman/internal/tlssim"
 )
@@ -80,12 +81,12 @@ type derivedCor struct {
 	Parent string `json:"parent"`
 }
 
-func newShard(deviceID string, replayCfg ReplayCacheConfig) *DeviceShard {
+func newShard(deviceID string, clock func() time.Time) *DeviceShard {
 	sh := &DeviceShard{
 		deviceID:   deviceID,
 		apps:       make(map[string]*hostedApp),
 		injections: make(map[InjectionKey]*pendingInjection),
-		replays:    NewReplayCache(replayCfg),
+		replays:    NewReplayCache(clock),
 	}
 	sh.cond = sync.NewCond(&sh.mu)
 	return sh
@@ -204,7 +205,7 @@ func (s *Service) shard(deviceID string) *DeviceShard {
 	if sh := s.shards[deviceID]; sh != nil {
 		return sh
 	}
-	sh := newShard(deviceID, s.replayCfg)
+	sh := newShard(deviceID, s.clock)
 	s.shards[deviceID] = sh
 	return sh
 }
@@ -241,7 +242,7 @@ func (s *Service) AttachShard(deviceID string, auditSeqFloor uint64) (created bo
 	s.mu.Lock()
 	sh := s.shards[deviceID]
 	if sh == nil {
-		sh = newShard(deviceID, s.replayCfg)
+		sh = newShard(deviceID, s.clock)
 		s.shards[deviceID] = sh
 		created = true
 	}
@@ -368,21 +369,20 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error)
 	}
 	var op opRecords
 	defer s.end(&op, &err)
-	sh := newShard(exp.DeviceID, s.replayCfg)
+	sh := newShard(exp.DeviceID, s.clock)
 	sh.auditSeq.Store(exp.AuditSeq)
 	sh.derivedSeq = exp.DerivedSeq
 
+	// Every step that can fail runs before the first derived cor is
+	// minted: a refused import must leave none of the device's secrets on
+	// a node that does not own it.
+	if s.lookupShard(exp.DeviceID) != nil {
+		return errf(ErrBadRequest, "device %q already has a shard on this node", exp.DeviceID)
+	}
 	for _, d := range exp.DerivedCors {
-		if s.Cors.Get(d.ID) != nil {
-			sh.derived = append(sh.derived, derivedCor{ID: d.ID, Parent: d.Parent})
-			continue // already present (e.g. round-tripped back)
+		if s.Cors.Get(d.ID) == nil && s.Cors.Get(d.Parent) == nil {
+			return errf(ErrBadRequest, "importing derived cor %s: unknown parent %s", d.ID, d.Parent)
 		}
-		rec, err := s.Cors.Derive(d.Parent, d.ID, d.Plaintext)
-		if err != nil {
-			return errf(ErrBadRequest, "importing derived cor %s: %v", d.ID, err)
-		}
-		op.vault(rec)
-		sh.derived = append(sh.derived, derivedCor{ID: d.ID, Parent: d.Parent})
 	}
 	for _, a := range exp.Apps {
 		app, err := s.buildApp(&op, InstallRequest{
@@ -405,6 +405,17 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error)
 			appHash: inj.AppHash, deviceID: exp.DeviceID,
 			corID: inj.CorID, domain: inj.Domain, state: st, raw: inj.State,
 		}
+	}
+	for _, d := range exp.DerivedCors {
+		sh.derived = append(sh.derived, derivedCor{ID: d.ID, Parent: d.Parent})
+		if s.Cors.Get(d.ID) != nil {
+			continue // already present (e.g. round-tripped back)
+		}
+		rec, err := s.Cors.Derive(d.Parent, d.ID, d.Plaintext)
+		if err != nil {
+			return errf(ErrBadRequest, "importing derived cor %s: %v", d.ID, err)
+		}
+		op.vault(rec)
 	}
 	sh.replays.Import(exp.Replays)
 

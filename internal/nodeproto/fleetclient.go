@@ -78,14 +78,6 @@ func (fc *FleetClient) Close() error {
 	return first
 }
 
-// RouteOf reports the member that last served the device ("" if the device
-// has not been routed yet).
-func (fc *FleetClient) RouteOf(deviceID string) string {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.route[deviceID]
-}
-
 func (fc *FleetClient) setRoute(deviceID, member string) {
 	fc.mu.Lock()
 	fc.route[deviceID] = member

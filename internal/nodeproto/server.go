@@ -20,11 +20,18 @@ import (
 	"tinman/internal/policy"
 )
 
-// Default per-connection limits; override the Server fields before Serve.
+// Per-connection limits.
 const (
-	DefaultReadTimeout  = 5 * time.Minute
-	DefaultWriteTimeout = time.Minute
-	DefaultMaxInflight  = 64
+	// DefaultReadTimeout bounds the idle wait for the next request when
+	// Server.ReadTimeout is zero.
+	DefaultReadTimeout = 5 * time.Minute
+	// writeTimeout bounds each response write.
+	writeTimeout = time.Minute
+	// maxInflight sizes each connection's request and response queues, so
+	// a pipelining client can have that many requests waiting;
+	// handlerWorkers of them are handled at once.
+	maxInflight    = 64
+	handlerWorkers = 16
 )
 
 // Server exposes the trusted-node service behind the control protocol. The
@@ -32,7 +39,7 @@ const (
 // node.Service; this type only frames, dispatches and correlates. Serve
 // runs it on a real TCP listener; it is safe for concurrent connections,
 // and each connection is pipelined: requests are handled concurrently
-// (bounded by MaxInflight) and answered as they finish, correlated by
+// (bounded by maxInflight) and answered as they finish, correlated by
 // Request.Seq. Other transports hand decoded requests to Dispatch.
 type Server struct {
 	// Svc is the transport-agnostic service every request dispatches into;
@@ -44,13 +51,8 @@ type Server struct {
 	Logf func(format string, args ...any)
 
 	// ReadTimeout bounds the idle wait for the next request on a
-	// connection; WriteTimeout bounds each response write. Zero values use
-	// the defaults. Set before Serve.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// MaxInflight caps concurrently-handled requests per connection
-	// (0 means DefaultMaxInflight).
-	MaxInflight int
+	// connection (zero means DefaultReadTimeout). Set before Serve.
+	ReadTimeout time.Duration
 
 	// selfID and placement are installed by SetPlacement when this server
 	// is one member of a fleet: device-keyed operations for shards owned by
@@ -229,14 +231,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	if readTimeout == 0 {
 		readTimeout = DefaultReadTimeout
 	}
-	writeTimeout := s.WriteTimeout
-	if writeTimeout == 0 {
-		writeTimeout = DefaultWriteTimeout
-	}
-	inflight := s.MaxInflight
-	if inflight <= 0 {
-		inflight = DefaultMaxInflight
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -255,20 +249,16 @@ func (s *Server) handleConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	var (
 		workers  sync.WaitGroup
-		reqq     = make(chan *Request, inflight)
-		respq    = make(chan *Response, inflight)
+		reqq     = make(chan *Request, maxInflight)
+		respq    = make(chan *Response, maxInflight)
 		respDone = make(chan struct{})
 	)
 
-	// A fixed pool of handler workers (bounded by MaxInflight) processes
-	// requests concurrently and possibly out of order; Seq correlation
-	// lets the client reassemble. A pool, not goroutine-per-request,
-	// keeps warm stacks across requests on a busy connection.
-	nworkers := inflight
-	if nworkers > 16 {
-		nworkers = 16
-	}
-	for i := 0; i < nworkers; i++ {
+	// A fixed pool of handler workers processes requests concurrently and
+	// possibly out of order; Seq correlation lets the client reassemble. A
+	// pool, not goroutine-per-request, keeps warm stacks across requests
+	// on a busy connection.
+	for i := 0; i < handlerWorkers; i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()

@@ -229,9 +229,6 @@ func (st *Stack) sendSegment(dst string, seg *Segment, wire []byte) {
 	_ = st.host.Send(&netsim.Packet{Dst: dst, Payload: wire})
 }
 
-// Conns returns the number of live connections (diagnostics).
-func (st *Stack) Conns() int { return len(st.conns) }
-
 // AbortAll resets every connection on the stack, modeling the TCP state
 // loss of a host crash or reboot: peers of established connections get a
 // RST, pending retransmission timers die with their connections.

@@ -40,12 +40,6 @@ func (s *Session) Open(wire []byte) (RecordType, []byte, []byte, error) {
 	return s.in.open(wire)
 }
 
-// WriteSeq and ReadSeq expose sequence numbers for tests and accounting.
-func (s *Session) WriteSeq() uint64 { return s.out.seq }
-
-// ReadSeq is the receive-direction sequence number.
-func (s *Session) ReadSeq() uint64 { return s.in.seq }
-
 // HalfState is the exportable state of one direction.
 type HalfState struct {
 	Seq     uint64 `json:"seq"`

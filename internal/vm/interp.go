@@ -43,15 +43,17 @@ const defaultMaxInstrs = 500_000_000
 // VM.Instrs and the top frame's PC are therefore exact when Run returns and
 // before any native call, but not observed mid-loop.
 //
-// When the program's taint pre-analysis is in effect (vm.fastEnabled), run
+// When the program's taint pre-analysis is in effect (vm.fastEnabled), Run
 // alternates between two loops: runTracked below — the fully instrumented
 // interpreter — and runFast (interp_fast.go), the uninstrumented loop for
 // frames born taint-free in analysis-approved methods. Control switches at
 // frame boundaries: pushing a fast-eligible frame with clean argument tags
 // hands off to the fast loop; a deoptimization guard or a push of tracked
 // code hands back. Both loops share the one instruction budget, so
-// StopLimit lands on exactly the same instruction either way.
-func (t *Thread) run() (StopReason, error) {
+// StopLimit lands on exactly the same instruction either way. Propagation
+// counters (Config.CollectStats) are runTracked's alone: a VM that counts
+// never enables the fast loop.
+func (t *Thread) Run() (StopReason, error) {
 	v := t.VM
 	max := t.MaxInstrs
 	if max == 0 {
@@ -86,7 +88,7 @@ func (t *Thread) run() (StopReason, error) {
 // runTracked is the fully instrumented dispatch loop, bounded by budget
 // instructions. It returns the consumed instruction count and, when the
 // fast path is enabled, may return handoff=true with the thread's top
-// frame positioned for the uninstrumented loop (see run above); every
+// frame positioned for the uninstrumented loop (see Run above); every
 // other return is final for this Run.
 func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 	v := t.VM
@@ -103,9 +105,9 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 	tracking := v.tracking
 	// observe is false only for the untainted baseline with no hooks: then
 	// heap reads skip taint observation entirely.
-	observe := tracking || v.CollectStats || v.Hooks.OnTaintedAccess != nil
+	observe := tracking || v.collectStats || v.Hooks.OnTaintedAccess != nil
 	s2s, s2h, h2s, h2h := v.trackS2S, v.trackS2H, v.trackH2S, v.trackH2H
-	stats := v.CollectStats
+	stats := v.collectStats
 	countS2S := s2s && stats
 	countS2H := s2h && stats
 	corIdle := v.corIdleWindow > 0
@@ -803,12 +805,6 @@ func (t *Thread) runTracked(budget uint64) (StopReason, bool, uint64, error) {
 				return t.failAt(f, pc, executed-flushed, "stack overflow (%d frames)", maxFrames)
 			}
 			v.Calls++
-			if v.Hooks.OnInvoke != nil {
-				f.PC = pc
-				v.Instrs += executed - flushed
-				flushed = executed
-				v.Hooks.OnInvoke(m)
-			}
 			nf := t.getFrame(m, in.Args, regs, tracking)
 			if tracking {
 				for i, r := range in.Args {
@@ -1001,7 +997,7 @@ func (t *Thread) failAt(f *Frame, pc int, pending uint64, format string, args ..
 // reset and the offload trigger. It reports whether migration is requested.
 func (t *Thread) heapRead(tag taint.Tag) bool {
 	v := t.VM
-	if v.CollectStats {
+	if v.collectStats {
 		v.Counters.Add(taint.HeapToStack)
 	}
 	if tag.Empty() {
@@ -1009,7 +1005,7 @@ func (t *Thread) heapRead(tag taint.Tag) bool {
 	}
 	v.sinceTainted = 0
 	if v.Hooks.OnTaintedAccess != nil {
-		if v.CollectStats {
+		if v.collectStats {
 			v.Counters.Triggered++
 		}
 		return v.Hooks.OnTaintedAccess(tag, taint.HeapToStack)
@@ -1022,7 +1018,7 @@ func (t *Thread) heapRead(tag taint.Tag) bool {
 // yields a new cor and triggers offloading (§3.5, fig 11 line 6).
 func (t *Thread) heapCombine(tag taint.Tag) bool {
 	v := t.VM
-	if v.CollectStats {
+	if v.collectStats {
 		v.Counters.Add(taint.HeapToHeap)
 	}
 	if tag.Empty() {
@@ -1030,7 +1026,7 @@ func (t *Thread) heapCombine(tag taint.Tag) bool {
 	}
 	v.sinceTainted = 0
 	if v.Hooks.OnTaintedAccess != nil {
-		if v.CollectStats {
+		if v.collectStats {
 			v.Counters.Triggered++
 		}
 		return v.Hooks.OnTaintedAccess(tag, taint.HeapToHeap)

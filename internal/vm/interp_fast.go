@@ -20,12 +20,13 @@ import (
 //     policy but provably stay zero),
 //   - no per-instruction policy checks,
 //   - no cor-idle accounting (vm.fastEnabled excludes that configuration),
+//   - no propagation counting (vm.fastEnabled excludes CollectStats too, so
+//     counts come only from the tracked loop that defines them),
 //
 // and executes the method's quickened instruction stream (Method.fastCode,
 // see quicken.go) with fused superinstructions for the hottest pairs. A
 // call of a leaf method (leafShape in quicken.go) runs without a frame
-// (runLeaf) when no hook, counter or budget boundary could observe the
-// difference.
+// (runLeaf) when its whole body fits the remaining budget.
 //
 // Taint can enter a running fast frame through exactly four channels, and
 // each carries a guard that deoptimizes the frame to the tracked loop
@@ -33,9 +34,9 @@ import (
 //
 //  1. heap reads (aget/iget/string ops): the observed heap-side tag is
 //     checked; non-empty → deoptFast un-counts the instruction and the
-//     tracked loop re-executes it with full instrumentation (counters,
-//     idle reset, OnTaintedAccess, migrate stop — bit-identical to having
-//     run tracked from the start);
+//     tracked loop re-executes it with full instrumentation (idle reset,
+//     OnTaintedAccess, migrate stop — bit-identical to having run tracked
+//     from the start);
 //  2. native-call results: natives are impure and cannot be re-executed,
 //     so the call completes, the result tag is stored, and the frame
 //     deoptimizes at the next pc;
@@ -49,13 +50,6 @@ import (
 // the scheduler, DSM sync — lands in the heap or in new frames, which is
 // exactly what those guards watch; the static verdicts are profitability,
 // the guards are correctness.
-//
-// Where the tracked loop counts propagation events (CollectStats), this
-// loop replicates the counts exactly: a clean heap read still counts
-// HeapToStack, a clean derived string still counts HeapToHeap, and the
-// stack classes count per the same policy gates — the differential harness
-// pins all of it. Deoptimization un-counts the guarded instruction first,
-// so the tracked re-execution counts it exactly once.
 func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 	v := t.VM
 	max := budget
@@ -65,11 +59,8 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 
 	var executed, flushed uint64
 	tracking := v.tracking
-	stats := v.CollectStats
 	s2h, h2h := v.trackS2H, v.trackH2H
-	obs := tracking || stats || v.Hooks.OnTaintedAccess != nil
-	countS2S := v.trackS2S && stats
-	countS2H := s2h && stats
+	obs := tracking || v.Hooks.OnTaintedAccess != nil
 
 	f := t.Frames[len(t.Frames)-1]
 	pc := f.PC
@@ -126,49 +117,25 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 
 		case OpMove:
 			regs[in.A] = regs[in.B]
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 
 		case OpAdd:
 			regs[in.A] = IntVal(regs[in.B].Int + regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpSub:
 			regs[in.A] = IntVal(regs[in.B].Int - regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpMul:
 			regs[in.A] = IntVal(regs[in.B].Int * regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpAnd:
 			regs[in.A] = IntVal(regs[in.B].Int & regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpOr:
 			regs[in.A] = IntVal(regs[in.B].Int | regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpXor:
 			regs[in.A] = IntVal(regs[in.B].Int ^ regs[in.C].Int)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 		case OpDiv, OpRem, OpShl, OpShr, OpCmp:
 			b, c := regs[in.B].Int, regs[in.C].Int
 			if (in.Op == OpDiv || in.Op == OpRem) && c == 0 {
 				return t.failAt(f, pc, executed-flushed, "division by zero")
 			}
 			regs[in.A] = IntVal(intArith(in.Op, b, c))
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 
 		case OpNeg, OpNot:
 			r := -regs[in.B].Int
@@ -176,15 +143,9 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				r = ^regs[in.B].Int
 			}
 			regs[in.A] = IntVal(r)
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 
 		case OpAddF, OpSubF, OpMulF, OpDivF, OpCmpF:
 			regs[in.A] = floatArith(in.Op, regs[in.B].Float(), regs[in.C].Float())
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 
 		case OpNegF:
 			regs[in.A] = FloatVal(-regs[in.B].Float())
@@ -271,9 +232,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
 				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
-				}
 			}
 			regs[in.A] = o.Elems[ix]
 
@@ -291,9 +249,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				// The stored register is clean by invariant, but the slot's
 				// old tag must still be cleared, exactly as tracked does.
 				o.SetElemTag(int(ix), taint.None)
-				if countS2H {
-					v.Counters.Add(taint.StackToHeap)
-				}
 			}
 			v.Heap.MarkDirty(o)
 
@@ -318,9 +273,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
 				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
-				}
 			}
 			regs[in.A] = o.Fields[fi]
 
@@ -343,9 +295,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 			o.Fields[fi] = regs[in.A]
 			if s2h {
 				o.SetFieldTag(fi, taint.None)
-				if countS2H {
-					v.Counters.Add(taint.StackToHeap)
-				}
 			}
 			v.Heap.MarkDirty(o)
 
@@ -372,9 +321,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if !tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToHeap)
 				}
 			}
 			var dst *Object
@@ -424,12 +370,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				for i := 0; i < n; i++ {
 					dst.SetElemTag(i, src.ElemTag(i))
 				}
-				if stats {
-					v.Counters.Add(taint.HeapToHeap)
-				}
-			}
-			if obs && stats {
-				v.Counters.Add(taint.HeapToHeap)
 			}
 			v.Heap.MarkDirty(dst)
 
@@ -442,9 +382,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if tag := b.Ref.Tag.Union(c.Ref.Tag); !tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToHeap)
 				}
 			}
 			// Both operands proven clean: the instrumented byte-by-byte
@@ -461,9 +398,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if !o.Tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
 				}
 			}
 			regs[in.A] = IntVal(int64(len(o.Str)))
@@ -482,9 +416,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
 				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
-				}
 			}
 			regs[in.A] = IntVal(int64(o.Str[ix]))
 
@@ -497,9 +428,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if tag := b.Tag.Union(c.Tag); !tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
 				}
 			}
 			var r int64
@@ -517,9 +445,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if tag := b.Tag.Union(c.Tag); !tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
 				}
 			}
 			regs[in.A] = IntVal(int64(strings.Index(b.Str, c.Str)))
@@ -542,16 +467,10 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
 				}
-				if stats {
-					v.Counters.Add(taint.HeapToHeap)
-				}
 			}
 			regs[in.A] = RefVal(v.Heap.AllocString(v.stringClass, o.Str[start:end], taint.None))
 
 		case OpIntToStr:
-			if countS2H {
-				v.Counters.Add(taint.StackToHeap)
-			}
 			regs[in.A] = RefVal(v.Heap.AllocString(v.stringClass, strconv.FormatInt(regs[in.B].Int, 10), taint.None))
 
 		case OpStrToInt:
@@ -563,9 +482,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if !o.Tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
 				}
 			}
 			n, err := strconv.ParseInt(strings.TrimSpace(o.Str), 10, 64)
@@ -583,9 +499,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if !o.Tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToHeap)
 				}
 			}
 			sum := sha256.Sum256([]byte(o.Str))
@@ -628,7 +541,7 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				return t.failAt(f, pc, executed-flushed, "stack overflow (%d frames)", maxFrames)
 			}
 			v.Calls++
-			if m.leaf && !stats && v.Hooks.OnInvoke == nil && executed+uint64(len(m.Code)) <= max {
+			if m.leaf && executed+uint64(len(m.Code)) <= max {
 				// Frame-free leaf call (leafShape in quicken.go): the whole
 				// body fits the budget and nothing in it can stop, fault or
 				// observe a frame, so it runs over the scratch window and
@@ -639,13 +552,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 					f.Tags[in.A] = taint.None
 				}
 				break
-			}
-			if v.Hooks.OnInvoke != nil {
-				f.PC = pc
-				v.Instrs += executed - flushed
-				v.FastInstrs += executed - flushed
-				flushed = executed
-				v.Hooks.OnInvoke(m)
 			}
 			// Argument shadow tags are all None by the fast invariant, and
 			// getFrame hands out None tags — nothing to copy.
@@ -807,25 +713,16 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 			regs[in.A] = IntVal(in.Imm)
 			regs[in.B] = IntVal(regs[in.C].Int + regs[int(in.Imm3)].Int)
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = pc + 2
 		case fConstSub:
 			regs[in.A] = IntVal(in.Imm)
 			regs[in.B] = IntVal(regs[in.C].Int - regs[int(in.Imm3)].Int)
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = pc + 2
 		case fConstMul:
 			regs[in.A] = IntVal(in.Imm)
 			regs[in.B] = IntVal(regs[in.C].Int * regs[int(in.Imm3)].Int)
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = pc + 2
 
 		case fConstArith:
@@ -840,26 +737,17 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 			}
 			regs[in.B] = IntVal(intArith(op2, x, y))
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = pc + 2
 
 		case fConstFArith:
 			regs[in.A] = FloatVal(in.F)
 			regs[in.B] = floatArith(Op(in.Imm2), regs[in.C].Float(), regs[int(in.Imm3)].Float())
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = pc + 2
 
 		case fArithGoto:
 			regs[in.A] = IntVal(intArith(Op(in.Imm2), regs[in.B].Int, regs[in.C].Int))
 			executed++
-			if countS2S {
-				v.Counters.Add(taint.StackToStack)
-			}
 			npc = int(in.Imm)
 
 		case fConstAPut:
@@ -876,9 +764,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 			o.Elems[ix] = regs[in.A]
 			if s2h {
 				o.SetElemTag(int(ix), taint.None)
-				if countS2H {
-					v.Counters.Add(taint.StackToHeap)
-				}
 			}
 			v.Heap.MarkDirty(o)
 			npc = pc + 2
@@ -896,9 +781,6 @@ func (t *Thread) runFast(budget uint64) (StopReason, bool, uint64, error) {
 				if tag := o.ElemTag(int(ix)).Union(o.Tag); !tag.Empty() {
 					executed--
 					return t.deoptFast(f, pc, executed-flushed, executed)
-				}
-				if stats {
-					v.Counters.Add(taint.HeapToStack)
 				}
 			}
 			val := o.Elems[ix]

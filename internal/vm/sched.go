@@ -103,9 +103,6 @@ func (s *Scheduler) Spawn(m *Method, args ...Value) (*SchedThread, error) {
 	return st, nil
 }
 
-// Threads returns all managed threads.
-func (s *Scheduler) Threads() []*SchedThread { return s.threads }
-
 // onMonitorEnter implements local mutual exclusion; uncontended monitors
 // fall through to the chained hook.
 func (s *Scheduler) onMonitorEnter(o *Object) bool {

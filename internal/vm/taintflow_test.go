@@ -188,16 +188,15 @@ func TestDisassembleVerdictAnnotations(t *testing.T) {
 }
 
 // twoVMs builds a fast-path VM and a NoFastPath control on the same
-// program and policy, both with stats so outcome comparison covers the
-// propagation counters.
+// program and policy, both without stats: the configuration devices run,
+// and the only one in which the fast loop runs.
 func twoVMs(prog *vm.Program, policy taint.Policy) (fast, control *vm.VM) {
 	mk := func(noFast bool) *vm.VM {
 		return vm.New(vm.Config{
-			Program:      prog,
-			Heap:         vm.NewHeap(1, 2),
-			Policy:       policy,
-			CollectStats: true,
-			NoFastPath:   noFast,
+			Program:    prog,
+			Heap:       vm.NewHeap(1, 2),
+			Policy:     policy,
+			NoFastPath: noFast,
 		})
 	}
 	return mk(false), mk(true)
@@ -217,9 +216,6 @@ func checkSame(t *testing.T, what string, fast, control *vm.VM, fr, cr vm.Value)
 	}
 	if fast.Calls != control.Calls {
 		t.Errorf("%s: call counts diverge: %d vs %d", what, fast.Calls, control.Calls)
-	}
-	if fast.Counters != control.Counters {
-		t.Errorf("%s: counters diverge: %v vs %v", what, fast.Counters, control.Counters)
 	}
 }
 
@@ -460,6 +456,74 @@ end`
 		if fast.FastInstrs != fast.Instrs {
 			t.Errorf("quantum %d: FastInstrs %d != Instrs %d for an all-fast program",
 				quantum, fast.FastInstrs, fast.Instrs)
+		}
+	}
+}
+
+// TestCollectStatsRunsTracked pins where propagation counts come from: a
+// VM built with CollectStats runs every instruction on the tracked loop,
+// even for an analyzed program whose code the fast loop would otherwise
+// take, and counts exactly what a NoFastPath VM counts. `tinman-asm run
+// -stats` relies on this.
+func TestCollectStatsRunsTracked(t *testing.T) {
+	const src = `
+class S
+  method tiny 1 5
+    const r1, 3
+    add r2, r0, r1
+    mul r3, r2, r2
+    xor r4, r3, r1
+    return r4
+  end
+  method main 1 9
+    newarr r1, r0
+    const r2, 0
+    const r3, 0
+    conststr r6, "ab"
+  loop:
+    ifge r2, r0, done
+    invoke r4, S.tiny, r2
+    aput r4, r1, r2
+    aget r5, r1, r2
+    add r3, r3, r5
+    strcat r7, r6, r6
+    const r8, 1
+    add r2, r2, r8
+    goto loop
+  done:
+    return r3
+  end
+end`
+	prog := analyzed(t, "s", src)
+	m := prog.Method("S", "main")
+	for _, pol := range []taint.Policy{taint.Off, taint.Full, taint.Asymmetric} {
+		run := func(cfg vm.Config) *vm.VM {
+			cfg.Program, cfg.Heap, cfg.Policy = prog, vm.NewHeap(1, 2), pol
+			machine := vm.New(cfg)
+			th, err := machine.NewThread(m, vm.IntVal(20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stop, err := th.Run(); stop != vm.StopDone || err != nil {
+				t.Fatalf("%s: stop %v, err %v", pol.Name(), stop, err)
+			}
+			return machine
+		}
+		if plain := run(vm.Config{}); plain.FastInstrs == 0 {
+			t.Fatalf("%s: the program runs no fast instruction even without stats", pol.Name())
+		}
+		counted := run(vm.Config{CollectStats: true})
+		control := run(vm.Config{CollectStats: true, NoFastPath: true})
+		if counted.FastInstrs != 0 {
+			t.Errorf("%s: a counting VM ran %d of %d instructions on the fast loop",
+				pol.Name(), counted.FastInstrs, counted.Instrs)
+		}
+		if counted.Instrs != control.Instrs || counted.Calls != control.Calls || counted.Counters != control.Counters {
+			t.Errorf("%s: counted run (instrs %d, calls %d, %v) differs from NoFastPath (instrs %d, calls %d, %v)",
+				pol.Name(), counted.Instrs, counted.Calls, counted.Counters, control.Instrs, control.Calls, control.Counters)
+		}
+		if counted.Counters == (taint.Counters{}) {
+			t.Errorf("%s: the program counted no propagation", pol.Name())
 		}
 	}
 }

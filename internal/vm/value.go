@@ -79,12 +79,6 @@ func NullVal() Value { return Value{Kind: KindRef} }
 // IsNull reports whether v is a nil reference.
 func (v Value) IsNull() bool { return v.Kind == KindRef && v.Ref == nil }
 
-// Tainted reports whether the value carries any taint, including (for
-// references) the referenced object's own tag. Note the paper's subtlety: a
-// *copy of a reference* to a tainted object is itself untainted — the object
-// carries the tag — so plain reference moves never propagate taint (§3.5).
-func (v Value) Tainted() bool { return !v.Tag.Empty() }
-
 // EffectiveTag returns the taint observable when the value's datum is read:
 // the slot tag, unioned with the object tag when dereferencing a string or
 // array whose content is tainted at object granularity.

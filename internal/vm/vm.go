@@ -80,14 +80,6 @@ type Hooks struct {
 	// NativeGate fires before a native call. Returning true stops the
 	// thread with StopMigrateNative.
 	NativeGate func(def *NativeDef) bool
-	// OnInvoke fires on every method invocation (profilers attach here).
-	OnInvoke func(m *Method)
-	// OnRunStats fires once per Thread.Run with the instruction and call
-	// deltas of that burst and the stop reason. It hangs off the single-exit
-	// Run wrapper, not the dispatch loop, so when unset the interpreter pays
-	// one nil check per Run — nothing per instruction (the Fig 13 guard
-	// pins this).
-	OnRunStats func(instrs, calls uint64, stop StopReason)
 }
 
 // Config assembles a VM.
@@ -95,8 +87,10 @@ type Config struct {
 	Program *Program
 	Heap    *Heap
 	Policy  taint.Policy
-	// CollectStats enables per-class propagation counters (small overhead;
-	// benchmarks measuring tainting cost leave it off).
+	// CollectStats enables per-class propagation counters (VM.Counters).
+	// Counting is the tracked loop's job, so it also disables the fast
+	// path: every instruction of a counted run is instrumented. Benchmarks
+	// measuring tainting cost leave it off.
 	CollectStats bool
 	// CorIdleWindow, when positive, stops the thread with StopMigrateIdle
 	// after that many instructions without a tainted access. The trusted
@@ -125,9 +119,9 @@ type VM struct {
 	Policy  taint.Policy
 	Hooks   Hooks
 
-	// Counters tallies propagation classes when CollectStats is set.
+	// Counters tallies propagation classes when Config.CollectStats is set.
 	Counters     taint.Counters
-	CollectStats bool
+	collectStats bool
 
 	// Instrs counts executed instructions (the compute-cost model input);
 	// Calls counts method invocations (Table 3's offloaded-code metric).
@@ -154,9 +148,9 @@ type VM struct {
 	// slowPath mirrors Config.SlowPath (reference interpreter).
 	slowPath bool
 	// fastEnabled gates the uninstrumented fast-path loop: the program must
-	// be analyzed, and neither SlowPath nor NoFastPath set. The trusted
-	// node's cor-idle window needs a per-instruction check the fast loop
-	// deliberately lacks, so it also disables it.
+	// be analyzed, and none of SlowPath, NoFastPath and CollectStats set.
+	// The trusted node's cor-idle window needs a per-instruction check the
+	// fast loop deliberately lacks, so it also disables it.
 	fastEnabled bool
 }
 
@@ -172,7 +166,7 @@ func New(cfg Config) *VM {
 		Program:       cfg.Program,
 		Heap:          cfg.Heap,
 		Policy:        cfg.Policy,
-		CollectStats:  cfg.CollectStats,
+		collectStats:  cfg.CollectStats,
 		corIdleWindow: cfg.CorIdleWindow,
 		slowPath:      cfg.SlowPath,
 		natives:       make(map[string]*NativeDef),
@@ -182,8 +176,8 @@ func New(cfg Config) *VM {
 		trackS2H:      cfg.Policy.Tracks(taint.StackToHeap),
 	}
 	v.tracking = v.trackH2H || v.trackH2S || v.trackS2S || v.trackS2H
-	v.fastEnabled = !cfg.SlowPath && !cfg.NoFastPath && cfg.CorIdleWindow == 0 &&
-		cfg.Program.Analyzed()
+	v.fastEnabled = !cfg.SlowPath && !cfg.NoFastPath && !cfg.CollectStats &&
+		cfg.CorIdleWindow == 0 && cfg.Program.Analyzed()
 	// Built-in classes exist on every VM so both endpoints resolve them
 	// identically during DSM sync.
 	v.stringClass = NewClass("java/lang/String")
@@ -194,9 +188,6 @@ func New(cfg Config) *VM {
 // Tracking reports whether any propagation class is instrumented (false
 // only for the Off baseline).
 func (v *VM) Tracking() bool { return v.tracking }
-
-// StringClass returns the built-in string class.
-func (v *VM) StringClass() *Class { return v.stringClass }
 
 // ArrayClass returns the built-in array class.
 func (v *VM) ArrayClass() *Class { return v.arrayClass }
@@ -222,9 +213,6 @@ func (v *VM) RegisterNative(def *NativeDef) {
 	}
 	v.natives[def.Name] = def
 }
-
-// Native returns a registered native, or nil.
-func (v *VM) Native(name string) *NativeDef { return v.natives[name] }
 
 // NewString allocates an untainted string object.
 func (v *VM) NewString(s string) *Object {
@@ -257,8 +245,8 @@ type Frame struct {
 	// invariant is that every register shadow tag of such a frame is None.
 	// deopted is set the first time taint reaches the frame (a guard trip,
 	// a tainted return value); the frame then runs on the tracked loop for
-	// the rest of its life. Frames rebuilt by the DSM or rebound across
-	// endpoints leave both false — conservatively tracked.
+	// the rest of its life. Frames rebuilt by the DSM leave both false —
+	// conservatively tracked.
 	fastOK  bool
 	deopted bool
 	// tagsDirty is set when a pooled frame last ran tracked: some slot of
@@ -276,8 +264,8 @@ func (f *Frame) Tag(i int) taint.Tag {
 }
 
 // Thread is a logical thread: a stack of frames bound to a VM. After a
-// migration the same Thread object continues on the other endpoint's VM
-// (the DSM rebinds it).
+// migration the other endpoint's DSM rebuilds the stack as a Thread of its
+// own VM.
 type Thread struct {
 	VM     *VM
 	Frames []*Frame
@@ -403,22 +391,6 @@ func (t *Thread) putFrame(f *Frame) {
 	t.framePool = append(t.framePool, f)
 }
 
-// Run executes until the thread finishes, migrates, or exhausts its budget
-// (see interp.go for the dispatch loop). The wrapper is the interpreter's
-// single exit: it reports each burst's instruction/call deltas through the
-// optional Hooks.OnRunStats without touching the ~50 early returns inside
-// the loop.
-func (t *Thread) Run() (StopReason, error) {
-	hook := t.VM.Hooks.OnRunStats
-	if hook == nil {
-		return t.run()
-	}
-	i0, c0 := t.VM.Instrs, t.VM.Calls
-	stop, err := t.run()
-	hook(t.VM.Instrs-i0, t.VM.Calls-c0, stop)
-	return stop, err
-}
-
 // Depth returns the current frame-stack depth.
 func (t *Thread) Depth() int { return len(t.Frames) }
 
@@ -428,26 +400,6 @@ func (t *Thread) Top() *Frame {
 		return nil
 	}
 	return t.Frames[len(t.Frames)-1]
-}
-
-// Rebind moves the thread to another VM (after DSM migration). Frame
-// methods are re-resolved against the target VM's program by name, since
-// Method pointers are endpoint-local.
-func (t *Thread) Rebind(v *VM) error {
-	for _, f := range t.Frames {
-		m := v.Program.Method(f.Method.Class.Name, f.Method.Name)
-		if m == nil {
-			return fmt.Errorf("vm: rebind: method %s not found in target program", f.Method.FullName())
-		}
-		f.Method = m
-		// A migrated-in frame may carry taint the source endpoint tracked;
-		// run it on the tracked loop (the target program's analysis proves
-		// nothing about this frame's current register state).
-		f.fastOK = false
-		f.deopted = false
-	}
-	t.VM = v
-	return nil
 }
 
 // CheckStack reports whether frames, outermost first, form a stack the
