@@ -159,13 +159,15 @@ chaos:
 # Storage-engine crash gate: every store chaos sweep (kill at every
 # filesystem operation, crash during snapshot, double-crash during
 # recovery, recovered-state equivalence) plus the durable node and
-# full-world restart suites. The invariants: acknowledged records survive,
-# audit Seq stays gap-free, recovery is idempotent, and cor plaintext never
-# appears in WAL or snapshot bytes. The durable fleet failover suite runs
-# in fleet-smoke's full -race pass over internal/fleet.
+# full-world restart suites and the node's shard imports on a failed store.
+# The invariants: acknowledged records survive, audit Seq stays gap-free,
+# recovery is idempotent, cor plaintext never appears in WAL or snapshot
+# bytes, and a failed import leaves no derived cor behind. The durable
+# fleet failover suite runs in fleet-smoke's full -race pass over
+# internal/fleet.
 crash-chaos:
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestDurable' ./internal/node/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestDurable|TestImportShard' ./internal/node/ ./internal/core/
 
 # Fleet gate: deterministic placement, drain/rebalance via shard handoff,
 # crash failover on the audit watermark (the whole internal/fleet suite,

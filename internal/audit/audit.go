@@ -66,14 +66,27 @@ func (e Entry) String() string {
 
 // numShards stripes the log so concurrent appends from many connections
 // do not serialize on one mutex. Entries land in the shard of their
-// (device, cor) pair, which keeps anomaly detection — a scan over one
+// (device, cor) pair, which keeps anomaly detection — a count of one
 // pair's recent denials — local to a single shard.
 const numShards = 16
+
+// A (device, cor) pair with AnomalyThreshold denials within AnomalyWindow
+// is reported as an anomaly.
+const (
+	AnomalyThreshold = 3
+	AnomalyWindow    = time.Hour
+)
+
+// pair names the (device, cor) pair an entry belongs to.
+type pair struct{ deviceID, corID string }
 
 // shard is one lock-striped segment of the log.
 type shard struct {
 	mu      sync.Mutex
 	entries []Entry
+	// denials holds each pair's denial times from AnomalyWindow before its
+	// latest denial onwards, oldest first.
+	denials map[pair][]time.Time
 }
 
 // Log is the append-only audit trail. It is safe for concurrent use:
@@ -90,11 +103,6 @@ type Log struct {
 	// subscribers receive every appended entry (the "reported to the user"
 	// channel).
 	subscribers []func(Entry)
-
-	// AnomalyThreshold is the per-(device,cor) denial count within
-	// AnomalyWindow that flags an anomaly. Set before concurrent use.
-	AnomalyThreshold int
-	AnomalyWindow    time.Duration
 
 	anomMu    sync.Mutex
 	anomalies []Anomaly
@@ -119,7 +127,7 @@ func NewLog(now func() time.Time) *Log {
 	if now == nil {
 		now = time.Now
 	}
-	return &Log{now: now, AnomalyThreshold: 3, AnomalyWindow: time.Hour}
+	return &Log{now: now}
 }
 
 // shardSeed keys the shard hash; process-local is fine, the mapping only
@@ -159,28 +167,35 @@ func (l *Log) AppendEntry(e Entry) Entry {
 }
 
 // detectAnomalyLocked flags repeated denials for the same device+cor. The
-// caller holds sh.mu; all of the pair's entries live in sh, appended in
-// time order, so the backwards scan with an early break is complete.
+// caller holds sh.mu. A denial joins its pair's window, which drops the
+// times before e.Time-AnomalyWindow from its front, so the cost is O(1)
+// amortized however long the log is.
 func (l *Log) detectAnomalyLocked(sh *shard, e Entry) {
-	if e.Outcome != OutcomeDenied || l.AnomalyThreshold <= 0 {
+	if e.Outcome != OutcomeDenied {
 		return
 	}
-	cutoff := e.Time.Add(-l.AnomalyWindow)
-	count := 0
-	for i := len(sh.entries) - 1; i >= 0; i-- {
-		ent := sh.entries[i]
-		if ent.Time.Before(cutoff) {
-			break
-		}
-		if ent.Outcome == OutcomeDenied && ent.DeviceID == e.DeviceID && ent.CorID == e.CorID {
-			count++
-		}
+	if sh.denials == nil {
+		sh.denials = make(map[pair][]time.Time)
 	}
-	if count >= l.AnomalyThreshold {
+	k := pair{e.DeviceID, e.CorID}
+	w := sh.denials[k]
+	cutoff := e.Time.Add(-AnomalyWindow)
+	i := 0
+	for i < len(w) && w[i].Before(cutoff) {
+		i++
+	}
+	if i == len(w) {
+		w = nil // every earlier denial expired: release the old times
+	} else {
+		w = w[i:]
+	}
+	w = append(w, e.Time)
+	sh.denials[k] = w
+	if len(w) >= AnomalyThreshold {
 		l.anomMu.Lock()
 		l.anomalies = append(l.anomalies, Anomaly{
 			Time: e.Time, DeviceID: e.DeviceID, CorID: e.CorID,
-			Denials: count, Window: l.AnomalyWindow,
+			Denials: len(w), Window: AnomalyWindow,
 		})
 		l.anomMu.Unlock()
 	}
@@ -264,68 +279,45 @@ func (l *Log) Find(q Query) []Entry {
 	})
 }
 
-// Anomalies returns detected anomalies.
+// Anomalies returns detected anomalies: one per denial after which its
+// (device, cor) pair has AnomalyThreshold or more denials in
+// [Time-AnomalyWindow, Time], with that count as Denials, in the order the
+// denials were appended or restored. For a log in time order — what
+// AppendEntry writes under one lock, what the store recovers, a -json
+// export — these are exactly the anomalies of a scan back over the
+// pair's shard from each denial.
 func (l *Log) Anomalies() []Anomaly {
 	l.anomMu.Lock()
 	defer l.anomMu.Unlock()
 	return append([]Anomaly(nil), l.anomalies...)
 }
 
-// replace swaps in a loaded entry set (persistence restore): entries are
-// distributed to their shards and the sequence counter resumes after the
-// highest loaded Seq.
-func (l *Log) replace(entries []Entry, maxSeq uint64) {
+// Restore swaps in a recovered entry set (replayed from a durable store's
+// snapshot + WAL, or loaded from a -json export): the entries go to their
+// shards in the given order, anomaly detection runs over them in the same
+// pass, and the sequence counter resumes after the highest restored Seq.
+// For entries in log order the log is indistinguishable from one that
+// never crashed, its anomalies included.
+func (l *Log) Restore(entries []Entry) {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		sh.entries = nil
+		sh.entries, sh.denials = nil, nil
 		sh.mu.Unlock()
 	}
+	l.anomMu.Lock()
+	l.anomalies = nil
+	l.anomMu.Unlock()
+	var maxSeq uint64
 	for _, e := range entries {
 		sh := l.shardFor(e.DeviceID, e.CorID)
 		sh.mu.Lock()
 		sh.entries = append(sh.entries, e)
+		l.detectAnomalyLocked(sh, e)
 		sh.mu.Unlock()
+		maxSeq = max(maxSeq, e.Seq)
 	}
 	l.seq.Store(maxSeq)
-}
-
-// Restore swaps in a recovered entry set (e.g. replayed from a durable
-// store's snapshot + WAL): entries are redistributed to their shards, the
-// sequence counter resumes after the highest restored Seq, and anomaly
-// detection is rescanned so the log is indistinguishable from one that
-// never crashed.
-func (l *Log) Restore(entries []Entry) {
-	var maxSeq uint64
-	for _, e := range entries {
-		if e.Seq > maxSeq {
-			maxSeq = e.Seq
-		}
-	}
-	l.replace(entries, maxSeq)
-	l.RescanAnomalies()
-}
-
-// RescanAnomalies replays anomaly detection over the current entries —
-// needed after loading a persisted log, where detection did not run at
-// append time.
-func (l *Log) RescanAnomalies() {
-	l.anomMu.Lock()
-	l.anomalies = nil
-	l.anomMu.Unlock()
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		all := sh.entries
-		for j := range all {
-			// detectAnomalyLocked scans backwards from the entry, so feed
-			// it prefixes in order.
-			sh.entries = all[:j+1]
-			l.detectAnomalyLocked(sh, all[j])
-		}
-		sh.entries = all
-		sh.mu.Unlock()
-	}
 }
 
 func short(h string) string {

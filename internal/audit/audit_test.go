@@ -78,8 +78,6 @@ func TestFind(t *testing.T) {
 func TestAnomalyDetection(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	l.AnomalyThreshold = 3
-	l.AnomalyWindow = time.Hour
 
 	// Two denials: below threshold.
 	appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
@@ -101,8 +99,6 @@ func TestAnomalyDetection(t *testing.T) {
 func TestAnomalyWindowExpires(t *testing.T) {
 	clock, now := testClock()
 	l := NewLog(now)
-	l.AnomalyThreshold = 3
-	l.AnomalyWindow = time.Hour
 	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
 	appendAccess(l, "h", "pw", "d", "", OutcomeDenied, "")
 	*clock = clock.Add(2 * time.Hour)
@@ -115,7 +111,6 @@ func TestAnomalyWindowExpires(t *testing.T) {
 func TestAnomalyScopedToDeviceAndCor(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	l.AnomalyThreshold = 3
 	appendAccess(l, "h", "pw", "d1", "", OutcomeDenied, "")
 	appendAccess(l, "h", "pw", "d2", "", OutcomeDenied, "")
 	appendAccess(l, "h", "cc", "d1", "", OutcomeDenied, "")
@@ -127,7 +122,6 @@ func TestAnomalyScopedToDeviceAndCor(t *testing.T) {
 func TestAllowedEntriesNeverAnomalous(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	l.AnomalyThreshold = 1
 	for i := 0; i < 10; i++ {
 		appendAccess(l, "h", "pw", "d", "", OutcomeAllowed, "")
 	}

@@ -37,34 +37,37 @@ func (e Entry) WireJSON() ([]byte, error) {
 	})
 }
 
-// ReadFrom replaces the log's entries with the JSON-lines stream from r.
-// The sequence counter resumes after the highest loaded sequence.
+// ReadFrom replaces the log's entries with the JSON-lines stream from r,
+// as Restore does.
 func (l *Log) ReadFrom(r io.Reader) (int64, error) {
+	entries, err := readEntries(r)
+	if err != nil {
+		return 0, err
+	}
+	l.Restore(entries)
+	return int64(len(entries)), nil
+}
+
+// readEntries decodes a JSON-lines stream into entries in stream order.
+func readEntries(r io.Reader) ([]Entry, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var entries []Entry
-	var maxSeq uint64
 	for {
 		var we wireEntry
 		if err := dec.Decode(&we); err == io.EOF {
-			break
+			return entries, nil
 		} else if err != nil {
-			return 0, fmt.Errorf("audit: loading entry %d: %v", len(entries), err)
+			return nil, fmt.Errorf("audit: loading entry %d: %v", len(entries), err)
 		}
 		if we.Outcome > uint8(OutcomeDenied) {
-			return 0, fmt.Errorf("audit: entry %d has invalid outcome %d", we.Seq, we.Outcome)
+			return nil, fmt.Errorf("audit: entry %d has invalid outcome %d", we.Seq, we.Outcome)
 		}
 		entries = append(entries, Entry{
 			Seq: we.Seq, Time: we.Time, AppHash: we.AppHash, CorID: we.CorID,
 			DeviceID: we.DeviceID, Domain: we.Domain, Outcome: Outcome(we.Outcome), Detail: we.Detail,
 			DeviceSeq: we.DeviceSeq,
 		})
-		if we.Seq > maxSeq {
-			maxSeq = we.Seq
-		}
 	}
-	l.replace(entries, maxSeq)
-	l.RescanAnomalies()
-	return int64(len(entries)), nil
 }
 
 // LoadFile replaces the log's entries with the JSON-lines file at path; a

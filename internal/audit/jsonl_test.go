@@ -96,7 +96,6 @@ func TestSaveLoadFile(t *testing.T) {
 func TestRescanAnomaliesAfterLoad(t *testing.T) {
 	_, now := testClock()
 	l := NewLog(now)
-	l.AnomalyThreshold = 3
 	for i := 0; i < 3; i++ {
 		appendAccess(l, "h", "pw", "stolen", "evil.com", OutcomeDenied, "")
 	}
@@ -106,7 +105,6 @@ func TestRescanAnomaliesAfterLoad(t *testing.T) {
 	buf := exportJSONL(t, l)
 
 	l2 := NewLog(now)
-	l2.AnomalyThreshold = 3
 	if _, err := l2.ReadFrom(buf); err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,20 @@ import (
 // StoreAppendEntry is one append-throughput measurement.
 type StoreAppendEntry struct {
 	// Mode is "memlog" (sharded in-memory audit log, the no-durability
-	// baseline), "wal-serial" (one appender waiting out every fsync — the
-	// durability floor), "wal-grouped" (concurrent appenders each waiting
-	// per record, sharing group commits — acknowledged-mutation latency) or
-	// "wal-pipelined" (appenders keep a window of records in flight —
-	// sustained throughput with durability still guaranteed per ticket).
+	// baseline), "memlog-denials" (the same with one append in DenyEvery
+	// denied, so anomaly detection runs), "wal-serial" (one appender
+	// waiting out every fsync — the durability floor), "wal-grouped"
+	// (concurrent appenders each waiting per record, sharing group commits
+	// — acknowledged-mutation latency) or "wal-pipelined" (appenders keep a
+	// window of records in flight — sustained throughput with durability
+	// still guaranteed per ticket).
 	Mode      string `json:"mode"`
 	Appenders int    `json:"appenders"`
 	// Window is how many appends each appender keeps in flight before
 	// waiting out the oldest ticket; 1 means acknowledge-every-record.
-	Window    int     `json:"window,omitempty"`
+	Window int `json:"window,omitempty"`
+	// DenyEvery is how often a memlog-denials append is a denial.
+	DenyEvery int     `json:"deny_every,omitempty"`
 	Records   int     `json:"records"`
 	NsPerOp   float64 `json:"ns_per_op"`
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -85,8 +89,11 @@ func benchEntry(i int) audit.Entry {
 }
 
 // measureMemlog appends records to the sharded in-memory audit log from
-// `appenders` goroutines — the pre-storage-engine baseline.
-func measureMemlog(appenders, records int) StoreAppendEntry {
+// `appenders` goroutines, one device each, at a fixed clock — the
+// pre-storage-engine baseline. With denyEvery > 0 one append in denyEvery
+// is a denial, the mix of tinbench's reseal workload, so anomaly detection
+// runs; the fixed clock keeps every denial inside the anomaly window.
+func measureMemlog(appenders, records, denyEvery int) StoreAppendEntry {
 	l := audit.NewLog(func() time.Time { return time.Unix(0, 0) })
 	per := records / appenders
 	var wg sync.WaitGroup
@@ -97,16 +104,24 @@ func measureMemlog(appenders, records int) StoreAppendEntry {
 			defer wg.Done()
 			dev := fmt.Sprintf("dev-%d", w)
 			for i := 0; i < per; i++ {
+				out := audit.OutcomeAllowed
+				if denyEvery > 0 && i%denyEvery == 0 {
+					out = audit.OutcomeDenied
+				}
 				l.AppendEntry(audit.Entry{AppHash: "sha256:aabbccddeeff0011", CorID: "bank-pw", DeviceID: dev,
-					Domain: "bank.example.com", Outcome: audit.OutcomeAllowed, Detail: "offloaded access", DeviceSeq: uint64(i + 1)})
+					Domain: "bank.example.com", Outcome: out, Detail: "offloaded access", DeviceSeq: uint64(i + 1)})
 			}
 		}(w)
 	}
 	wg.Wait()
 	d := time.Since(start)
 	n := per * appenders
+	mode := "memlog"
+	if denyEvery > 0 {
+		mode = "memlog-denials"
+	}
 	return StoreAppendEntry{
-		Mode: "memlog", Appenders: appenders, Records: n,
+		Mode: mode, Appenders: appenders, DenyEvery: denyEvery, Records: n,
 		NsPerOp:   float64(d.Nanoseconds()) / float64(n),
 		OpsPerSec: float64(n) / d.Seconds(),
 	}
@@ -217,13 +232,15 @@ func MeasureStoreBench(label string) (StoreBenchRun, error) {
 	// lengths is easily 30%, and the best run is the one that measures the
 	// engine rather than the interference.
 	const rounds = 3
-	memlog := measureMemlog(8, records)
-	for i := 1; i < rounds; i++ {
-		if e := measureMemlog(8, records); e.OpsPerSec > memlog.OpsPerSec {
-			memlog = e
+	for _, denyEvery := range []int{0, 16} {
+		memlog := measureMemlog(8, records, denyEvery)
+		for i := 1; i < rounds; i++ {
+			if e := measureMemlog(8, records, denyEvery); e.OpsPerSec > memlog.OpsPerSec {
+				memlog = e
+			}
 		}
+		run.Append = append(run.Append, memlog)
 	}
-	run.Append = append(run.Append, memlog)
 	serial, err := measureWAL("wal-serial", 1, 1, records/4, 0)
 	if err != nil {
 		return run, err
@@ -266,7 +283,7 @@ func PrintStoreBenchRun(w io.Writer, run StoreBenchRun) {
 	fmt.Fprintf(w, "store bench %q (%s, %s):\n", run.Label, run.Time, run.GoVersion)
 	fmt.Fprintln(w, "  append throughput:")
 	for _, e := range run.Append {
-		fmt.Fprintf(w, "    %-13s %2d appenders (window %3d) %8d records %10.0f ns/op %12.0f ops/s %6.3f fsyncs/op\n",
+		fmt.Fprintf(w, "    %-14s %2d appenders (window %3d) %8d records %10.0f ns/op %12.0f ops/s %6.3f fsyncs/op\n",
 			e.Mode, e.Appenders, max(e.Window, 1), e.Records, e.NsPerOp, e.OpsPerSec, e.FsyncsPerOp)
 	}
 	fmt.Fprintln(w, "  recovery time:")

@@ -153,6 +153,23 @@ func (s *Store) Derive(parentID, newID, plaintext string) (*Record, error) {
 	return r, nil
 }
 
+// DropDerived removes a derived record. It refuses an unknown ID and a
+// primary (registered) record, which owns its taint bit.
+func (s *Store) DropDerived(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.byID[id]
+	if r == nil {
+		return fmt.Errorf("cor: drop: unknown cor %s", id)
+	}
+	if s.byBit[r.Bit] == r {
+		return fmt.Errorf("cor: drop: %s is a registered cor, not a derived one", id)
+	}
+	delete(s.byID, id)
+	s.views.Store(nil)
+	return nil
+}
+
 // List returns all records sorted by ID (descriptions feed the device's
 // selection widget).
 func (s *Store) List() []*Record {

@@ -96,6 +96,33 @@ func TestDeriveInheritsBitAndClass(t *testing.T) {
 	}
 }
 
+func TestDropDerived(t *testing.T) {
+	s := NewStore()
+	parent, _ := s.Register("bank-pw", "secret99", "")
+	if _, err := s.Derive("bank-pw", "bank-pw-hash", "deadbeef"); err != nil {
+		t.Fatal(err)
+	}
+	s.DeviceViews() // cache the catalog, which the drop must invalidate
+	if err := s.DropDerived("bank-pw"); err == nil {
+		t.Fatal("dropped a registered cor")
+	}
+	if err := s.DropDerived("nope"); err == nil {
+		t.Fatal("dropped an unknown cor")
+	}
+	if err := s.DropDerived("bank-pw-hash"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Get("bank-pw-hash") != nil || s.Len() != 1 || len(s.DeviceViews()) != 1 {
+		t.Fatal("derived cor still listed after the drop")
+	}
+	if s.ByBit(parent.Bit) != parent || s.Get("bank-pw") != parent {
+		t.Fatal("the drop disturbed the parent")
+	}
+	if _, err := s.Derive("bank-pw", "bank-pw-hash", "deadbeef"); err != nil {
+		t.Fatalf("re-deriving a dropped ID: %v", err)
+	}
+}
+
 func TestDeviceViewsExcludePlaintext(t *testing.T) {
 	s := NewStore()
 	s.Register("a", "topsecret", "desc-a")

@@ -518,12 +518,14 @@ func exportWithDerivedCor(t *testing.T, fs *fault.CrashFS) (src, dst *Service, e
 
 // TestImportShardNotDurableAttachesNothing imports a shard carrying a
 // derived cor into a node whose store has failed. The import must fail as
-// not durable and leave the device's shard unattached, so the fleet's
-// re-import on the source node leaves one member holding the device.
+// not durable, leave the device's shard unattached and drop the derived
+// cor it minted, so the fleet's re-import on the source node leaves one
+// member holding the device and its secrets.
 func TestImportShardNotDurableAttachesNothing(t *testing.T) {
 	ctx := context.Background()
 	fs := fault.NewCrashFS(47)
 	src, dst, exp := exportWithDerivedCor(t, fs)
+	derivedID := exp.DerivedCors[0].ID
 
 	fs.CrashNow()
 	if err := dst.ImportShard(ctx, exp); !errors.Is(err, ErrNotDurable) {
@@ -531,6 +533,12 @@ func TestImportShardNotDurableAttachesNothing(t *testing.T) {
 	}
 	if _, ok := dst.Shard("dev-1"); ok {
 		t.Fatal("a not-durable import left the shard attached")
+	}
+	if dst.Cors.Get(derivedID) != nil {
+		t.Fatalf("a not-durable import left derived cor %s in memory", derivedID)
+	}
+	if dst.Cors.Get("pw") == nil {
+		t.Fatal("a not-durable import dropped the registered parent cor")
 	}
 	if err := src.ImportShard(ctx, exp); err != nil {
 		t.Fatalf("re-import on the source node: %v", err)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tinman/internal/cor"
 	"tinman/internal/tlssim"
 )
 
@@ -360,6 +361,7 @@ func (s *Service) DetachShard(deviceID string) (*ShardExport, error) {
 // The re-minted derived cors are one commit, made before the shard is
 // attached. Its audit entries (a refused app) carry no DeviceSeq: on
 // failure the device's sequence continues wherever the export goes back to.
+// A failed import drops the derived cors it minted from memory.
 func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -367,6 +369,16 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error)
 	if exp == nil || exp.DeviceID == "" {
 		return errf(ErrBadRequest, "shard import missing device ID")
 	}
+	var minted []*cor.Record
+	defer func() {
+		if err != nil {
+			for _, rec := range minted {
+				// Cannot fail: the import minted rec as a derived cor, and
+				// nothing else drops derived cors.
+				_ = s.Cors.DropDerived(rec.ID)
+			}
+		}
+	}()
 	var op opRecords
 	defer s.end(&op, &err)
 	sh := newShard(exp.DeviceID, s.clock)
@@ -415,6 +427,10 @@ func (s *Service) ImportShard(ctx context.Context, exp *ShardExport) (err error)
 		if err != nil {
 			return errf(ErrBadRequest, "importing derived cor %s: %v", d.ID, err)
 		}
+		minted = append(minted, rec)
+	}
+	// The vault records join the commit only once every derive succeeded.
+	for _, rec := range minted {
 		op.vault(rec)
 	}
 	sh.replays.Import(exp.Replays)
